@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import Henon4Error
 from .logtransform import log_energy, sqrt_transform_energy, to_log_profile
-from .moser import blowup_scan
+from .moser import MoserParams, blowup_scan
 from .profiles import (
     BoundaryKind,
     FunctionalParams,
@@ -48,13 +48,14 @@ from .profiles import (
     laplacian_l2_sq,
     pointwise_log_bound_margin,
     series_upper_bound,
+    sigma_alpha,
     unit_energy,
     weighted_functional,
     weighted_lp_norm_p,
 )
 from .quadrature import QuadratureSpec
 from .rearrangement import seeded_comparison_profiles, talenti_comparison_check
-from .symmetry import BumpSpec, SearchOptions, crossover_detect
+from .symmetry import BumpSpec, SearchOptions, check_sweep, crossover_detect
 
 __all__ = ["RunConfig", "ConfigError", "build_config", "run", "emit", "main"]
 
@@ -125,7 +126,6 @@ def emit(report, fmt: str, path: Path) -> None:
 def resolve_sigma(token: str, alpha: float) -> float:
     """Resolve a sigma token ("32pi2", "0.8*sigma_alpha", number) to a value."""
     tok = token.strip().lower()
-    sigma_alpha = 32.0 * math.pi**2 * (1.0 + alpha / 4.0)
     factor = 1.0
     if "*" in tok:
         head, tok = tok.split("*", 1)
@@ -134,7 +134,7 @@ def resolve_sigma(token: str, alpha: float) -> float:
         except ValueError as exc:
             raise ConfigError(f"bad sigma factor in {token!r}") from exc
     if tok == "sigma_alpha":
-        return factor * sigma_alpha
+        return factor * sigma_alpha(alpha)
     if tok.endswith("pi2"):
         try:
             base = float(tok[:-3])
@@ -246,98 +246,87 @@ def build_config(argv: Sequence[str]) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         params.update(loaded)
 
-    for key in (
-        "alpha",
-        "sigma",
-        "beta",
-        "m",
-        "epsilons",
-        "alphas",
-        "bump",
-        "bc",
-        "seed",
-        "count",
-    ):
-        val = getattr(ns, key)
-        if val is not None:
-            params[key] = val
+    for key in _ALLOWED_KEYS:  # a flag wins over the config file
+        if getattr(ns, key) is not None:
+            params[key] = getattr(ns, key)
 
-    rel_tol = ns.rel_tol if ns.rel_tol is not None else params.pop("rel_tol", None)
-    max_subdiv = (
-        ns.max_subdiv if ns.max_subdiv is not None else params.pop("max_subdiv", None)
-    )
+    rel_tol = params.pop("rel_tol", None)
+    max_subdiv = params.pop("max_subdiv", None)
+    out_dir = params.pop("out_dir", None) or os.environ.get("HENON4_OUT_DIR", "out")
+    fmt = params.pop("format", "both")
+    if fmt not in ("csv", "json", "both"):
+        raise ConfigError(f"unknown format {fmt!r}")
     try:
         quadrature = QuadratureSpec(
             rel_tol=float(rel_tol) if rel_tol is not None else 1e-10,
             max_subdivisions=int(max_subdiv) if max_subdiv is not None else 2000,
         )
-    except Henon4Error as exc:
+    except (Henon4Error, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    out_dir = (
-        ns.out_dir
-        if ns.out_dir is not None
-        else params.pop("out_dir", None) or os.environ.get("HENON4_OUT_DIR", "out")
-    )
-    fmt = ns.format if ns.format is not None else params.pop("format", "both")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"unknown format {fmt!r}")
-
-    cfg = RunConfig(
+    return RunConfig(
         command=ns.command,
         params=params,
         quadrature=quadrature,
         out_dir=Path(out_dir),
         fmt=fmt,
     )
-    _validate(cfg)
-    return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Range checks before any computation; raises ConfigError."""
-    p = cfg.params
+def _resolve(command: str, p: dict) -> dict:
+    """The command body's arguments, built from the raw params into library
+    objects whose constructors and checks hold the preconditions; every
+    default is written here once.  Raises ConfigError on any rejected input.
+    """
+    try:
+        inputs = _construct(command, p)
+    except (Henon4Error, ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    try:  # preconditions that a library call, not a constructor, checks
+        if command == "threshold-scan":
+            inputs["bounds"] = [series_upper_bound(q, 1.0) for q in inputs["grid"]]
+        elif command == "talenti-check":
+            inputs["profiles"] = seeded_comparison_profiles(inputs["count"], inputs["seed"])
+        elif command == "symmetry-sweep":
+            check_sweep(inputs["params"], inputs["alphas"])
+    except Henon4Error as exc:
+        raise ConfigError(str(exc)) from exc
+    return inputs
+
+
+def _construct(command: str, p: dict) -> dict:
+    # alpha, sigma and m pass the library's rules whatever the command uses
     alpha = float(p.get("alpha", 0.0))
-    if alpha < 0.0:
-        raise ConfigError("alpha must be >= 0")
-    if "m" in p and p["m"] is not None and int(p["m"]) < 0:
-        raise ConfigError("m must be >= 0")
-    if "sigma" in p:
-        sigma = resolve_sigma(str(p["sigma"]), alpha)
-        if sigma <= 0.0:
-            raise ConfigError("sigma must resolve to a positive value")
-    if cfg.command == "moser-blowup":
+    sigma = resolve_sigma(str(p["sigma"]), alpha) if "sigma" in p else 1.0
+    FunctionalParams(alpha, sigma, p.get("m"))
+    if command == "verify-identities":
+        return {"alpha": float(p.get("alpha", 16.0))}
+    if command == "threshold-scan":
+        token = str(p.get("sigma", "0.9*sigma_alpha"))
+        alphas = parse_alphas(str(p.get("alphas", "0,1,4,16")))
+        return {
+            "sigma_token": token,
+            "grid": [FunctionalParams(a, resolve_sigma(token, a)) for a in alphas],
+        }
+    if command == "moser-blowup":
         beta = float(p.get("beta", 1.2))
-        if beta <= 0.0:
-            raise ConfigError("beta must be > 0")
-        eps = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
         bc = BoundaryKind(p.get("bc", "navier"))
-        emax = math.exp(-2.0)
-        for e in eps:
-            if not 0.0 < e < emax:
-                raise ConfigError(f"epsilon {e:g} outside (0, e^-2)")
-            if bc is BoundaryKind.DIRICHLET and math.log(-math.log(e)) <= 2.0:
-                raise ConfigError(
-                    f"epsilon {e:g} too large for the Dirichlet member "
-                    "(needs 1/log|log eps| < 1/2)"
-                )
-    if cfg.command == "symmetry-sweep":
-        alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))
-        if len(alphas) < 4:
-            raise ConfigError("symmetry sweep needs at least 4 alphas")
-        if min(alphas) < 4.0:
-            raise ConfigError("translated bump requires alpha >= 4")
-        m = int(p.get("m", 1))
-        if m < 1:
-            raise ConfigError("symmetry sweep requires m >= 1")
-        sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
-        if sigma > 32.0 * math.pi**2 * (1.0 + 1e-12):
-            raise ConfigError("symmetry sweep requires sigma <= 32pi2")
-        if p.get("bump", "poly4") not in ("poly4", "cos2"):
-            raise ConfigError(f"unknown bump kind {p.get('bump')!r}")
-    if cfg.command == "talenti-check":
-        if int(p.get("count", 10)) < 1:
-            raise ConfigError("count must be >= 1")
+        eps = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
+        return {
+            "params": FunctionalParams(alpha, beta * sigma_alpha(alpha), p.get("m")),
+            "beta": beta,
+            "bc": bc,
+            "members": [MoserParams(e, bc) for e in eps],
+        }
+    if command == "talenti-check":
+        return {"count": int(p.get("count", 10)), "seed": int(p.get("seed", 20240807))}
+    sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
+    return {
+        "params": FunctionalParams(0.0, sigma, p.get("m", 1)),
+        "alphas": parse_alphas(str(p.get("alphas", "16,32,64,128,256,512"))),
+        "bump": BumpSpec(p.get("bump", "poly4")),
+        "opts": SearchOptions(seed=p.get("seed", 0)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +338,7 @@ def _print(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _verify_identities(cfg: RunConfig):
-    spec = cfg.quadrature
-    alpha = float(cfg.params.get("alpha", 16.0))
+def _verify_identities(spec: QuadratureSpec, alpha: float):
     gammas = (1.0, 4.0, alpha + 4.0)
     rows = []
     failures = 0
@@ -392,7 +379,7 @@ def _verify_identities(cfg: RunConfig):
         u = unit_energy(corpus_profile(name), spec)
         worst = 0.0
         for a in (0.0, 1.0, 4.0, 16.0):
-            sigma = 0.9 * FunctionalParams(a, 1.0, None).sigma_alpha()
+            sigma = 0.9 * sigma_alpha(a)
             for m in (None, 0, 1, 2):
                 params = FunctionalParams(a, sigma, m)
                 val = weighted_functional(u, params, spec)
@@ -412,25 +399,20 @@ def _verify_identities(cfg: RunConfig):
     return report, (0 if failures == 0 else 3), f"{failures} failure(s)"
 
 
-def _threshold_scan(cfg: RunConfig):
-    spec = cfg.quadrature
-    alphas = parse_alphas(str(cfg.params.get("alphas", "0,1,4,16")))
-    sigma_token = str(cfg.params.get("sigma", "0.9*sigma_alpha"))
+def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: list):
     rows = []
     failures = 0
-    for a in alphas:
-        params = FunctionalParams(a, resolve_sigma(sigma_token, a), None)
-        bound = series_upper_bound(params, 1.0)
+    for params, bound in zip(grid, bounds):
         worst = 0.0
         for name in corpus_names():
             u = unit_energy(corpus_profile(name), spec)
             worst = max(worst, weighted_functional(u, params, spec))
         ok = worst <= bound * (1.0 + 1e-8)
         failures += not ok
-        rows.append((a, params.sigma_alpha(), bound, worst))
+        rows.append((params.alpha, params.sigma_alpha(), bound, worst))
         _print(
-            f"[{'PASS' if ok else 'FAIL'}] alpha={a:g} sigma_alpha={params.sigma_alpha():.6g} "
-            f"bound={bound:.6g} max_corpus={worst:.6g}"
+            f"[{'PASS' if ok else 'FAIL'}] alpha={params.alpha:g} "
+            f"sigma_alpha={params.sigma_alpha():.6g} bound={bound:.6g} max_corpus={worst:.6g}"
         )
     report = TableReport(
         meta={"suite": "threshold-scan", "sigma": sigma_token},
@@ -440,15 +422,15 @@ def _threshold_scan(cfg: RunConfig):
     return report, (0 if failures == 0 else 3), f"{failures} violation(s)"
 
 
-def _moser_blowup(cfg: RunConfig):
-    spec = cfg.quadrature
-    p = cfg.params
-    alpha = float(p.get("alpha", 0.0))
-    beta = float(p.get("beta", 1.2))
-    eps = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
-    m = int(p["m"]) if "m" in p and p["m"] is not None else None
-    bc = BoundaryKind(p.get("bc", "navier"))
-    ex = blowup_scan(alpha, beta, eps, m=m, spec=spec, bc=bc)
+def _moser_blowup(
+    spec: QuadratureSpec,
+    params: FunctionalParams,
+    beta: float,
+    bc: BoundaryKind,
+    members: list,
+):
+    eps = [mp.epsilon for mp in members]
+    ex = blowup_scan(params.alpha, beta, eps, m=params.m, spec=spec, bc=bc)
     header, rows = ex.csv_rows()
     for row in rows:
         _print(
@@ -459,10 +441,10 @@ def _moser_blowup(cfg: RunConfig):
     report = TableReport(
         meta={
             "suite": "moser-blowup",
-            "alpha": alpha,
+            "alpha": params.alpha,
             "beta": beta,
             "bc": bc.value,
-            "m": m,
+            "m": params.m,
             "verdict": ex.verdict,
         },
         header=header,
@@ -475,13 +457,9 @@ def _moser_blowup(cfg: RunConfig):
     return report, 0, ex.verdict
 
 
-def _talenti_check(cfg: RunConfig):
-    spec = cfg.quadrature
-    count = int(cfg.params.get("count", 10))
-    seed = int(cfg.params.get("seed", 20240807))
+def _talenti_check(spec: QuadratureSpec, count: int, seed: int, profiles: list):
     rows = []
     failures = 0
-    profiles = seeded_comparison_profiles(count, seed)
     for v in profiles:
         rep = talenti_comparison_check(v, spec)
         ok = rep.holds and rep.v_sq_integral <= rep.u_sq_integral + 1e-8
@@ -501,15 +479,13 @@ def _talenti_check(cfg: RunConfig):
     return report, (0 if failures == 0 else 3), f"{failures} failure(s)"
 
 
-def _symmetry_sweep(cfg: RunConfig):
-    spec = cfg.quadrature
-    p = cfg.params
-    alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))
-    m = int(p.get("m", 1))
-    sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
-    bump = BumpSpec(str(p.get("bump", "poly4")))
-    opts = SearchOptions(seed=int(p.get("seed", 0)))
-    params = FunctionalParams(0.0, sigma, m)
+def _symmetry_sweep(
+    spec: QuadratureSpec,
+    params: FunctionalParams,
+    alphas: list,
+    bump: BumpSpec,
+    opts: SearchOptions,
+):
     report = crossover_detect(params, alphas, bump, opts, spec)
     for r in report.rows:
         _print(
@@ -524,8 +500,13 @@ def _symmetry_sweep(cfg: RunConfig):
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured command; write outputs; return the exit code."""
+    """Execute the configured command; write outputs; return the exit code.
+
+    Raises ConfigError, before computing or writing anything, when the
+    library rejects the command's inputs.
+    """
     t0 = time.time()
+    inputs = _resolve(config.command, config.params)
     body = {
         "verify-identities": _verify_identities,
         "threshold-scan": _threshold_scan,
@@ -533,7 +514,7 @@ def run(config: RunConfig) -> int:
         "talenti-check": _talenti_check,
         "symmetry-sweep": _symmetry_sweep,
     }[config.command]
-    report, code, note = body(config)
+    report, code, note = body(config.quadrature, **inputs)
 
     stem = config.command.replace("-", "_")
     if config.command == "symmetry-sweep":
@@ -554,12 +535,10 @@ def run(config: RunConfig) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = build_config(argv)
+        return run(build_config(argv))
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    try:
-        return run(cfg)
     except Henon4Error as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

@@ -48,6 +48,7 @@ from .profiles import (
     FunctionalParams,
     RadialProfile,
     laplacian_l2_sq,
+    sigma_alpha,
     weighted_functional,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -325,8 +326,7 @@ def blowup_scan(
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise DomainError("epsilons must be strictly decreasing")
 
-    sigma_alpha = 32.0 * math.pi**2 * (1.0 + alpha / 4.0)
-    params = FunctionalParams(alpha, beta * sigma_alpha, m)
+    params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
 
     norm_sqs = []
     values = []

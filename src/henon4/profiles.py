@@ -41,6 +41,7 @@ __all__ = [
     "BoundaryKind",
     "RadialProfile",
     "FunctionalParams",
+    "sigma_alpha",
     "laplacian_l2_sq",
     "weighted_functional",
     "weighted_lp_norm_p",
@@ -118,15 +119,20 @@ class FunctionalParams:
     m: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.alpha >= 0.0:
-            raise DomainError("alpha must be >= 0")
-        if not self.sigma > 0.0:
-            raise DomainError("sigma must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise DomainError("alpha must be finite and >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise DomainError("sigma must be finite and > 0")
         if self.m is not None and (self.m < 0 or self.m != int(self.m)):
             raise DomainError("m must be a natural number when present")
 
     def sigma_alpha(self) -> float:
-        return 32.0 * math.pi**2 * (1.0 + self.alpha / 4.0)
+        return sigma_alpha(self.alpha)
+
+
+def sigma_alpha(alpha: float) -> float:
+    """The sharp weighted threshold 32 pi^2 (1 + alpha/4)."""
+    return 32.0 * math.pi**2 * (1.0 + alpha / 4.0)
 
 
 def exp_minus_taylor(z, m: Optional[int]):

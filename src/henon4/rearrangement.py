@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, PreconditionError
+from .errors import DomainError, NonFinite, PreconditionError
 from .profiles import (
     OMEGA_3,
     BoundaryKind,
@@ -351,6 +351,8 @@ def seeded_comparison_profiles(count: int = 10, seed: int = 20240807) -> list:
     on the boundary; the coefficient ranges make -Delta v change sign for
     most draws.
     """
+    if count < 1 or seed < 0:
+        raise DomainError("need count >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):

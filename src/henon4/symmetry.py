@@ -32,6 +32,7 @@ log-ratio log(bump / (kappa * radial)), increasing past the crossover.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,6 +52,7 @@ from .profiles import (
     power_profile,
     power_sq_profile,
     ring_profile,
+    sigma_alpha,
     weighted_functional,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
@@ -65,12 +67,12 @@ __all__ = [
     "translated_bump_paper_bound",
     "radial_max_search",
     "crossover_detect",
+    "check_sweep",
     "CROSSOVER_KAPPA",
     "fit_loglog_slope",
 ]
 
 CROSSOVER_KAPPA = 1.05  # safety factor on the radial estimate
-SIGMA_CAP = 32.0 * math.pi**2
 
 
 def _relative_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -87,24 +89,20 @@ class BumpSpec:
 
     kind: str = "poly4"
 
+    def __post_init__(self) -> None:
+        if self.kind not in _BUMP_BASES:
+            raise DomainError(f"unknown bump kind {self.kind!r}")
+
 
 _BUMP_BASES = {
     "poly4": lambda: poly_profile(2),
     "cos2": cos2_profile,
 }
 
-_bump_cache: dict = {}
-
 
 def bump_profile(bump: BumpSpec, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialProfile:
-    key = bump.kind
-    if key not in _bump_cache:
-        if key not in _BUMP_BASES:
-            raise DomainError(f"unknown bump kind {bump.kind!r}")
-        base = _BUMP_BASES[key]()
-        lap = laplacian_l2_sq(base, spec)
-        _bump_cache[key] = base.scaled(1.0 / math.sqrt(lap))
-    return _bump_cache[key]
+    base = _BUMP_BASES[bump.kind]()
+    return base.scaled(1.0 / math.sqrt(laplacian_l2_sq(base, spec)))
 
 
 def _check_bump_params(alpha: float, p: FunctionalParams) -> None:
@@ -112,23 +110,27 @@ def _check_bump_params(alpha: float, p: FunctionalParams) -> None:
         raise PreconditionError("translated bump requires alpha >= 4")
     if p.m is None:
         raise PreconditionError("the comparison concerns truncated functionals (m present)")
-    if p.sigma > SIGMA_CAP * (1.0 + 1e-12):
+    if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
         raise PreconditionError("sigma must stay at or below 32 pi^2")
 
 
-def _bump_g_integral(bump: BumpSpec, p: FunctionalParams, spec: QuadratureSpec) -> float:
-    """integral_B g(u(|y|)) dy for the normalized bump (cached per sigma, m)."""
-    key = (bump.kind, p.sigma, p.m)
-    if key not in _bump_cache:
-        u = bump_profile(bump, spec)
+def check_sweep(p: FunctionalParams, alphas: Sequence[float]) -> None:
+    """Hypotheses of a bump-versus-radial sweep; raises DomainError.
 
-        def integrand(s):
-            ss = np.asarray(s, dtype=float)
-            val = u.value(ss)
-            return ss**3 * exp_minus_taylor(p.sigma * val * val, p.m)
-
-        _bump_cache[key] = OMEGA_3 * integrate(integrand, 0.0, 1.0, spec).value
-    return _bump_cache[key]
+    At least 4 strictly increasing alphas, each finite and >= 4 so that the
+    translated bump fits inside the ball; truncated functionals (m >= 1) at
+    or below the unweighted threshold sigma_alpha(0) = 32 pi^2.
+    """
+    if len(alphas) < 4:
+        raise DomainError("need at least 4 grid points")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise DomainError("alphas must be strictly increasing")
+    if not all(math.isfinite(a) and a >= 4.0 for a in alphas):
+        raise DomainError("translated bump requires finite alpha >= 4")
+    if p.m is None or p.m < 1:
+        raise DomainError("crossover concerns truncated functionals with m >= 1")
+    if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
+        raise DomainError("sigma must stay at or below 32 pi^2")
 
 
 def translated_bump_value(
@@ -180,7 +182,14 @@ def translated_bump_paper_bound(
 ) -> float:
     """Elementary minorant (1 - 2/alpha)^alpha alpha^-4 integral_B g(u)."""
     _check_bump_params(alpha, p)
-    base = _bump_g_integral(bump, p, spec)
+    u = bump_profile(bump, spec)
+
+    def integrand(s):
+        ss = np.asarray(s, dtype=float)
+        val = u.value(ss)
+        return ss**3 * exp_minus_taylor(p.sigma * val * val, p.m)
+
+    base = OMEGA_3 * integrate(integrand, 0.0, 1.0, spec).value
     return (1.0 - 2.0 / alpha) ** alpha / alpha**4 * base
 
 
@@ -195,6 +204,10 @@ class SearchOptions:
     sweeps: int = 2
     golden_iters: int = 16
     jitter_starts: int = 3  # extra rng-perturbed starts on top of the base seeds
+
+    def __post_init__(self) -> None:
+        if operator.index(self.seed) < 0:  # an integer, as numpy's rng needs
+            raise DomainError("seed must be >= 0")
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -269,7 +282,7 @@ def radial_max_search(
     functional is evaluated, so any returned value is a true lower bound.
     Deterministic for a fixed opts.seed.  Returns (value, profile).
     """
-    if p.sigma > SIGMA_CAP * (1.0 + 1e-12):
+    if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
         raise PreconditionError("sigma must stay at or below 32 pi^2")
     if p.m is None or p.m < 1:
         raise PreconditionError("radial search targets truncated functionals, m >= 1")
@@ -354,7 +367,7 @@ class SweepRow:
     radial_profile_id: str
 
     def crossover_margin(self, kappa: float = CROSSOVER_KAPPA) -> float:
-        """log(bumpـexact / (kappa * radial_max)); positive past crossover."""
+        """log(bump_exact / (kappa * radial_max)); positive past crossover."""
         return math.log(self.bump_exact / (kappa * self.radial_max))
 
 
@@ -425,14 +438,7 @@ def crossover_detect(
     `fit_points` grid points.
     """
     alphas = [float(a) for a in alphas]
-    if len(alphas) < 4:
-        raise DomainError("need at least 4 grid points")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise DomainError("alphas must be strictly increasing")
-    if p.m is None or p.m < 1:
-        raise DomainError("crossover concerns truncated functionals with m >= 1")
-    if p.sigma > SIGMA_CAP * (1.0 + 1e-12):
-        raise DomainError("sigma must stay at or below 32 pi^2")
+    check_sweep(p, alphas)
 
     rows = []
     for a in alphas:

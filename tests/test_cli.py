@@ -183,3 +183,40 @@ def test_emit_empty_report_header_only(tmp_path):
     jpath = tmp_path / "empty.json"
     emit(report, "json", jpath)
     assert json.loads(jpath.read_text()) == {"suite": "empty", "rows": []}
+
+
+_REJECTED = [
+    (["threshold-scan", "--alphas=-1,0"], None),
+    (["threshold-scan", "--sigma", "sigma_alpha"], None),
+    (["moser-blowup", "--alpha", "nan"], None),
+    (["moser-blowup", "--beta", "nan"], None),
+    (["symmetry-sweep", "--sigma", "nan"], None),
+    (["symmetry-sweep", "--alphas", "16,32,64,nan"], None),
+    (["symmetry-sweep", "--alphas", "16,32,64,inf"], None),
+    (["verify-identities", "--alpha", "nan"], None),
+    (["verify-identities", "--alpha=-3"], None),
+    (["talenti-check", "--seed=-1"], None),
+    (["talenti-check", "--alpha", "-1"], None),
+    (["talenti-check", "--sigma", "bogus"], None),
+    (["verify-identities", "--m", "-1"], None),
+    (["symmetry-sweep", "--seed=-1"], None),
+    (["verify-identities"], {"alpha": "x"}),
+    (["threshold-scan"], {"rel_tol": "tight"}),
+    (["moser-blowup"], {"m": 1.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    _REJECTED,
+    ids=[" ".join(argv) + (f" {json.dumps(c)}" if c else "") for argv, c in _REJECTED],
+)
+def test_rejected_inputs_exit_2_and_write_nothing(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg_file)]
+    out = tmp_path / "never"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,10 +11,13 @@ from henon4.profiles import (
     OMEGA_3,
     BoundaryKind,
     FunctionalParams,
+    cos2_profile,
+    exp_minus_taylor,
     laplacian_l2_sq,
+    unit_energy,
     weighted_functional,
 )
-from henon4.quadrature import DEFAULT_SPEC, integrate
+from henon4.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from henon4.symmetry import (
     CROSSOVER_KAPPA,
     BumpSpec,
@@ -98,6 +101,25 @@ def test_bump_bound_limit_matches_g_integral():
     assert errs[0] > errs[1] > errs[2]
     # convergence rate is 2/alpha: (1-2/a)^a = e^-2 (1 - 2/a + O(a^-2))
     assert errs[2] < 3.0 / 1024.0 * math.exp(-2.0) * i0
+
+
+def test_bump_bound_follows_the_quadrature_spec():
+    # a coarse-spec call must leave nothing behind that a later
+    # default-spec call reuses
+    p = FunctionalParams(0.0, SIGMA, 1)
+    coarse = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-3)
+    translated_bump_paper_bound(64.0, p, BumpSpec("cos2"), coarse)
+    got = translated_bump_paper_bound(64.0, p, BumpSpec("cos2"))
+
+    u = unit_energy(cos2_profile())
+
+    def integrand(s):
+        val = u.value(s)
+        return s**3 * exp_minus_taylor(SIGMA * val * val, 1)
+
+    g_integral = OMEGA_3 * integrate(integrand, 0.0, 1.0).value
+    fresh = (1.0 - 2.0 / 64.0) ** 64 / 64.0**4 * g_integral
+    assert abs(got - fresh) <= DEFAULT_SPEC.rel_tol * fresh
 
 
 def test_bump_truncation_ordering():
