@@ -8,7 +8,6 @@ from .quadrature import (
     DEFAULT_SPEC,
     IntegralResult,
     QuadratureSpec,
-    gamma_fn,
     integrate,
     integrate_halfline,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "DEFAULT_SPEC",
     "IntegralResult",
     "QuadratureSpec",
-    "gamma_fn",
     "integrate",
     "integrate_halfline",
     "OMEGA_3",

@@ -259,7 +259,7 @@ def build_config(argv: Sequence[str]) -> RunConfig:
     try:
         quadrature = QuadratureSpec(
             rel_tol=float(rel_tol) if rel_tol is not None else 1e-10,
-            max_subdivisions=int(max_subdiv) if max_subdiv is not None else 2000,
+            max_subdivisions=max_subdiv if max_subdiv is not None else 2000,
         )
     except (Henon4Error, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -342,10 +342,12 @@ def _verify_identities(spec: QuadratureSpec, alpha: float):
     gammas = (1.0, 4.0, alpha + 4.0)
     rows = []
     failures = 0
+    names = corpus_names()
+    profiles = [corpus_profile(name) for name in names]
+    energies = [laplacian_l2_sq(u, spec) for u in profiles]
+    units = [unit_energy(u, spec) for u in profiles]
 
-    for name in corpus_names():
-        u = corpus_profile(name)
-        radial = laplacian_l2_sq(u, spec)
+    for name, u, radial in zip(names, profiles, energies):
         sqrt_form = sqrt_transform_energy(u, spec)
         worst = abs(sqrt_form - radial) / radial
         for gamma in gammas:
@@ -355,16 +357,14 @@ def _verify_identities(spec: QuadratureSpec, alpha: float):
         failures += not ok
         rows.append(("energy-identity", name, worst, ok))
 
-    for name in corpus_names():
-        u = unit_energy(corpus_profile(name), spec)
+    for name, u in zip(names, units):
         margin = pointwise_log_bound_margin(u, spec)
         ok = margin <= 1.0 + 1e-9
         failures += not ok
         rows.append(("log-bound-margin", name, margin, ok))
 
-    for name in corpus_names():
-        u = corpus_profile(name)
-        lap = math.sqrt(laplacian_l2_sq(u, spec))
+    for name, u, radial in zip(names, profiles, energies):
+        lap = math.sqrt(radial)
         worst = 0.0
         for pexp in (2.0, 4.0, 6.0):
             for a in (0.0, 1.0, 4.0, 16.0):
@@ -375,8 +375,7 @@ def _verify_identities(spec: QuadratureSpec, alpha: float):
         failures += not ok
         rows.append(("embedding-bound", name, worst, ok))
 
-    for name in corpus_names():
-        u = unit_energy(corpus_profile(name), spec)
+    for name, u in zip(names, units):
         worst = 0.0
         for a in (0.0, 1.0, 4.0, 16.0):
             sigma = 0.9 * sigma_alpha(a)
@@ -402,10 +401,10 @@ def _verify_identities(spec: QuadratureSpec, alpha: float):
 def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: list):
     rows = []
     failures = 0
+    units = [unit_energy(corpus_profile(name), spec) for name in corpus_names()]
     for params, bound in zip(grid, bounds):
         worst = 0.0
-        for name in corpus_names():
-            u = unit_energy(corpus_profile(name), spec)
+        for u in units:
             worst = max(worst, weighted_functional(u, params, spec))
         ok = worst <= bound * (1.0 + 1e-8)
         failures += not ok

@@ -328,18 +328,17 @@ class EstimatesReport:
 
 
 _MARGIN_TOL = 1e-9
+_CHECK_NODES = 2001
 
 
 def estimates_check(
     wp: LogProfile,
     alpha: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    t_max: Optional[float] = None,
-    grid_size: int = 2001,
 ) -> EstimatesReport:
     """Grid check of the growth estimates for unit-energy decreasing sources.
 
-    On t in [0, T] (T = 50 (alpha+4) by default) verifies
+    On 2001 equispaced nodes of t in [0, T], T = 50 (alpha+4), verifies
         w'(t) - w'(0) <= 2/(alpha+4) (sqrt(t) + w(t)),
         w(t)          <= sqrt(t),
         w'(t)         <= sqrt(2/(alpha+4)) (1 + 2 sqrt(t/(alpha+4))),
@@ -349,8 +348,8 @@ def estimates_check(
     (energy above 1, negative or non-finite w').
     """
     ap4 = alpha + 4.0
-    T = float(t_max) if t_max is not None else 50.0 * ap4
-    t = np.linspace(0.0, T, grid_size)
+    T = 50.0 * ap4
+    t = np.linspace(0.0, T, _CHECK_NODES)
 
     w_vals = np.asarray(wp.w(t), dtype=float)
     w1_vals = np.asarray(wp.w1(t), dtype=float)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ThresholdError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gamma_fn, integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
     "OMEGA_3",
@@ -232,7 +232,7 @@ def embedding_bound(pexp: float, alpha: float, lap_norm: float) -> float:
     eps_emb = 4.0 / (4.0 + alpha)
     return (
         (eps_emb / 4.0) ** (1.0 + pexp / 2.0)
-        * gamma_fn(1.0 + pexp / 2.0)
+        * math.gamma(1.0 + pexp / 2.0)
         * OMEGA_3 ** (1.0 - pexp / 2.0)
         / 2.0**pexp
         * lap_norm**pexp
@@ -259,14 +259,13 @@ def series_upper_bound(p: FunctionalParams, lap_norm: float) -> float:
     return base * x ** (p.m + 1) / (1.0 - x)
 
 
-def pointwise_log_bound_margin(
-    u: RadialProfile,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    grid_size: int = 512,
-) -> float:
+_LOG_BOUND_NODES = 512
+
+
+def pointwise_log_bound_margin(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Worst ratio of |u(r)| to its logarithmic pointwise bound.
 
-    Evaluates sup over >= 512 log-spaced nodes of
+    Evaluates sup over 512 log-spaced nodes of
         |u(r)| * 2 sqrt(OMEGA_3) / (sqrt(-log r) * ||Delta u||_2);
     the radial pointwise estimate asserts this never exceeds 1.
     Returns 0.0 for the zero profile by convention.
@@ -274,17 +273,21 @@ def pointwise_log_bound_margin(
     lap = laplacian_l2_sq(u, spec)
     if lap <= 0.0:
         return 0.0
-    r = np.geomspace(1e-6, 1.0 - 1e-6, max(512, grid_size))
+    r = np.geomspace(1e-6, 1.0 - 1e-6, _LOG_BOUND_NODES)
     vals = np.abs(np.asarray(u.value(r)))
     bound = np.sqrt(-np.log(r)) * math.sqrt(lap) / (2.0 * math.sqrt(OMEGA_3))
     return float(np.max(vals / bound))
 
 
 def unit_energy(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialProfile:
-    """Scale a profile onto the unit energy sphere ||Delta u||_2 = 1."""
+    """Scale a profile onto the unit energy sphere ||Delta u||_2 = 1.
+
+    The package's one normaliser; only `moser.blowup_scan` scales inline,
+    because it reports the norm it divides by.
+    """
     lap = laplacian_l2_sq(u, spec)
-    if lap <= 0.0:
-        raise DomainError(f"cannot normalize zero-energy profile {u.description}")
+    if not (lap > 0.0 and math.isfinite(lap)):
+        raise DomainError(f"cannot normalize {u.description} of energy {lap!r}")
     return u.scaled(1.0 / math.sqrt(lap))
 
 

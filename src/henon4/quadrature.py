@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature and the Gamma function.
+"""Adaptive Gauss-Kronrod quadrature.
 
 All integrands are vectorized callables f(x: ndarray) -> ndarray.  The
 finite-interval driver uses the 15-point Kronrod / 7-point Gauss pair with
@@ -20,6 +20,7 @@ e.g. concentration regions of extremal profiles; the algebraic map does not.)
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,7 +33,6 @@ __all__ = [
     "IntegralResult",
     "integrate",
     "integrate_halfline",
-    "gamma_fn",
     "DEFAULT_SPEC",
 ]
 
@@ -44,9 +44,9 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be finite and strictly positive")
+        if operator.index(self.max_subdivisions) < 1:  # an integer count of intervals
             raise DomainError("max_subdivisions must be >= 1")
 
 
@@ -294,10 +294,3 @@ def _mapped_tail(
             d = p - t0
             seeds.append(d / (1.0 + d))
     return integrate(g, 0.0, 1.0, spec, seeds)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 (classical definition), full double precision."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    return math.gamma(x)

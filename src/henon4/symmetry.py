@@ -41,21 +41,20 @@ import numpy as np
 from .errors import DomainError, Henon4Error, OptFailure, PreconditionError
 from .moser import MoserParams, moser_navier
 from .profiles import (
-    OMEGA_3,
     BoundaryKind,
     FunctionalParams,
     RadialProfile,
     cos2_profile,
     exp_minus_taylor,
-    laplacian_l2_sq,
     poly_profile,
     power_profile,
     power_sq_profile,
     ring_profile,
     sigma_alpha,
+    unit_energy,
     weighted_functional,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
     "BumpSpec",
@@ -101,8 +100,7 @@ _BUMP_BASES = {
 
 
 def bump_profile(bump: BumpSpec, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialProfile:
-    base = _BUMP_BASES[bump.kind]()
-    return base.scaled(1.0 / math.sqrt(laplacian_l2_sq(base, spec)))
+    return unit_energy(_BUMP_BASES[bump.kind](), spec)
 
 
 def _check_bump_params(alpha: float, p: FunctionalParams) -> None:
@@ -183,13 +181,7 @@ def translated_bump_paper_bound(
     """Elementary minorant (1 - 2/alpha)^alpha alpha^-4 integral_B g(u)."""
     _check_bump_params(alpha, p)
     u = bump_profile(bump, spec)
-
-    def integrand(s):
-        ss = np.asarray(s, dtype=float)
-        val = u.value(ss)
-        return ss**3 * exp_minus_taylor(p.sigma * val * val, p.m)
-
-    base = OMEGA_3 * integrate(integrand, 0.0, 1.0, spec).value
+    base = weighted_functional(u, FunctionalParams(0.0, p.sigma, p.m), spec)
     return (1.0 - 2.0 / alpha) ** alpha / alpha**4 * base
 
 
@@ -200,10 +192,9 @@ def translated_bump_paper_bound(
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Seed of the rng that perturbs the extra search starts."""
+
     seed: int = 0
-    sweeps: int = 2
-    golden_iters: int = 16
-    jitter_starts: int = 3  # extra rng-perturbed starts on top of the base seeds
 
     def __post_init__(self) -> None:
         if operator.index(self.seed) < 0:  # an integer, as numpy's rng needs
@@ -211,6 +202,9 @@ class SearchOptions:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SWEEPS = 2  # coordinate-ascent passes per start
+_GOLDEN_ITERS = 16
+_JITTER_STARTS = 3  # extra rng-perturbed starts on top of the base seeds
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int):
@@ -291,11 +285,7 @@ def radial_max_search(
 
     def objective(family: str, params) -> float:
         try:
-            u = _family_profile(family, params)
-            lap = laplacian_l2_sq(u, qspec)
-            if not (lap > 0.0 and math.isfinite(lap)):
-                return -math.inf
-            v = u.scaled(1.0 / math.sqrt(lap))
+            v = unit_energy(_family_profile(family, params), qspec)
             val = weighted_functional(v, params_alpha, qspec)
         except Henon4Error:
             return -math.inf
@@ -303,7 +293,7 @@ def radial_max_search(
 
     rng = np.random.default_rng(opts.seed)
     starts = list(_base_seeds())
-    for _ in range(opts.jitter_starts):
+    for _ in range(_JITTER_STARTS):
         family, params = starts[int(rng.integers(len(_base_seeds())))]
         bounds = _FAMILY_BOUNDS[family]
         jittered = [
@@ -319,7 +309,7 @@ def radial_max_search(
         params = list(params)
         bounds = _FAMILY_BOUNDS[family]
         val = objective(family, params)
-        for _ in range(opts.sweeps):
+        for _ in range(_SWEEPS):
             for dim, (lo, hi) in enumerate(bounds):
 
                 def line(x, dim=dim):
@@ -327,7 +317,7 @@ def radial_max_search(
                     trial[dim] = x
                     return objective(family, trial)
 
-                x, fx = _golden_max(line, lo, hi, opts.golden_iters)
+                x, fx = _golden_max(line, lo, hi, _GOLDEN_ITERS)
                 if fx > val:
                     params[dim] = x
                     val = fx
@@ -338,9 +328,7 @@ def radial_max_search(
 
     if not math.isfinite(best_val):
         raise OptFailure("all radial search starts failed")
-    profile = _family_profile(best_family, best_params)
-    lap = laplacian_l2_sq(profile, qspec)
-    return best_val, profile.scaled(1.0 / math.sqrt(lap))
+    return best_val, unit_energy(_family_profile(best_family, best_params), qspec)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +354,10 @@ class SweepRow:
     radial_max: float
     radial_profile_id: str
 
-    def crossover_margin(self, kappa: float = CROSSOVER_KAPPA) -> float:
-        """log(bump_exact / (kappa * radial_max)); positive past crossover."""
-        return math.log(self.bump_exact / (kappa * self.radial_max))
+    def crossover_margin(self) -> float:
+        """log(bump_exact / (kappa * radial_max)) with kappa = CROSSOVER_KAPPA;
+        positive past crossover."""
+        return math.log(self.bump_exact / (CROSSOVER_KAPPA * self.radial_max))
 
 
 @dataclass(frozen=True)

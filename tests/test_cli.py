@@ -203,6 +203,8 @@ _REJECTED = [
     (["verify-identities"], {"alpha": "x"}),
     (["threshold-scan"], {"rel_tol": "tight"}),
     (["moser-blowup"], {"m": 1.5}),
+    (["threshold-scan"], {"max_subdiv": 2.7}),
+    (["threshold-scan", "--rel-tol", "inf"], None),
 ]
 
 

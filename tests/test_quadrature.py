@@ -9,7 +9,6 @@ from henon4.errors import Divergent, DomainError, NonConvergence, NonFinite
 from henon4.quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    gamma_fn,
     integrate,
     integrate_halfline,
 )
@@ -115,24 +114,6 @@ def test_halfline_constant_integrand_divergent():
 def test_halfline_growing_integrand_divergent():
     with pytest.raises(Divergent):
         integrate_halfline(lambda t: np.log1p(t) / (1.0 + t), 0.0)
-
-
-def test_gamma_basic_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_fn(3.0) == pytest.approx(2.0, rel=1e-14)
-    assert gamma_fn(1.5) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
-
-
-def test_gamma_recurrence():
-    for x in np.arange(0.5, 10.0 + 1e-9, 0.5):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma_fn(0.0)
-    with pytest.raises(DomainError):
-        gamma_fn(-1.5)
 
 
 def test_closed_form_agreement_within_ten_rel_tol():

@@ -18,8 +18,10 @@ from henon4.profiles import (
     weighted_functional,
 )
 from henon4.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from henon4.rearrangement import seeded_comparison_profiles
 from henon4.symmetry import (
     CROSSOVER_KAPPA,
+    _FAMILY_BOUNDS,
     BumpSpec,
     SearchOptions,
     bump_profile,
@@ -28,6 +30,7 @@ from henon4.symmetry import (
     radial_max_search,
     translated_bump_paper_bound,
     translated_bump_value,
+    _family_profile,
 )
 
 SIGMA = 32.0 * math.pi**2
@@ -226,3 +229,36 @@ def test_crossover_report_shape_small_grid():
         assert 0.0 < r.bump_paper_bound <= r.bump_exact
     # rows sorted by alpha
     assert [r.alpha for r in rep.rows] == [16.0, 32.0, 64.0, 128.0]
+
+
+def test_search_bump_and_seeded_derivative_consistency():
+    # the closed-form contract of the corpus test, on the profiles it does
+    # not reach: search families at the ends and middle of their bounds,
+    # the normalised bumps, and the seeded comparison profiles
+    def ends_and_middle(lo, hi):
+        return (lo, 0.5 * (lo + hi), hi)
+
+    (q_bounds,) = _FAMILY_BOUNDS["pow2"]
+    (rho_bounds, h_bounds) = _FAMILY_BOUNDS["ring"]
+    profiles = [_family_profile("pow2", [q]) for q in ends_and_middle(*q_bounds)]
+    profiles += [
+        _family_profile("ring", [rho0, h])
+        for rho0 in ends_and_middle(*rho_bounds)
+        for h in ends_and_middle(*h_bounds)
+    ]
+    profiles += [_family_profile("moser", [x]) for x in _FAMILY_BOUNDS["moser"][0]]
+    profiles += [bump_profile(BumpSpec(kind)) for kind in ("poly4", "cos2")]
+    for seed in range(10):
+        profiles += seeded_comparison_profiles(10, seed)
+
+    h = 1e-5
+    for u in profiles:
+        for r in (0.15, 0.35, 0.55, 0.75, 0.95):
+            if any(abs(r - b) < 20 * h for b in u.breakpoints):
+                continue
+            fd1 = (u.value(np.array([r + h]))[0] - u.value(np.array([r - h]))[0]) / (2 * h)
+            fd2 = (u.d1(np.array([r + h]))[0] - u.d1(np.array([r - h]))[0]) / (2 * h)
+            d1 = float(u.d1(np.array([r]))[0])
+            d2 = float(u.d2(np.array([r]))[0])
+            assert abs(fd1 - d1) / max(abs(d1), 1e-3) < 1e-6, (u.description, r)
+            assert abs(fd2 - d2) / max(abs(d2), 1e-3) < 1e-6, (u.description, r)
