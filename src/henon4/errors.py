@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check
+that raises one."""
+
+import operator
 
 
 class Henon4Error(Exception):
@@ -31,3 +34,12 @@ class PreconditionError(Henon4Error, ValueError):
 
 class OptFailure(Henon4Error):
     """Every start of a maximization failed to produce a usable value."""
+
+
+def as_index(value, name: str) -> int:
+    """`value` as an int, as operator.index takes it; any other type is a
+    DomainError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

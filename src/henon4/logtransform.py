@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import Henon4Error, PreconditionError
+from .errors import DomainError, Henon4Error, PreconditionError
 from .profiles import OMEGA_3, RadialProfile
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, integrate_halfline
 
@@ -343,10 +343,13 @@ def estimates_check(
         w(t)          <= sqrt(t),
         w'(t)         <= sqrt(2/(alpha+4)) (1 + 2 sqrt(t/(alpha+4))),
         0 <= w'(0)    <= sqrt(2/(alpha+4)),
-    reporting worst signed margins (ok iff margin <= 1e-9).  PreconditionError
-    when the transform did not come from an admissible decreasing profile
-    (energy above 1, negative or non-finite w').
+    reporting worst signed margins (ok iff margin <= 1e-9).  DomainError for
+    a non-finite or negative alpha; PreconditionError when the transform did
+    not come from an admissible decreasing profile (energy above 1, negative
+    or non-finite w').
     """
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise DomainError("alpha must be finite and >= 0")
     ap4 = alpha + 4.0
     T = 50.0 * ap4
     t = np.linspace(0.0, T, _CHECK_NODES)

@@ -204,9 +204,6 @@ class SeamDiagnostics:
     epsilon: float
     rows: tuple  # (quantity, uncorrected, matched, outer_reference)
 
-    def csv_rows(self):
-        return ("quantity", "uncorrected", "matched", "outer_reference"), self.rows
-
 
 def seam_diagnostics(epsilon: float) -> SeamDiagnostics:
     """Evaluate uncorrected vs matched seam formulas for the given epsilon.
@@ -262,19 +259,6 @@ class ThresholdExperiment:
     log_values: tuple
     lower_bound_exponents: tuple
     verdict: str  # "Diverging" | "Bounded" | "Inconclusive"
-
-    def csv_rows(self):
-        header = ("epsilon", "norm_sq", "value", "log_value", "lower_bound_exponent")
-        rows = list(
-            zip(
-                self.epsilons,
-                self.norm_sqs,
-                self.values,
-                self.log_values,
-                self.lower_bound_exponents,
-            )
-        )
-        return header, rows
 
 
 def _classify(epsilons: Sequence[float], values: Sequence[float]) -> str:

@@ -20,13 +20,12 @@ e.g. concentration regions of extremal profiles; the algebraic map does not.)
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Divergent, DomainError, NonConvergence, NonFinite
+from .errors import Divergent, DomainError, NonConvergence, NonFinite, as_index
 
 __all__ = [
     "QuadratureSpec",
@@ -46,7 +45,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise DomainError("tolerances must be finite and strictly positive")
-        if operator.index(self.max_subdivisions) < 1:  # an integer count of intervals
+        if as_index(self.max_subdivisions, "max_subdivisions") < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
 

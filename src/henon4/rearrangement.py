@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, PreconditionError
+from .errors import DomainError, NonFinite, PreconditionError, as_index
 from .profiles import (
     OMEGA_3,
     BoundaryKind,
@@ -202,11 +202,7 @@ class _SolveChain:
         return 0.25 * (partial + self.suffix[idx + 1])
 
 
-def talenti_radial_solve(
-    f: Callable,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    grid_size: int = _DEFAULT_GRID,
-) -> RadialProfile:
+def talenti_radial_solve(f: Callable, grid_size: int = _DEFAULT_GRID) -> RadialProfile:
     """Radial solution of -Delta u = f with u = 0 at the boundary.
 
     `f` must be the (radially decreasing, bounded) right-hand side as a
@@ -219,12 +215,10 @@ def talenti_radial_solve(
     fv = np.asarray(f(radii), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise NonFinite("right-hand side not finite on the sample grid")
-    return _solve_from_samples(radii**4, fv, f_callable=f)
+    return _solve_from_samples(radii**4, fv)
 
 
-def _solve_from_samples(
-    mu_knots: np.ndarray, f_values: np.ndarray, f_callable=None
-) -> RadialProfile:
+def _solve_from_samples(mu_knots: np.ndarray, f_values: np.ndarray) -> RadialProfile:
     chain = _SolveChain(mu_knots, f_values)
     f_mu = _interp_in_mu(mu_knots, f_values)
 
@@ -351,6 +345,7 @@ def seeded_comparison_profiles(count: int = 10, seed: int = 20240807) -> list:
     on the boundary; the coefficient ranges make -Delta v change sign for
     most draws.
     """
+    count, seed = as_index(count, "count"), as_index(seed, "seed")
     if count < 1 or seed < 0:
         raise DomainError("need count >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)

@@ -32,13 +32,12 @@ log-ratio log(bump / (kappa * radial)), increasing past the crossover.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, Henon4Error, OptFailure, PreconditionError
+from .errors import DomainError, Henon4Error, OptFailure, PreconditionError, as_index
 from .moser import MoserParams, moser_navier
 from .profiles import (
     BoundaryKind,
@@ -197,7 +196,7 @@ class SearchOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if operator.index(self.seed) < 0:  # an integer, as numpy's rng needs
+        if as_index(self.seed, "seed") < 0:  # an integer, as numpy's rng needs
             raise DomainError("seed must be >= 0")
 
 
@@ -367,48 +366,6 @@ class SweepReport:
     rows: tuple
     fitted_slopes: dict
     alpha_star: Optional[float]
-    kappa: float = CROSSOVER_KAPPA
-    fit_points: int = 4
-    seed: int = 0
-
-    def to_json_dict(self) -> dict:
-        # emitted schema is fixed: {sigma, m, rows, fitted_slopes{bump,radial},
-        # alpha_star}; fit residuals stay on the in-process report only
-        return {
-            "sigma": self.sigma,
-            "m": self.m,
-            "rows": [
-                {
-                    "alpha": r.alpha,
-                    "bump_exact": r.bump_exact,
-                    "bump_paper_bound": r.bump_paper_bound,
-                    "radial_max": r.radial_max,
-                    "radial_profile_id": r.radial_profile_id,
-                }
-                for r in self.rows
-            ],
-            "fitted_slopes": {
-                "bump": self.fitted_slopes["bump"],
-                "radial": self.fitted_slopes["radial"],
-            },
-            "alpha_star": self.alpha_star
-            if self.alpha_star is not None
-            else "not-found-on-grid",
-        }
-
-    def csv_rows(self):
-        header = (
-            "alpha",
-            "bump_exact",
-            "bump_paper_bound",
-            "radial_max",
-            "radial_profile_id",
-        )
-        rows = [
-            (r.alpha, r.bump_exact, r.bump_paper_bound, r.radial_max, r.radial_profile_id)
-            for r in self.rows
-        ]
-        return header, rows
 
 
 def crossover_detect(
@@ -424,7 +381,7 @@ def crossover_detect(
     exceeds kappa = 1.05 times the radial search value (both sides are lower
     bounds of their suprema, hence the safety factor and the 'numerical
     crossover' label).  Slopes are least-squares on log-log over the last
-    `fit_points` grid points.
+    four grid points.
     """
     alphas = [float(a) for a in alphas]
     check_sweep(p, alphas)
@@ -444,8 +401,7 @@ def crossover_detect(
             )
         )
 
-    fit_points = min(4, len(rows))
-    tail = rows[-fit_points:]
+    tail = rows[-4:]  # check_sweep guarantees at least four
     bump_slope, bump_resid = fit_loglog_slope(
         [r.alpha for r in tail], [r.bump_exact for r in tail]
     )
@@ -470,7 +426,4 @@ def crossover_detect(
             "radial_max_residual": radial_resid,
         },
         alpha_star=alpha_star,
-        kappa=CROSSOVER_KAPPA,
-        fit_points=fit_points,
-        seed=opts.seed,
     )

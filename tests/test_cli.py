@@ -109,6 +109,7 @@ def test_moser_blowup_writes_monotone_csv(tmp_path, capsys):
     text = (out / "moser_blowup.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "epsilon,norm_sq,value,log_value,lower_bound_exponent"
+    assert all(len(line.split(",")) == 5 for line in lines[1:])
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b > a for a, b in zip(values[1:], values[2:]))
     meta = json.loads((out / "moser_blowup.json").read_text())
@@ -155,6 +156,15 @@ def test_symmetry_sweep_json_schema_and_determinism(tmp_path):
         doc["alpha_star"], float
     )
     assert [r["alpha"] for r in doc["rows"]] == [16.0, 32.0, 64.0, 128.0]
+    assert set(doc["rows"][0]) == {
+        "alpha",
+        "bump_exact",
+        "bump_paper_bound",
+        "radial_max",
+        "radial_profile_id",
+    }
+    header = c1.decode().split("\n")[0]
+    assert header == "alpha,bump_exact,bump_paper_bound,radial_max,radial_profile_id"
 
 
 def test_csv_cells_are_17_digit_roundtrip(tmp_path):
@@ -205,6 +215,8 @@ _REJECTED = [
     (["moser-blowup"], {"m": 1.5}),
     (["threshold-scan"], {"max_subdiv": 2.7}),
     (["threshold-scan", "--rel-tol", "inf"], None),
+    (["talenti-check"], {"seed": 7.9}),
+    (["talenti-check"], {"count": 2.5}),
 ]
 
 
@@ -222,3 +234,25 @@ def test_rejected_inputs_exit_2_and_write_nothing(tmp_path, capsys, argv, config
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NON_INTEGER = [
+    (["threshold-scan"], {"max_subdiv": 2.7}, "max_subdivisions"),
+    (["symmetry-sweep"], {"seed": 1.5}, "seed"),
+    (["talenti-check"], {"seed": 7.9}, "seed"),
+    (["talenti-check"], {"count": 2.5}, "count"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    _NON_INTEGER,
+    ids=[f"{argv[0]} {json.dumps(c)}" for argv, c, _ in _NON_INTEGER],
+)
+def test_non_integer_count_message_names_the_key(tmp_path, capsys, argv, config, key):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "never"
+    assert main(argv + ["--config", str(cfg_file), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer, got {next(iter(config.values()))}" in err

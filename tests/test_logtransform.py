@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from henon4.errors import Divergent, PreconditionError
+from henon4.errors import Divergent, DomainError, PreconditionError
 from henon4.logtransform import (
     EstimatesReport,
     LogProfile,
@@ -244,3 +244,10 @@ def test_estimates_rejects_overweight_profile():
     wp = to_log_profile(u, 4.0)
     with pytest.raises(PreconditionError):
         estimates_check(wp, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-4.0, -5.0, math.nan])
+def test_estimates_rejects_bad_alpha(alpha):
+    wp = to_log_profile(unit_energy(corpus_profile("poly4")), 1.0)
+    with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+        estimates_check(wp, alpha)

@@ -177,13 +177,6 @@ def test_blowup_dirichlet_verdicts():
     assert bnd.verdict == "Bounded"
 
 
-def test_csv_rows_shape():
-    ex = blowup_scan(0.0, 0.8, [1e-2, 1e-3, 1e-4])
-    header, rows = ex.csv_rows()
-    assert header == ("epsilon", "norm_sq", "value", "log_value", "lower_bound_exponent")
-    assert len(rows) == 3 and len(rows[0]) == 5
-
-
 def test_seam_diagnostics_table():
     from henon4.moser import seam_diagnostics
 
