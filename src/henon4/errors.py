@@ -17,7 +17,8 @@ class NonConvergence(Henon4Error):
 
 
 class NonFinite(Henon4Error):
-    """An integrand returned a non-finite value at an interior node."""
+    """An integrand returned a non-finite value at an interior node, or a
+    value whose logarithm a report needs is zero or non-finite."""
 
 
 class Divergent(Henon4Error):
@@ -37,9 +38,12 @@ class OptFailure(Henon4Error):
 
 
 def as_index(value, name: str) -> int:
-    """`value` as an int, as operator.index takes it; any other type is a
-    DomainError that names the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int, as operator.index takes it but without bool (a JSON
+    `true` is no count); any other type is a DomainError that names the
+    argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")

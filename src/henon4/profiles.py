@@ -135,37 +135,72 @@ def sigma_alpha(alpha: float) -> float:
     return 32.0 * math.pi**2 * (1.0 + alpha / 4.0)
 
 
+# Largest m for which (m+1)^(m+1) and (m+1)! are finite doubles, so that the
+# first remainder term z^(m+1) / (m+1)! can be formed directly for z < m+1.
+_POW_FORM_MAX_M = 142
+_SERIES_STOP = 2.0**-56
+
+
 def exp_minus_taylor(z, m: Optional[int]):
     """exp(z) minus its Taylor sum through order m, for z >= 0, vectorized.
 
-    For z < 0.5 the direct subtraction loses most significant digits, so the
-    remainder series sum_{k>m} z^k/k! is summed instead (40 terms bring the
-    truncation below 1e-30 relative for z < 0.5).
+    For z >= m+1 the direct subtraction exp(z) - sum_{k<=m} z^k/k! is used:
+    there the subtracted sum is at most about half of exp(z) (the Poisson
+    median is near z), so at most about one bit cancels.  For z < m+1 the
+    remainder
+
+        sum_{k>m} z^k/k! = z^(m+1)/(m+1)! * sum_{j>=0} z^j (m+1)!/(m+1+j)!
+
+    is summed instead, since its term ratios z/(m+1+j) are below 1.  The
+    number of terms J is fixed once per call, with scalar arithmetic, from the
+    largest z of that branch: the first j at which the bound
+    z_max^j (m+1)!/(m+1+j)! on the term relative to the first, times the
+    geometric factor 1/(1 - z_max/(m+2+j)) that covers all later terms, falls
+    below 2^-56.  The dropped terms together then lie below half an ulp of the
+    partial sum, and so does each of them: adding them would change no bit.
+    For the same reason, when m <= 142 the result for z < 0.5 equals, bit for
+    bit, the fixed 40-term sum that this branch used when it stopped at
+    z = 0.5: both add the same terms in the same order up to the shorter
+    count, and the terms beyond it change nothing.  For m > 142 the first
+    term is formed as the running product prod_{k<=m+1} z/k, because z^(m+1)
+    or (m+1)! would overflow a double; a value that still overflows is inf or
+    nan, which the quadrature drivers report as NonFinite.
     """
     z = np.asarray(z, dtype=float)
     if m is None:
         return np.exp(z)
     m = int(m)
     out = np.empty_like(z)
-    small = z < 0.5
+    series = z < m + 1
 
-    zb = z[~small]
+    zb = z[~series]
     if zb.size:
         term = np.ones_like(zb)
         total = np.ones_like(zb)
         for k in range(1, m + 1):
             term = term * zb / k
             total += term
-        out[~small] = np.exp(zb) - total
+        out[~series] = np.exp(zb) - total
 
-    zs = z[small]
+    zs = z[series]
     if zs.size:
-        term = zs ** (m + 1) / math.factorial(m + 1)
+        z_max = float(zs.max())
+        if m <= _POW_FORM_MAX_M:
+            term = zs ** (m + 1) / math.factorial(m + 1)
+        else:
+            term = np.ones_like(zs)
+            for k in range(1, m + 2):
+                term = term * zs / k
         acc = term.copy()
-        for k in range(m + 2, m + 41):
+        # bound: the next term over the first; the terms after it shrink by
+        # at least z_max/(k+1) each, so bound/(1 - z_max/(k+1)) bounds them all
+        k, bound = m + 2, z_max / (m + 2)
+        while bound >= _SERIES_STOP * (1.0 - z_max / (k + 1)):
             term = term * zs / k
             acc += term
-        out[small] = acc
+            k += 1
+            bound *= z_max / k
+        out[series] = acc
     return out
 
 

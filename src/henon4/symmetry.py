@@ -37,7 +37,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, Henon4Error, OptFailure, PreconditionError, as_index
+from .errors import (
+    DomainError,
+    Henon4Error,
+    NonFinite,
+    OptFailure,
+    PreconditionError,
+    as_index,
+)
 from .moser import MoserParams, moser_navier
 from .profiles import (
     BoundaryKind,
@@ -391,6 +398,11 @@ def crossover_detect(
         bump_exact = translated_bump_value(a, p, bump, spec)
         bump_bound = translated_bump_paper_bound(a, p, bump, spec)
         radial_val, radial_prof = radial_max_search(a, p, opts, spec)
+        for name, v in (("bump_exact", bump_exact), ("radial_max", radial_val)):
+            if not 0.0 < v < math.inf:
+                raise NonFinite(
+                    f"{name} = {v!r} at alpha={a:g}: the slopes and the margin need its log"
+                )
         rows.append(
             SweepRow(
                 alpha=a,

@@ -217,6 +217,9 @@ _REJECTED = [
     (["threshold-scan", "--rel-tol", "inf"], None),
     (["talenti-check"], {"seed": 7.9}),
     (["talenti-check"], {"count": 2.5}),
+    (["talenti-check"], {"count": True}),
+    (["talenti-check"], {"seed": True}),
+    (["threshold-scan"], {"max_subdiv": True}),
 ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +189,83 @@ def test_exp_minus_taylor_consistency():
     assert float(exp_minus_taylor(np.array([0.25]), None)[0]) == pytest.approx(
         math.exp(0.25), rel=1e-15
     )
+
+
+def _mp_remainder(mpmath, z: float, m: int):
+    """sum_{k>m} z^k/k! in 60 digits, summed until the terms stop counting."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(z)
+        term = z ** (m + 1) / mpmath.factorial(m + 1)
+        total, k = term, m + 2
+        while k <= z or term > total * mpmath.mpf(10) ** -70:
+            term = term * z / k
+            total += term
+            k += 1
+        return total
+
+
+def _assert_matches_mpmath(mpmath, zs, m: int, rel: float) -> None:
+    got = exp_minus_taylor(np.asarray(zs, dtype=float), m)
+    for z, g in zip(zs, got):
+        want = _mp_remainder(mpmath, z, m)
+        # below the normal range the true value is not representable
+        assert abs(g - want) <= rel * want + sys.float_info.min, (z, m, g, want)
+
+
+def test_exp_minus_taylor_matches_mpmath_remainder():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mpmath = pytest.importorskip("mpmath")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(min_value=0, max_value=30),
+        st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=8),
+    )
+    def check(m, zs):
+        _assert_matches_mpmath(mpmath, zs, m, 1e-14)
+
+    check()
+
+
+def test_exp_minus_taylor_finite_and_accurate_at_m_200():
+    mpmath = pytest.importorskip("mpmath")
+    zs = [0.3, 5.0, 50.0, 120.0, 200.0, 200.9, 201.0, 260.0, 400.0]
+    got = exp_minus_taylor(np.array(zs), 200)
+    assert np.all(np.isfinite(got))
+    _assert_matches_mpmath(mpmath, zs, 200, 1e-13)
+
+
+def _forty_term_exp_minus_taylor(z, m):
+    """The remainder sum as it stood for z < 0.5: a fixed 40 terms."""
+    term = z ** (m + 1) / math.factorial(m + 1)
+    acc = term.copy()
+    for k in range(m + 2, m + 41):
+        term = term * z / k
+        acc += term
+    return acc
+
+
+def test_exp_minus_taylor_bit_identical_below_half():
+    small = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(1e-6, 0.5, 257)[:-1]])
+    for m in (0, 1, 2, 3, 5, 8, 12, 20, 30, 100, 142):
+        want = _forty_term_exp_minus_taylor(small, m)
+        assert np.array_equal(exp_minus_taylor(small, m), want)
+        # the term count follows the largest z in the series branch; a longer
+        # sum must leave the small-z values unchanged too
+        mixed = np.concatenate([small, [0.75, 0.5 * (m + 1), m + 0.99, m + 3.0]])
+        assert np.array_equal(exp_minus_taylor(mixed, m)[: small.size], want)
+        for z in small[::16]:
+            assert np.array_equal(exp_minus_taylor(np.array([z]), m), want[small == z])
+
+
+def test_truncated_functional_positive_and_decreasing_to_m_20():
+    sigma = 0.9 * 32.0 * math.pi**2
+    for name in ("poly2", "cos2"):
+        u = unit_energy(corpus_profile(name))
+        vals = [weighted_functional(u, FunctionalParams(0.0, sigma, m)) for m in range(3, 21)]
+        assert all(v > 0.0 for v in vals), (name, vals)
+        assert all(a > b for a, b in zip(vals, vals[1:])), (name, vals)
 
 
 def test_truncation_monotone_in_m():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from henon4.errors import DomainError, PreconditionError
+from henon4 import symmetry
+from henon4.errors import DomainError, NonFinite, PreconditionError
 from henon4.moser import MoserParams, moser_navier
 from henon4.profiles import (
     OMEGA_3,
@@ -207,6 +208,14 @@ def test_crossover_detect_validation():
         crossover_detect(p, [16.0, 16.0, 32.0, 64.0])
     with pytest.raises(DomainError):
         crossover_detect(FunctionalParams(0.0, SIGMA, None), [16.0, 32.0, 64.0, 128.0])
+
+
+def test_crossover_detect_names_an_underflowed_value(monkeypatch):
+    # at m = 171 the radial value underflows to 0.0 from alpha = 256 on; its
+    # log would enter the slopes, so the sweep fails and names it instead
+    monkeypatch.setattr(symmetry, "radial_max_search", lambda a, p, opts, spec: (0.0, None))
+    with pytest.raises(NonFinite, match="radial_max = 0.0 at alpha=16"):
+        crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
 
 
 def test_crossover_report_shape_small_grid():
