@@ -147,8 +147,8 @@ def parse_epsilons(token: str) -> list:
         if len(parts) != 3:
             raise ConfigError(f"epsilon ladder must be start:end:mode, got {token!r}")
         start, end, mode = float(parts[0]), float(parts[1]), parts[2].strip().lower()
-        if not (0.0 < end < start):
-            raise ConfigError("epsilon ladder needs 0 < end < start")
+        if not (0.0 < end < start < math.inf):
+            raise ConfigError("epsilon ladder needs 0 < end < start < inf")
         if mode == "decade":
             k = 1
         elif mode.endswith("decade") and mode[:-6].isdigit():

@@ -157,17 +157,18 @@ class PsiMember:
 def marshall_moser_integral(
     psi: Callable,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    cumulative: Optional[Callable] = None,
+    *,
+    cumulative: Callable,
     l2_sq: Optional[float] = None,
     support_hint: float = 512.0,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """int_0^inf exp(-F) dt with F(t) = t - (int_0^t psi)^2.
 
-    Requires int_0^inf psi^2 <= 1 (PreconditionError otherwise).  When no
-    closed-form `cumulative` is supplied, one is built by dense composite
-    Simpson on [0, support_hint] under the assumption that psi is negligible
-    beyond the hint.
+    `cumulative` is the closed form of int_0^t psi.  Requires
+    int_0^inf psi^2 <= 1 (PreconditionError otherwise); `l2_sq` skips that
+    integral when the mass is known.  The integral is split at
+    max(1, support_hint) into a finite head and a half-line tail.
     """
     if l2_sq is None:
         l2_sq = integrate_halfline(
@@ -175,9 +176,6 @@ def marshall_moser_integral(
         ).value
     if l2_sq > 1.0 + 1e-9:
         raise PreconditionError(f"||psi||_2^2 = {l2_sq:.12g} exceeds 1")
-
-    if cumulative is None:
-        cumulative = _simpson_cumulative(psi, support_hint)
 
     def integrand(t):
         tt = np.asarray(t, dtype=float)
@@ -188,26 +186,6 @@ def marshall_moser_integral(
     head = integrate(integrand, 0.0, split, spec, breakpoints).value
     tail = integrate_halfline(integrand, split, spec).value
     return head + tail
-
-
-def _simpson_cumulative(psi: Callable, t_max: float, n: int = 1 << 17) -> Callable:
-    """Cumulative of psi on [0, t_max] on a dense grid, constant beyond."""
-    ts = np.linspace(0.0, float(t_max), n + 1)
-    vals = np.asarray(psi(ts), dtype=float)
-    h = ts[1] - ts[0]
-    # composite Simpson over node pairs; cumulative at even nodes, midpoints
-    # filled by local Simpson half-steps
-    cum = np.zeros(n + 1)
-    pair = h / 3.0 * (vals[0:-1:2] + 4.0 * vals[1::2] + vals[2::2])
-    cum[2::2] = np.cumsum(pair)
-    cum[1::2] = cum[0:-1:2] + h / 12.0 * (
-        5.0 * vals[0:-1:2] + 8.0 * vals[1::2] - vals[2::2]
-    )
-
-    def cumulative(t):
-        return np.interp(np.asarray(t, dtype=float), ts, cum, left=0.0, right=cum[-1])
-
-    return cumulative
 
 
 def marshall_moser_family() -> tuple:

@@ -60,8 +60,6 @@ __all__ = [
     "navier_norm_sq_exact",
     "moser_dirichlet",
     "blowup_scan",
-    "seam_diagnostics",
-    "SeamDiagnostics",
     "DIVERGING_GROWTH_PER_DECADE",
     "BOUNDED_VARIATION",
 ]
@@ -191,68 +189,7 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
 
 
 @dataclass(frozen=True)
-class SeamDiagnostics:
-    """Audit table for the matched piecewise formulas.
-
-    Both sequences are often displayed with an inner plateau constant
-    sqrt(L)/2 and a boundary-cap coefficient carrying the signed logarithm;
-    those variants fail to match the outer branch at the seams.  The table
-    records the uncorrected and matched evaluations against the outer-branch
-    reference so the replacement is auditable rather than silent.
-    """
-
-    epsilon: float
-    rows: tuple  # (quantity, uncorrected, matched, outer_reference)
-
-
-def seam_diagnostics(epsilon: float) -> SeamDiagnostics:
-    """Evaluate uncorrected vs matched seam formulas for the given epsilon.
-
-    The uncorrected inner plateau constant is exactly twice the outer branch
-    at r = eps^{1/4}; the uncorrected boundary cap evaluates to -3x the outer
-    branch at r = 1 - eta.  Seam derivatives and the closed-form energy
-    1 + 4/L are identical for both variants.
-    """
-    if not 0.0 < epsilon < _EPS_MAX:
-        raise DomainError("epsilon out of range")
-    L = -math.log(epsilon)
-    c = 1.0 / math.sqrt(OMEGA_3 * L)
-    outer_at_seam = c * L / 4.0
-    rows = [
-        (
-            "navier inner value at r=eps^(1/4)",
-            math.sqrt(L / 4.0) / math.sqrt(OMEGA_3),  # uncorrected: sqrt(L)/2 scale
-            outer_at_seam,  # matched: L/4 over sqrt(L)
-            outer_at_seam,
-        ),
-        (
-            "navier derivative at r=eps^(1/4)",
-            -(epsilon**-0.25) * c,
-            -(epsilon**-0.25) * c,
-            -(epsilon**-0.25) * c,
-        ),
-    ]
-    if math.log(L) > 2.0:  # Dirichlet member defined for this epsilon
-        eta = 1.0 / math.log(L)
-        a = -math.log1p(-eta)
-        outer_at_cap = c * a
-        rows.append(
-            (
-                "dirichlet cap value at r=1-eta",
-                c * (2.0 * (-a) * a * a - a**3) / a**2,  # signed-log coefficient
-                c * (2.0 * a * a * a - a**3) / a**2,  # matched coefficient
-                outer_at_cap,
-            )
-        )
-    return SeamDiagnostics(epsilon=epsilon, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
 class ThresholdExperiment:
-    alpha: float
-    beta: float
-    bc: BoundaryKind
-    m: Optional[int]
     epsilons: tuple
     norm_sqs: tuple
     values: tuple
@@ -330,10 +267,6 @@ def blowup_scan(
 
     verdict = _classify(eps_list, values)
     return ThresholdExperiment(
-        alpha=alpha,
-        beta=beta,
-        bc=bc,
-        m=m,
         epsilons=tuple(eps_list),
         norm_sqs=tuple(norm_sqs),
         values=tuple(values),

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ThresholdError
+from .errors import DomainError, PreconditionError, ThresholdError, as_index
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "assert_boundary_conditions",
     "poly_profile",
     "power_profile",
-    "power_sq_profile",
     "ring_profile",
     "cos2_profile",
     "sinpoly_profile",
@@ -123,7 +122,7 @@ class FunctionalParams:
             raise DomainError("alpha must be finite and >= 0")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError("sigma must be finite and > 0")
-        if self.m is not None and (self.m < 0 or self.m != int(self.m)):
+        if self.m is not None and as_index(self.m, "m") < 0:
             raise DomainError("m must be a natural number when present")
 
     def sigma_alpha(self) -> float:
@@ -371,28 +370,6 @@ def power_profile(q: float) -> RadialProfile:
     return RadialProfile(value, d1, d2, BoundaryKind.NAVIER, f"pow:{q:.6g}")
 
 
-def power_sq_profile(q: float) -> RadialProfile:
-    """u = (1 - r^q)^2 (Dirichlet)."""
-    if not q > 0.0:
-        raise DomainError("q > 0 required")
-
-    def value(r):
-        return (1.0 - np.asarray(r) ** q) ** 2
-
-    def d1(r):
-        rr = np.asarray(r)
-        return -2.0 * q * rr ** (q - 1.0) * (1.0 - rr**q)
-
-    def d2(r):
-        rr = np.asarray(r)
-        return (
-            -2.0 * q * (q - 1.0) * rr ** (q - 2.0) * (1.0 - rr**q)
-            + 2.0 * q**2 * rr ** (2.0 * q - 2.0)
-        )
-
-    return RadialProfile(value, d1, d2, BoundaryKind.DIRICHLET, f"pow2:{q:.6g}")
-
-
 def ring_profile(rho0: float, h: float) -> RadialProfile:
     """Annular bump exp(-((r-rho0)/h)^2) * (1 - r^2); concentrates off-origin."""
     if not (0.0 <= rho0 < 1.0 and h > 0.0):
@@ -498,8 +475,6 @@ def corpus_profile(name: str) -> RadialProfile:
         return poly_profile(3)
     if kind == "pow":
         return power_profile(float(parts[1]))
-    if kind == "pow2":
-        return power_sq_profile(float(parts[1]))
     if kind == "cos2":
         return cos2_profile()
     if kind == "sinpoly":

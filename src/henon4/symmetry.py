@@ -19,10 +19,12 @@ obtained by bounding the weight below on the support ball, is also computed
 
 Radial side: a certified lower estimate of the radial supremum by multistart
 coordinate ascent over parametric families (boundary-adapted power profiles,
-their squares, concentrating extremal members, off-origin ring bumps), each
-candidate scalar-projected onto the unit energy sphere.  Values decay like
-alpha^-5 (boundary-power class), consistent with the alpha^{-9/2} upper
-bound for the radial supremum.
+concentrating extremal members, off-origin ring bumps), each candidate
+scalar-projected onto the unit energy sphere.  At sigma = 32 pi^2 the
+concentrating members win at small alpha (up to alpha = 4..12, growing with
+m), ring bumps from there to alpha = 16, and power profiles from alpha = 32
+on.  Values decay like alpha^-5 (boundary-power class), consistent with the
+alpha^{-9/2} upper bound for the radial supremum.
 
 Crossover: the smallest grid alpha where the translated-bump value strictly
 exceeds kappa = 1.05 times the radial search value; the margin column is the
@@ -54,7 +56,6 @@ from .profiles import (
     exp_minus_taylor,
     poly_profile,
     power_profile,
-    power_sq_profile,
     ring_profile,
     sigma_alpha,
     unit_energy,
@@ -237,7 +238,6 @@ def _golden_max(fn, lo: float, hi: float, iters: int):
 
 _FAMILY_BOUNDS = {
     "pow": ((0.5, 12.0),),
-    "pow2": ((0.5, 12.0),),
     "moser": ((-12.0, -0.95),),  # log10 epsilon
     "ring": ((0.0, 0.97), (0.03, 0.6)),
 }
@@ -246,8 +246,6 @@ _FAMILY_BOUNDS = {
 def _family_profile(family: str, params: Sequence[float]) -> RadialProfile:
     if family == "pow":
         return power_profile(params[0])
-    if family == "pow2":
-        return power_sq_profile(params[0])
     if family == "moser":
         return moser_navier(MoserParams(10.0 ** params[0], BoundaryKind.NAVIER))
     if family == "ring":
@@ -260,7 +258,6 @@ def _base_seeds() -> list:
         ("pow", [1.2]),
         ("pow", [2.0]),
         ("pow", [3.5]),
-        ("pow2", [2.0]),
         ("moser", [-2.0]),
         ("moser", [-4.0]),
         ("ring", [0.3, 0.3]),

@@ -220,6 +220,10 @@ _REJECTED = [
     (["talenti-check"], {"count": True}),
     (["talenti-check"], {"seed": True}),
     (["threshold-scan"], {"max_subdiv": True}),
+    (["moser-blowup", "--epsilons", "inf:1e-3:decade"], None),
+    (["moser-blowup"], {"m": True}),
+    (["symmetry-sweep"], {"m": True}),
+    (["moser-blowup"], {"m": 2.0}),
 ]
 
 

@@ -186,21 +186,6 @@ def test_marshall_moser_precondition():
         )
 
 
-def test_marshall_moser_fallback_cumulative():
-    # no closed-form cumulative supplied: Simpson fallback must agree
-    member = next(m for m in marshall_moser_family() if m.name == "exp:1")
-    val = marshall_moser_integral(
-        member.psi, l2_sq=member.l2_sq, support_hint=member.support_hint
-    )
-    ref = marshall_moser_integral(
-        member.psi,
-        cumulative=member.cumulative,
-        l2_sq=member.l2_sq,
-        support_hint=member.support_hint,
-    )
-    assert val == pytest.approx(ref, rel=1e-8)
-
-
 def test_estimates_zero_profile():
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     wp = LogProfile(4.0, z, z, z, source="zero")

@@ -176,25 +176,3 @@ def test_blowup_dirichlet_verdicts():
     )
     assert bnd.verdict == "Bounded"
 
-
-def test_seam_diagnostics_table():
-    from henon4.moser import seam_diagnostics
-
-    diag = seam_diagnostics(1e-6)
-    by_name = {row[0]: row for row in diag.rows}
-    # uncorrected plateau constant is exactly twice the outer branch
-    _, unc, matched, ref = by_name["navier inner value at r=eps^(1/4)"]
-    assert unc == pytest.approx(2.0 * ref, rel=1e-12)
-    assert matched == pytest.approx(ref, rel=1e-12)
-    # seam derivative identical in both variants
-    _, d_unc, d_matched, d_ref = by_name["navier derivative at r=eps^(1/4)"]
-    assert d_unc == d_matched == d_ref
-    # uncorrected cap coefficient lands at -3x the outer branch
-    _, c_unc, c_matched, c_ref = by_name["dirichlet cap value at r=1-eta"]
-    assert c_unc == pytest.approx(-3.0 * c_ref, rel=1e-12)
-    assert c_matched == pytest.approx(c_ref, rel=1e-12)
-    # the matched formulas are exactly what the constructed profiles evaluate
-    u = moser_navier(MoserParams(1e-6, BoundaryKind.NAVIER))
-    seam = 1e-6**0.25
-    inner_matched = by_name["navier inner value at r=eps^(1/4)"][2]
-    assert float(u.value(np.array([seam]))[0]) == pytest.approx(inner_matched, rel=1e-12)

@@ -161,6 +161,14 @@ def test_radial_search_beats_fixed_moser_candidate():
     assert val >= candidate * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_radial_search_moser_family_wins_at_small_alpha(m):
+    # alpha = 4 is inside the range check_sweep accepts; there a concentrating
+    # member beats every power and ring profile, so the family is needed
+    _, prof = radial_max_search(4.0, FunctionalParams(0.0, SIGMA, m))
+    assert "moser:" in prof.description
+
+
 def test_radial_search_profile_certified():
     p = FunctionalParams(0.0, SIGMA, 1)
     val, prof = radial_max_search(32.0, p, SearchOptions(seed=5))
@@ -236,9 +244,9 @@ def test_search_bump_and_seeded_derivative_consistency():
     def ends_and_middle(lo, hi):
         return (lo, 0.5 * (lo + hi), hi)
 
-    (q_bounds,) = _FAMILY_BOUNDS["pow2"]
+    (q_bounds,) = _FAMILY_BOUNDS["pow"]
     (rho_bounds, h_bounds) = _FAMILY_BOUNDS["ring"]
-    profiles = [_family_profile("pow2", [q]) for q in ends_and_middle(*q_bounds)]
+    profiles = [_family_profile("pow", [q]) for q in ends_and_middle(*q_bounds)]
     profiles += [
         _family_profile("ring", [rho0, h])
         for rho0 in ends_and_middle(*rho_bounds)
