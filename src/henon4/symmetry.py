@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     DomainError,
     Henon4Error,
+    NonConvergence,
     NonFinite,
     OptFailure,
     PreconditionError,
@@ -147,7 +148,8 @@ def translated_bump_value(
     """Exact F_m of the translated, 1/alpha-scaled bump (2D reduction).
 
     Evaluated by tensor Gauss-Legendre with node doubling until two
-    successive refinements agree to 10 * rel_tol.
+    successive refinements agree to 10 * rel_tol; raises NonConvergence
+    when the 384-node rule still does not agree with the 192-node one.
     """
     _check_bump_params(alpha, p)
     u = bump_profile(bump, spec)
@@ -173,10 +175,15 @@ def translated_bump_value(
     prev = tensor_value(48)
     for n in (96, 192, 384):
         cur = tensor_value(n)
-        if abs(cur - prev) <= 10.0 * spec.rel_tol * abs(cur):
+        diff = abs(cur - prev)
+        if diff <= 10.0 * spec.rel_tol * abs(cur):
             return cur
         prev = cur
-    return prev
+    rel = diff / abs(cur) if cur else math.inf
+    raise NonConvergence(
+        f"translated bump at alpha={alpha:g}: 384 and 192 tensor nodes differ by "
+        f"{rel:.3g} relative, above 10 * rel_tol = {10.0 * spec.rel_tol:.3g}"
+    )
 
 
 def translated_bump_paper_bound(
@@ -277,7 +284,8 @@ def radial_max_search(
     Multistart coordinate ascent over the parametric families; every
     candidate is scalar-projected onto the unit energy sphere before the
     functional is evaluated, so any returned value is a true lower bound.
-    Deterministic for a fixed opts.seed.  Returns (value, profile).
+    Each distinct candidate is evaluated once per call.  Deterministic for a
+    fixed opts.seed.  Returns (value, profile).
     """
     if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
         raise PreconditionError("sigma must stay at or below 32 pi^2")
@@ -293,6 +301,14 @@ def radial_max_search(
         except Henon4Error:
             return -math.inf
         return val if math.isfinite(val) else -math.inf
+
+    seen = {}  # (family, params) -> objective value, for this call only
+
+    def lookup(family: str, params) -> float:
+        key = (family, tuple(params))
+        if key not in seen:
+            seen[key] = objective(family, params)
+        return seen[key]
 
     rng = np.random.default_rng(opts.seed)
     starts = list(_base_seeds())
@@ -311,14 +327,14 @@ def radial_max_search(
     for family, params in starts:
         params = list(params)
         bounds = _FAMILY_BOUNDS[family]
-        val = objective(family, params)
+        val = lookup(family, params)
         for _ in range(_SWEEPS):
             for dim, (lo, hi) in enumerate(bounds):
 
                 def line(x, dim=dim):
                     trial = list(params)
                     trial[dim] = x
-                    return objective(family, trial)
+                    return lookup(family, trial)
 
                 x, fx = _golden_max(line, lo, hi, _GOLDEN_ITERS)
                 if fx > val:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from henon4 import symmetry
-from henon4.errors import DomainError, NonFinite, PreconditionError
+from henon4.errors import DomainError, NonConvergence, NonFinite, PreconditionError
 from henon4.moser import MoserParams, moser_navier
 from henon4.profiles import (
     OMEGA_3,
@@ -151,6 +151,14 @@ def test_bump_preconditions():
         translated_bump_value(16.0, FunctionalParams(0.0, 2.0 * SIGMA, 1))
 
 
+def test_bump_non_convergence_raises():
+    # at rel_tol = 1e-15 the 192- and 384-node rules differ by ~5e-14
+    # relative, above 10 * rel_tol; the unconverged value must not come back
+    spec = QuadratureSpec(rel_tol=1e-15)
+    with pytest.raises(NonConvergence, match="alpha=16"):
+        translated_bump_value(16.0, FunctionalParams(0.0, SIGMA, 1), BumpSpec(), spec)
+
+
 def test_radial_search_beats_fixed_moser_candidate():
     p = FunctionalParams(0.0, SIGMA, 1)
     u = moser_navier(MoserParams(1e-4, BoundaryKind.NAVIER))
@@ -182,6 +190,30 @@ def test_radial_search_deterministic():
     v1, _ = radial_max_search(64.0, p, SearchOptions(seed=11))
     v2, _ = radial_max_search(64.0, p, SearchOptions(seed=11))
     assert v1 == v2
+
+
+def test_radial_search_evaluates_each_point_once(monkeypatch):
+    calls = []
+    points = []
+    functional = symmetry.weighted_functional
+    family_profile = symmetry._family_profile
+
+    def counting_functional(*args):
+        calls.append(None)
+        return functional(*args)
+
+    def recording_profile(family, params):
+        points.append((family, tuple(params)))
+        return family_profile(family, params)
+
+    monkeypatch.setattr(symmetry, "weighted_functional", counting_functional)
+    monkeypatch.setattr(symmetry, "_family_profile", recording_profile)
+    val, prof = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1), SearchOptions(seed=0))
+    # the last _family_profile call builds the returned profile, not a candidate
+    distinct = set(points[:-1])
+    assert len(calls) == len(distinct) == 298
+    assert val == pytest.approx(2.039217769283519e-06, rel=1e-12)
+    assert "(pow:" in prof.description
 
 
 def test_radial_search_m_ordering():
