@@ -47,6 +47,7 @@ from .profiles import (
     embedding_bound,
     laplacian_l2_sq,
     pointwise_log_bound_margin,
+    scale_to_unit,
     series_upper_bound,
     sigma_alpha,
     unit_energy,
@@ -337,7 +338,7 @@ def _verify_identities(spec: QuadratureSpec, alpha: float):
     names = corpus_names()
     profiles = [corpus_profile(name) for name in names]
     energies = [laplacian_l2_sq(u, spec) for u in profiles]
-    units = [unit_energy(u, spec) for u in profiles]
+    units = [scale_to_unit(u, energy) for u, energy in zip(profiles, energies)]
 
     for name, u, radial in zip(names, profiles, energies):
         sqrt_form = sqrt_transform_energy(u, spec)

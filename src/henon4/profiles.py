@@ -49,6 +49,7 @@ __all__ = [
     "series_upper_bound",
     "pointwise_log_bound_margin",
     "exp_minus_taylor",
+    "scale_to_unit",
     "unit_energy",
     "assert_boundary_conditions",
     "poly_profile",
@@ -215,12 +216,32 @@ def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> fl
     return OMEGA_3 * res.value
 
 
+# Levels of the weight's dyadic partition; 1 - 2^-53 is the last double of
+# the ladder 1 - 2^-k below 1.
+_WEIGHT_LEVELS_MAX = 53
+
+
+def _weight_partition(alpha: float, breakpoints: tuple) -> tuple:
+    """The profile's breakpoints plus 1 - 2^-k for k = 1..K, with
+    K = min(ceil(log2(alpha+4)), 53); `integrate` sorts and merges them."""
+    levels = min(math.ceil(math.log2(alpha + 4.0)), _WEIGHT_LEVELS_MAX)
+    return tuple(breakpoints) + tuple(1.0 - 0.5**k for k in range(1, levels + 1))
+
+
 def weighted_functional(
     u: RadialProfile,
     p: FunctionalParams,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """F(u) or F_m(u): the weighted exponential functional of the profile."""
+    """F(u) or F_m(u): the weighted exponential functional of the profile.
+
+    The weight r^(alpha+3) puts the mass of the integral into a layer of
+    width about 1/(alpha+4) at r = 1.  The integral therefore starts from the
+    points 1 - 2^-k for k = 1..min(ceil(log2(alpha+4)), 53), merged with the
+    profile's breakpoints, which reach that layer in the first GK15 round;
+    bisecting from [0, 1] would take about log2(alpha+4) rounds to get there.
+    The seeded intervals count against `spec.max_subdivisions`.
+    """
     sigma, alpha, m = p.sigma, p.alpha, p.m
 
     def integrand(r):
@@ -228,7 +249,7 @@ def weighted_functional(
         s = u.value(rr)
         return rr ** (alpha + 3.0) * exp_minus_taylor(sigma * s * s, m)
 
-    res = integrate(integrand, 0.0, 1.0, spec, u.breakpoints)
+    res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(alpha, u.breakpoints))
     return OMEGA_3 * res.value
 
 
@@ -238,17 +259,23 @@ def weighted_lp_norm_p(
     alpha: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """integral_B |x|^alpha |u|^p dx (the p-th power of the weighted norm)."""
+    """integral_B |x|^alpha |u|^p dx (the p-th power of the weighted norm).
+
+    As in `weighted_functional`, the weight r^(alpha+3) concentrates the
+    integral in a layer of width about 1/(alpha+4) at r = 1, so it starts
+    from the points 1 - 2^-k for k = 1..min(ceil(log2(alpha+4)), 53), merged
+    with the profile's breakpoints.
+    """
     if pexp < 1.0:
         raise DomainError("pexp must be >= 1")
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise DomainError("alpha must be finite and >= 0")
 
     def integrand(r):
         rr = np.asarray(r)
         return rr ** (alpha + 3.0) * np.abs(u.value(rr)) ** pexp
 
-    res = integrate(integrand, 0.0, 1.0, spec, u.breakpoints)
+    res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(alpha, u.breakpoints))
     return OMEGA_3 * res.value
 
 
@@ -313,16 +340,25 @@ def pointwise_log_bound_margin(u: RadialProfile, spec: QuadratureSpec = DEFAULT_
     return float(np.max(vals / bound))
 
 
-def unit_energy(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialProfile:
-    """Scale a profile onto the unit energy sphere ||Delta u||_2 = 1.
+def scale_to_unit(u: RadialProfile, energy: float) -> RadialProfile:
+    """Scale a profile of the given energy ||Delta u||_2^2 onto the unit
+    energy sphere ||Delta u||_2 = 1.
 
-    The package's one normaliser; only `moser.blowup_scan` scales inline,
-    because it reports the norm it divides by.
+    The package's one normalisation rule: an energy that is not finite and
+    positive raises DomainError.  Callers that already hold the energy (the
+    identity suite, the radial search's memo) pass it here; `unit_energy`
+    integrates it first.  Only `moser.blowup_scan` scales inline, because it
+    reports the norm it divides by.
     """
-    lap = laplacian_l2_sq(u, spec)
-    if not (lap > 0.0 and math.isfinite(lap)):
-        raise DomainError(f"cannot normalize {u.description} of energy {lap!r}")
-    return u.scaled(1.0 / math.sqrt(lap))
+    if not (energy > 0.0 and math.isfinite(energy)):
+        raise DomainError(f"cannot normalize {u.description} of energy {energy!r}")
+    return u.scaled(1.0 / math.sqrt(energy))
+
+
+def unit_energy(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialProfile:
+    """Scale a profile onto the unit energy sphere ||Delta u||_2 = 1,
+    integrating its energy with `laplacian_l2_sq` (see `scale_to_unit`)."""
+    return scale_to_unit(u, laplacian_l2_sq(u, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ log-ratio log(bump / (kappa * radial)), increasing past the crossover.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -55,9 +56,11 @@ from .profiles import (
     RadialProfile,
     cos2_profile,
     exp_minus_taylor,
+    laplacian_l2_sq,
     poly_profile,
     power_profile,
     ring_profile,
+    scale_to_unit,
     sigma_alpha,
     unit_energy,
     weighted_functional,
@@ -260,6 +263,17 @@ def _family_profile(family: str, params: Sequence[float]) -> RadialProfile:
     raise DomainError(f"unknown family {family!r}")
 
 
+# Energies of search candidates, for the life of the module.  4096 entries
+# hold every distinct point of a two-sweep pass, at about 0.2 KB each.
+_ENERGY_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_ENERGY_MEMO_SIZE)
+def _family_energy(family: str, params: tuple, qspec: QuadratureSpec) -> float:
+    """||Delta u||_2^2 of a search candidate; it depends on no alpha, sigma or m."""
+    return laplacian_l2_sq(_family_profile(family, params), qspec)
+
+
 def _base_seeds() -> list:
     return [
         ("pow", [1.2]),
@@ -284,8 +298,12 @@ def radial_max_search(
     Multistart coordinate ascent over the parametric families; every
     candidate is scalar-projected onto the unit energy sphere before the
     functional is evaluated, so any returned value is a true lower bound.
-    Each distinct candidate is evaluated once per call.  Deterministic for a
-    fixed opts.seed.  Returns (value, profile).
+    Each distinct candidate is evaluated once per call.  A candidate's
+    energy ||Delta u||_2^2 does not depend on alpha, sigma or m, so it is
+    kept in a module-level memo keyed by (family, params, quadrature spec)
+    for the life of the process (least recently used entries beyond 4096
+    are dropped); only its value, not the profile, is kept.  Deterministic
+    for a fixed opts.seed.  Returns (value, profile).
     """
     if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
         raise PreconditionError("sigma must stay at or below 32 pi^2")
@@ -294,10 +312,13 @@ def radial_max_search(
     params_alpha = FunctionalParams(alpha, p.sigma, p.m)
     qspec = _relative_spec(spec)
 
+    def unit_candidate(family: str, params) -> RadialProfile:
+        energy = _family_energy(family, tuple(params), qspec)
+        return scale_to_unit(_family_profile(family, params), energy)
+
     def objective(family: str, params) -> float:
         try:
-            v = unit_energy(_family_profile(family, params), qspec)
-            val = weighted_functional(v, params_alpha, qspec)
+            val = weighted_functional(unit_candidate(family, params), params_alpha, qspec)
         except Henon4Error:
             return -math.inf
         return val if math.isfinite(val) else -math.inf
@@ -347,7 +368,7 @@ def radial_max_search(
 
     if not math.isfinite(best_val):
         raise OptFailure("all radial search starts failed")
-    return best_val, unit_energy(_family_profile(best_family, best_params), qspec)
+    return best_val, unit_candidate(best_family, best_params)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from henon4 import quadrature
 from henon4.errors import DomainError, PreconditionError, ThresholdError
 from henon4.profiles import (
     BALL_VOLUME,
@@ -22,6 +23,7 @@ from henon4.profiles import (
     pointwise_log_bound_margin,
     poly_profile,
     power_profile,
+    scale_to_unit,
     series_upper_bound,
     unit_energy,
     weighted_functional,
@@ -99,6 +101,75 @@ def test_lp_norm_examples():
     assert weighted_lp_norm_p(u, 2.0, 4.0) == pytest.approx(
         2.0 * math.pi**2 / 120.0, rel=1e-12
     )
+
+
+# Values at large alpha fall far below any fixed absolute tolerance, so these
+# integrals are driven by rel_tol alone, as the radial search's are.
+_RELATIVE = quadrature.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
+
+
+def _unit_pow(q: float):
+    # ||Delta (1 - r^q)||_2^2 = OMEGA_3 q (q+2)^2 / 2 in closed form
+    return scale_to_unit(power_profile(q), OMEGA_3 * q * (q + 2.0) ** 2 / 2.0)
+
+
+def _mp_pow_functional(mpmath, q: float, alpha: float, sigma: float) -> float:
+    """F_1 of the unit pow profile by 40-digit tanh-sinh quadrature."""
+    with mpmath.workdps(40):
+        q, alpha, sigma = mpmath.mpf(q), mpmath.mpf(alpha), mpmath.mpf(sigma)
+        omega = 2 * mpmath.pi**2
+        energy = omega * q * (q + 2) ** 2 / 2
+
+        def f(r):
+            z = sigma * (1 - r**q) ** 2 / energy
+            return r ** (alpha + 3) * (mpmath.expm1(z) - z)
+
+        w = alpha + 4
+        pts = [0] + [1 - mpmath.mpf(c) / w for c in (256, 64, 16, 4, 1, 0.25)] + [1]
+        return float(omega * mpmath.quad(f, pts))
+
+
+def _mp_pow_lp2(mpmath, q: float, alpha: float) -> float:
+    """int_B |x|^alpha u^2 of the unit pow profile, in closed form at 40 digits."""
+    with mpmath.workdps(40):
+        q, alpha = mpmath.mpf(q), mpmath.mpf(alpha)
+        w = alpha + 4
+        energy = q * (q + 2) ** 2 / 2  # OMEGA_3 cancels against the measure
+        return float((1 / w - 2 / (w + q) + 1 / (w + 2 * q)) / energy)
+
+
+@pytest.mark.parametrize("alpha", [2048.0, 131072.0])
+@pytest.mark.parametrize("q", [1.9, 4.0])
+def test_weighted_integrals_match_mpmath_at_large_alpha(q, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    u = _unit_pow(q)
+    sigma = 32.0 * math.pi**2
+    got = weighted_functional(u, FunctionalParams(alpha, sigma, 1), _RELATIVE)
+    assert got == pytest.approx(_mp_pow_functional(mpmath, q, alpha, sigma), rel=1e-10)
+    got = weighted_lp_norm_p(u, 2.0, alpha, _RELATIVE)
+    assert got == pytest.approx(_mp_pow_lp2(mpmath, q, alpha), rel=1e-10)
+
+
+def test_weighted_functional_resolves_the_boundary_layer_at_once(monkeypatch):
+    # the weight's dyadic partition reaches the layer of width 1/(alpha+4)
+    # in the first round; bisecting from [0, 1] takes 17 rounds here
+    batches = []
+    kernel = quadrature._gk15_batch
+
+    def counting_kernel(f, los, his):
+        batches.append(los.size)
+        return kernel(f, los, his)
+
+    monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
+    p = FunctionalParams(131072.0, 32.0 * math.pi**2, 1)
+    weighted_functional(_unit_pow(1.9), p, _RELATIVE)
+    assert 1 <= len(batches) <= 3
+
+
+def test_weighted_lp_norm_rejects_non_finite_alpha():
+    for alpha in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            weighted_lp_norm_p(poly_profile(1), 2.0, alpha)
 
 
 def test_embedding_bound_examples():
@@ -311,6 +382,13 @@ def test_unit_energy_normalizes():
     assert laplacian_l2_sq(u) == pytest.approx(1.0, rel=1e-10)
     with pytest.raises(DomainError):
         unit_energy(zero_profile())
+
+
+def test_scale_to_unit_rejects_an_energy_that_is_not_finite_and_positive():
+    for energy in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            scale_to_unit(poly_profile(1), energy)
+    assert scale_to_unit(poly_profile(1), 4.0).value(np.array([0.0]))[0] == 0.5
 
 
 def test_functional_params_validation():

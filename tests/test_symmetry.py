@@ -216,6 +216,41 @@ def test_radial_search_evaluates_each_point_once(monkeypatch):
     assert "(pow:" in prof.description
 
 
+def test_radial_search_energy_memo(monkeypatch):
+    p = FunctionalParams(0.0, SIGMA, 1)
+    opts = SearchOptions(seed=0)
+    symmetry._family_energy.cache_clear()
+    cold = radial_max_search(64.0, p, opts)
+    warm = radial_max_search(64.0, p, opts)
+    r = np.linspace(0.0, 1.0, 65)
+    assert warm[0] == cold[0]
+    assert np.array_equal(warm[1].value(r), cold[1].value(r))
+
+    # a call at another alpha integrates only the energies of new points
+    symmetry._family_energy.cache_clear()
+    seen = set()
+    family_profile = symmetry._family_profile
+
+    def recording_profile(family, params):
+        seen.add((family, tuple(params)))
+        return family_profile(family, params)
+
+    monkeypatch.setattr(symmetry, "_family_profile", recording_profile)
+    radial_max_search(64.0, p, opts)
+    first = set(seen)
+    seen.clear()
+    energies = []
+    energy = symmetry.laplacian_l2_sq
+
+    def counting_energy(u, spec):
+        energies.append(u.description)
+        return energy(u, spec)
+
+    monkeypatch.setattr(symmetry, "laplacian_l2_sq", counting_energy)
+    radial_max_search(256.0, p, opts)
+    assert len(energies) == len(seen - first) < len(seen)
+
+
 def test_radial_search_m_ordering():
     opts = SearchOptions(seed=7)
     v1, _ = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1), opts)
