@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, Henon4Error, PreconditionError
 from .profiles import OMEGA_3, RadialProfile
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, integrate_halfline
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_halfline
 
 __all__ = [
     "LogProfile",
@@ -159,21 +159,16 @@ def marshall_moser_integral(
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
     cumulative: Callable,
-    l2_sq: Optional[float] = None,
+    l2_sq: float,
     support_hint: float = 512.0,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """int_0^inf exp(-F) dt with F(t) = t - (int_0^t psi)^2.
 
-    `cumulative` is the closed form of int_0^t psi.  Requires
-    int_0^inf psi^2 <= 1 (PreconditionError otherwise); `l2_sq` skips that
-    integral when the mass is known.  The integral is split at
-    max(1, support_hint) into a finite head and a half-line tail.
+    `cumulative` is the closed form of int_0^t psi and `l2_sq` the mass
+    int_0^inf psi^2, which must be <= 1 (PreconditionError otherwise).  The
+    half-line integral takes max(1, support_hint) as one more breakpoint.
     """
-    if l2_sq is None:
-        l2_sq = integrate_halfline(
-            lambda t: np.asarray(psi(t)) ** 2, 0.0, spec, breakpoints
-        ).value
     if l2_sq > 1.0 + 1e-9:
         raise PreconditionError(f"||psi||_2^2 = {l2_sq:.12g} exceeds 1")
 
@@ -183,9 +178,7 @@ def marshall_moser_integral(
         return np.exp(big_psi**2 - tt)
 
     split = max(1.0, float(support_hint))
-    head = integrate(integrand, 0.0, split, spec, breakpoints).value
-    tail = integrate_halfline(integrand, split, spec).value
-    return head + tail
+    return integrate_halfline(integrand, 0.0, spec, (*breakpoints, split)).value
 
 
 def marshall_moser_family() -> tuple:

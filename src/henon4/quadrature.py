@@ -7,21 +7,24 @@ are never evaluated (all Kronrod nodes are interior), so integrable endpoint
 singularities of algebraic or logarithmic type are handled by refinement
 alone.
 
-The half-line driver accumulates dyadic doubling blocks [a, a+1], [a+1, a+3],
-[a+3, a+7], ...  Monotone growth of the block estimates over 8 consecutive
-doublings raises Divergent; once decay is established the unbounded remainder
-is folded onto (0, 1) by the algebraic substitution t = T + s/(1-s) and
-integrated adaptively with dyadic seeding, so features at any t-scale
-representable in float64 are resolved.  (A logarithmic substitution would
-compress everything beyond t - T ~ 37 into a single ulp at s = 1 and lose
-e.g. concentration regions of extremal profiles; the algebraic map does not.)
+The half-line driver follows QUADPACK's qagi: [a, inf) is mapped once onto
+(0, 1) by the algebraic substitution t = a + s/(1-s) and integrated by the
+finite-interval driver under the same single test, error <= rel_tol * |value|.
+The mapped integral is seeded at the images s = 1 - 2^-j of the dyadic block
+edges t = a + 2^j - 1, so features at any t-scale representable in float64
+are resolved.  (A logarithmic substitution would compress everything beyond
+t - a ~ 37 into a single ulp at s = 1 and lose e.g. concentration regions of
+extremal profiles; the algebraic map does not.)  Before it, a probe takes one
+G7/K15 estimate per dyadic block [a, a+1], [a+1, a+3], [a+3, a+7], ...:
+monotone growth over 8 consecutive doublings raises Divergent, and the
+mapped integral starts once the block estimates decay.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -38,13 +41,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Accuracy request of every integral: error <= rel_tol * |value|.
+
+    There is no absolute tolerance to set: the weighted functionals on the
+    unit energy sphere decay like alpha^-4..alpha^-7 and reach 1e-23 at
+    large alpha, far below any fixed absolute tolerance.  `abs_tol` is a
+    constant floor that only lets an identically zero integrand terminate.
+    """
+
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_subdivisions: int = 2000
+    abs_tol: ClassVar[float] = 1e-300
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise DomainError("tolerances must be finite and strictly positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError("rel_tol must be finite and strictly positive")
         if as_index(self.max_subdivisions, "max_subdivisions") < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
@@ -192,7 +203,11 @@ def integrate(
 # Half-line policy constants (declared decision rules, not tunables).
 _DIVERGENCE_DOUBLINGS = 8  # monotone block growth over this many doublings
 _MAX_BLOCKS = 60
-_TAIL_SEED_LEVELS = 40  # dyadic seeds for the mapped remainder
+# The mapped integral is seeded at s = 1 - 2^-j, j = 1..39, the images of the
+# block edges t = a + 2^j - 1.  The outermost Kronrod node of the last seed
+# interval then sits at 1 - s ~ 2^-47 (t ~ 1e14); seeds down to 2^-51 would
+# round it to s = 1.0, where g is not finite.
+_SEED_LEVELS = 40
 
 
 def integrate_halfline(
@@ -201,11 +216,14 @@ def integrate_halfline(
     spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints: Sequence[float] = (),
 ) -> IntegralResult:
-    """Adaptive integral of f over [a, +infinity).
+    """Adaptive integral of f over [a, +infinity): one `integrate` of
+    g(s) = f(a + s/(1-s)) / (1-s)^2 over (0, 1), seeded at the images of the
+    dyadic block edges and of `breakpoints`.
 
-    Raises Divergent when the dyadic block estimates grow monotonically over
-    8 consecutive doublings (e.g. a non-decaying integrand), NonConvergence
-    when the budget runs out, NonFinite as in `integrate`.
+    Raises Divergent when the probe's block estimates beyond the last
+    breakpoint grow monotonically over 8 consecutive doublings (e.g. a
+    non-decaying integrand), NonConvergence when they show no decay within
+    60 blocks or the budget runs out, NonFinite as in `integrate`.
     """
     a = float(a)
     if not math.isfinite(a):
@@ -216,30 +234,23 @@ def integrate_halfline(
     # that lie entirely beyond the last of them.
     guard_start = max([a] + [float(b) for b in breakpoints if b > a])
 
-    total = 0.0
-    err_total = 0.0
-    used = 0
+    probe_sum = 0.0
     grow_run = 0
-    prev_mag = None
-    lo = a
     block_mags: list[float] = []
     n_decay_needed = 3
 
     for k in range(_MAX_BLOCKS):
+        lo = a + (2.0**k) - 1.0
         hi = a + (2.0**(k + 1)) - 1.0
-        res = integrate(f, lo, hi, spec, breakpoints)
-        total += res.value
-        err_total += res.error_estimate
-        used += res.subdivisions_used
-        mag = abs(res.value)
-        block_mags.append(mag)
+        est, _ = _gk15_batch(f, np.array([lo]), np.array([hi]))
+        probe_sum += float(est[0])
+        mag = abs(float(est[0]))
 
-        floor = max(spec.abs_tol, 0.25 * spec.rel_tol * abs(total))
-        in_tail = lo >= guard_start
+        floor = max(spec.abs_tol, 0.25 * spec.rel_tol * abs(probe_sum))
         if (
-            in_tail
-            and prev_mag is not None
-            and mag >= prev_mag * (1.0 - 1e-12)
+            lo >= guard_start
+            and block_mags
+            and mag >= block_mags[-1] * (1.0 - 1e-12)
             and mag > floor
         ):
             grow_run += 1
@@ -250,8 +261,7 @@ def integrate_halfline(
                 f"tail blocks non-decreasing over {_DIVERGENCE_DOUBLINGS} doublings "
                 f"(t up to {hi:.3g})"
             )
-        prev_mag = mag
-        lo = hi
+        block_mags.append(mag)
 
         decayed = (
             len(block_mags) > n_decay_needed
@@ -265,31 +275,10 @@ def integrate_halfline(
     else:
         raise NonConvergence(f"no tail decay within {_MAX_BLOCKS} dyadic blocks")
 
-    tail = _mapped_tail(f, lo, spec, breakpoints)
-    return IntegralResult(
-        total + tail.value,
-        err_total + tail.error_estimate,
-        used + tail.subdivisions_used,
-    )
-
-
-def _mapped_tail(
-    f: Callable,
-    t0: float,
-    spec: QuadratureSpec,
-    breakpoints: Sequence[float],
-) -> IntegralResult:
-    """Integral of f over [t0, inf) via t = t0 + s/(1-s), s in (0, 1)."""
-
     def g(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s)
         one_minus = 1.0 - s
-        t = t0 + s / one_minus
-        return np.asarray(f(t)) / one_minus**2
+        return np.asarray(f(a + s / one_minus)) / one_minus**2
 
-    seeds = [1.0 - 0.5**j for j in range(1, _TAIL_SEED_LEVELS)]
-    for p in breakpoints:
-        if p > t0:
-            d = p - t0
-            seeds.append(d / (1.0 + d))
+    seeds = [1.0 - 0.5**j for j in range(1, _SEED_LEVELS)]
+    seeds += [(p - a) / (1.0 + p - a) for p in breakpoints if p > a]
     return integrate(g, 0.0, 1.0, spec, seeds)

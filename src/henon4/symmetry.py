@@ -85,14 +85,6 @@ __all__ = [
 CROSSOVER_KAPPA = 1.05  # safety factor on the radial estimate
 
 
-def _relative_spec(spec: QuadratureSpec) -> QuadratureSpec:
-    """Sweep values decay like alpha^-4..alpha^-7, far below any fixed
-    absolute tolerance; sweep quadratures must be driven by rel_tol alone."""
-    return QuadratureSpec(
-        rel_tol=spec.rel_tol, abs_tol=1e-300, max_subdivisions=spec.max_subdivisions
-    )
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """Named positive smooth bump, normalized to unit bi-Laplacian energy."""
@@ -269,9 +261,9 @@ _ENERGY_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_ENERGY_MEMO_SIZE)
-def _family_energy(family: str, params: tuple, qspec: QuadratureSpec) -> float:
+def _family_energy(family: str, params: tuple, spec: QuadratureSpec) -> float:
     """||Delta u||_2^2 of a search candidate; it depends on no alpha, sigma or m."""
-    return laplacian_l2_sq(_family_profile(family, params), qspec)
+    return laplacian_l2_sq(_family_profile(family, params), spec)
 
 
 def _base_seeds() -> list:
@@ -310,15 +302,14 @@ def radial_max_search(
     if p.m is None or p.m < 1:
         raise PreconditionError("radial search targets truncated functionals, m >= 1")
     params_alpha = FunctionalParams(alpha, p.sigma, p.m)
-    qspec = _relative_spec(spec)
 
     def unit_candidate(family: str, params) -> RadialProfile:
-        energy = _family_energy(family, tuple(params), qspec)
+        energy = _family_energy(family, tuple(params), spec)
         return scale_to_unit(_family_profile(family, params), energy)
 
     def objective(family: str, params) -> float:
         try:
-            val = weighted_functional(unit_candidate(family, params), params_alpha, qspec)
+            val = weighted_functional(unit_candidate(family, params), params_alpha, spec)
         except Henon4Error:
             return -math.inf
         return val if math.isfinite(val) else -math.inf

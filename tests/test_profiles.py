@@ -23,6 +23,7 @@ from henon4.profiles import (
     pointwise_log_bound_margin,
     poly_profile,
     power_profile,
+    ring_profile,
     scale_to_unit,
     series_upper_bound,
     unit_energy,
@@ -103,9 +104,8 @@ def test_lp_norm_examples():
     )
 
 
-# Values at large alpha fall far below any fixed absolute tolerance, so these
-# integrals are driven by rel_tol alone, as the radial search's are.
-_RELATIVE = quadrature.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
+# Values at large alpha fall to 1e-23; the spec asks for rel_tol alone.
+_RELATIVE = quadrature.QuadratureSpec(rel_tol=1e-10)
 
 
 def _unit_pow(q: float):
@@ -144,10 +144,31 @@ def test_weighted_integrals_match_mpmath_at_large_alpha(q, alpha):
     mpmath = pytest.importorskip("mpmath")
     u = _unit_pow(q)
     sigma = 32.0 * math.pi**2
+    # abs=0: pytest.approx would otherwise accept anything within 1e-12
     got = weighted_functional(u, FunctionalParams(alpha, sigma, 1), _RELATIVE)
-    assert got == pytest.approx(_mp_pow_functional(mpmath, q, alpha, sigma), rel=1e-10)
+    exact = _mp_pow_functional(mpmath, q, alpha, sigma)
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
     got = weighted_lp_norm_p(u, 2.0, alpha, _RELATIVE)
-    assert got == pytest.approx(_mp_pow_lp2(mpmath, q, alpha), rel=1e-10)
+    assert got == pytest.approx(_mp_pow_lp2(mpmath, q, alpha), rel=1e-10, abs=0.0)
+
+
+def test_weighted_functional_is_accurate_to_rel_tol_when_small():
+    # F_8 of the unit ring:0.3:0.3 at alpha = 16 is 1.5e-14; the default
+    # spec must still give it to rel_tol, against 40-digit mpmath quadrature
+    mpmath = pytest.importorskip("mpmath")
+    rho0, h, alpha, sigma, m = 0.3, 0.3, 16.0, 32.0 * math.pi**2, 8
+    energy = laplacian_l2_sq(ring_profile(rho0, h))
+    u = scale_to_unit(ring_profile(rho0, h), energy)
+    got = weighted_functional(u, FunctionalParams(alpha, sigma, m))
+    with mpmath.workdps(40):
+
+        def f(r):
+            z = sigma * (mpmath.exp(-(((r - rho0) / h) ** 2)) * (1 - r**2)) ** 2 / energy
+            taylor = sum(z**k / mpmath.factorial(k) for k in range(m + 1))
+            return r ** (alpha + 3) * (mpmath.exp(z) - taylor)
+
+        exact = float(OMEGA_3 * mpmath.quad(f, [0, rho0, 1]))
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_weighted_functional_resolves_the_boundary_layer_at_once(monkeypatch):

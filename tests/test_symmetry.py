@@ -111,7 +111,7 @@ def test_bump_bound_follows_the_quadrature_spec():
     # a coarse-spec call must leave nothing behind that a later
     # default-spec call reuses
     p = FunctionalParams(0.0, SIGMA, 1)
-    coarse = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-3)
+    coarse = QuadratureSpec(rel_tol=1e-3)
     translated_bump_paper_bound(64.0, p, BumpSpec("cos2"), coarse)
     got = translated_bump_paper_bound(64.0, p, BumpSpec("cos2"))
 
