@@ -13,7 +13,8 @@ class DomainError(Henon4Error, ValueError):
 
 
 class NonConvergence(Henon4Error):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature exhausted its subdivision budget, or a half-line
+    tail needs t beyond the float64 range."""
 
 
 class NonFinite(Henon4Error):
@@ -22,7 +23,8 @@ class NonFinite(Henon4Error):
 
 
 class Divergent(Henon4Error):
-    """Tail blocks of a half-line integral grow instead of decaying."""
+    """The first-round estimates of a half-line integral's dyadic blocks grow
+    (or overflow) over 8 consecutive doublings instead of decaying."""
 
 
 class ThresholdError(Henon4Error, ValueError):

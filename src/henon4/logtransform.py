@@ -122,8 +122,9 @@ def weighted_exp_integral_log(
     """The weighted exponential functional evaluated in the log variable.
 
     Returns (OMEGA_3/gamma) int_0^inf exp(sigma w^2/(4 OMEGA_3 gamma)
-    - (alpha+4) t/gamma) dt.  Divergent propagates from the tail blocks and is
-    meaningful output for super-threshold inputs.
+    - (alpha+4) t/gamma) dt.  A super-threshold input, whose integrand grows
+    along t, raises Divergent from `integrate_halfline`'s block test; that is
+    meaningful output, not a failure of the quadrature.
     """
     g = wp.gamma
     cw = sigma / (4.0 * OMEGA_3 * g)

@@ -30,7 +30,9 @@ exp((alpha+4)/4 * (beta-1) * |log eps|), i.e. a factor
 exp((alpha+4)(beta-1) ln(10)/4) per decade of eps -- at alpha = 0, beta = 1.2
 that is only ~1.585, so the divergence gate requires >= 15% growth per decade
 (well above the < 10%-over-three-decades flatness of a bounded scan) rather
-than a factor of 2.
+than a factor of 2.  Below the threshold (beta < 1) a scan whose values never
+rise over the final three decades is also bounded: u_eps tends weakly to 0, so
+F_m (whose value at 0 is 0) may keep decaying instead of levelling off.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .profiles import (
     FunctionalParams,
     RadialProfile,
     laplacian_l2_sq,
+    scale_to_unit,
     sigma_alpha,
     weighted_functional,
 )
@@ -142,46 +145,31 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
     if mp.bc is not BoundaryKind.DIRICHLET:
         raise DomainError("moser_dirichlet requires bc = DIRICHLET")
     eps = mp.epsilon
-    L = mp.log_eps()
     eta = mp.eta()
-    seam_in = eps**0.25
+    u = moser_navier(MoserParams(eps, BoundaryKind.NAVIER))
+    seam_in = u.breakpoints[0]
     seam_out = 1.0 - eta
     if seam_in >= seam_out:
         raise DomainError("epsilon too large: plateau and boundary cap overlap")
     a = -math.log1p(-eta)  # |log(1 - eta)|
-    c = 1.0 / math.sqrt(OMEGA_3 * L)
-    sqrt_eps = math.sqrt(eps)
+    c = 1.0 / math.sqrt(OMEGA_3 * mp.log_eps())
 
-    def value(r):
-        rr = np.asarray(r, dtype=float)
-        s = -np.log(np.maximum(rr, 1e-150))
-        inner = c * (L / 4.0 + (sqrt_eps - rr**2) / (2.0 * sqrt_eps))
-        outer = c * s
-        cap = c * (2.0 * a * s**2 - s**3) / a**2
-        return np.where(rr <= seam_in, inner, np.where(rr <= seam_out, outer, cap))
+    def capped(below, cap):
+        # u_eps's closed form up to 1 - eta, the cubic cap in s = |log r| above
+        def piece(r):
+            rr = np.asarray(r, dtype=float)
+            rsafe = np.maximum(rr, 1e-150)
+            return np.where(rr <= seam_out, below(rr), cap(-np.log(rsafe), rsafe))
 
-    def d1(r):
-        rr = np.asarray(r, dtype=float)
-        rsafe = np.maximum(rr, 1e-150)
-        s = -np.log(rsafe)
-        inner = -c * rr / sqrt_eps
-        outer = -c / rsafe
-        cap = c * (3.0 * s**2 - 4.0 * a * s) / (rsafe * a**2)
-        return np.where(rr <= seam_in, inner, np.where(rr <= seam_out, outer, cap))
-
-    def d2(r):
-        rr = np.asarray(r, dtype=float)
-        rsafe = np.maximum(rr, 1e-150)
-        s = -np.log(rsafe)
-        inner = np.full_like(rr, -c / sqrt_eps)
-        outer = c / rsafe**2
-        cap = c * (4.0 * a - 6.0 * s + 4.0 * a * s - 3.0 * s**2) / (rsafe**2 * a**2)
-        return np.where(rr <= seam_in, inner, np.where(rr <= seam_out, outer, cap))
+        return piece
 
     return RadialProfile(
-        value,
-        d1,
-        d2,
+        capped(u.value, lambda s, r: c * (2.0 * a * s**2 - s**3) / a**2),
+        capped(u.d1, lambda s, r: c * (3.0 * s**2 - 4.0 * a * s) / (r * a**2)),
+        capped(
+            u.d2,
+            lambda s, r: c * (4.0 * a - 6.0 * s + 4.0 * a * s - 3.0 * s**2) / (r**2 * a**2),
+        ),
         BoundaryKind.DIRICHLET,
         f"moser:{eps:g}:dirichlet",
         breakpoints=(seam_in, seam_out),
@@ -198,7 +186,7 @@ class ThresholdExperiment:
     verdict: str  # "Diverging" | "Bounded" | "Inconclusive"
 
 
-def _classify(epsilons: Sequence[float], values: Sequence[float]) -> str:
+def _classify(epsilons: Sequence[float], values: Sequence[float], beta: float) -> str:
     n = len(values)
     decades = [math.log10(epsilons[k - 1] / epsilons[k]) for k in range(1, n)]
     # Divergence gate: strict growth at >= 15% per decade on every step beyond
@@ -216,10 +204,14 @@ def _classify(epsilons: Sequence[float], values: Sequence[float]) -> str:
                 break
         if diverging:
             return "Diverging"
-    # Flatness gate: < 10% spread over the final three decades of eps.
+    # Boundedness gate over the final three decades of eps: < 10% spread, or,
+    # below the threshold (beta < 1), a tail that never increases.
     eps_min = epsilons[-1]
     window = [values[k] for k in range(n) if epsilons[k] <= eps_min * 1e3]
-    if len(window) >= 2 and max(window) < (1.0 + BOUNDED_VARIATION) * min(window):
+    if len(window) >= 2 and (
+        max(window) < (1.0 + BOUNDED_VARIATION) * min(window)
+        or (beta < 1.0 and all(b <= a for a, b in zip(window, window[1:])))
+    ):
         return "Bounded"
     return "Inconclusive"
 
@@ -257,15 +249,14 @@ def blowup_scan(
         mp = MoserParams(eps, bc)
         u = moser_navier(mp) if bc is BoundaryKind.NAVIER else moser_dirichlet(mp)
         norm_sq = laplacian_l2_sq(u, spec)
-        v = u.scaled(1.0 / math.sqrt(norm_sq))
-        val = weighted_functional(v, params, spec)
+        val = weighted_functional(scale_to_unit(u, norm_sq), params, spec)
         L = -math.log(eps)
         norm_sqs.append(norm_sq)
         values.append(val)
         log_values.append(math.log(val))
         lbes.append((alpha + 4.0) / 4.0 * ((beta - 1.0) * L - 4.0))
 
-    verdict = _classify(eps_list, values)
+    verdict = _classify(eps_list, values, beta)
     return ThresholdExperiment(
         epsilons=tuple(eps_list),
         norm_sqs=tuple(norm_sqs),

@@ -8,16 +8,14 @@ singularities of algebraic or logarithmic type are handled by refinement
 alone.
 
 The half-line driver follows QUADPACK's qagi: [a, inf) is mapped once onto
-(0, 1) by the algebraic substitution t = a + s/(1-s) and integrated by the
-finite-interval driver under the same single test, error <= rel_tol * |value|.
-The mapped integral is seeded at the images s = 1 - 2^-j of the dyadic block
-edges t = a + 2^j - 1, so features at any t-scale representable in float64
-are resolved.  (A logarithmic substitution would compress everything beyond
-t - a ~ 37 into a single ulp at s = 1 and lose e.g. concentration regions of
-extremal profiles; the algebraic map does not.)  Before it, a probe takes one
-G7/K15 estimate per dyadic block [a, a+1], [a+1, a+3], [a+3, a+7], ...:
-monotone growth over 8 consecutive doublings raises Divergent, and the
-mapped integral starts once the block estimates decay.
+(0, 1] by t = a + (1-u)/u, and g(u) = f(t)/u^2 is integrated under the same
+single test, error <= rel_tol * |value|.  The singular end u = 0 keeps full
+float64 resolution, so slowly decaying tails such as (1+t)^-1.2 converge.
+The first round is seeded at u = 2^-j, the images of the dyadic block edges
+t = a + 2^j - 1, so features at every t-scale up to ~5e11 are resolved at
+once.  Its block estimates, read in increasing t, are also the divergence
+test: monotone growth over 8 consecutive doublings raises Divergent.  The
+same bisection loop as on a finite interval then refines that partition.
 """
 
 from __future__ import annotations
@@ -123,21 +121,20 @@ def _gk15_batch(f: Callable, los: np.ndarray, his: np.ndarray):
     """Evaluate the G7/K15 pair on a batch of intervals.
 
     Returns (values, error_estimates) with QUADPACK's resasc scaling, which
-    keeps the estimate realistic near integrable endpoint singularities.
+    keeps the estimate realistic near integrable endpoint singularities.  A
+    non-finite integrand value makes its interval's value non-finite; the
+    drivers report it.
     """
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
     xs = mid[:, None] + half[:, None] * _XGK[None, :]
     fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    if not np.all(np.isfinite(fx)):
-        bad = xs.ravel()[~np.isfinite(fx.ravel())][:1]
-        raise NonFinite(f"integrand non-finite near x={bad[0]!r}")
-    resk = (fx * _WGK[None, :]).sum(axis=1) * half
-    resg = (fx * _WG[None, :]).sum(axis=1) * half
-    reskh = resk / (2.0 * half)  # mean value of f on the interval
-    resasc = (np.abs(fx - reskh[:, None]) * _WGK[None, :]).sum(axis=1) * np.abs(half)
-    raw = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        resk = (fx * _WGK[None, :]).sum(axis=1) * half
+        resg = (fx * _WG[None, :]).sum(axis=1) * half
+        reskh = resk / (2.0 * half)  # mean value of f on the interval
+        resasc = (np.abs(fx - reskh[:, None]) * _WGK[None, :]).sum(axis=1) * np.abs(half)
+        raw = np.abs(resk - resg)
         scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
     err = np.where(resasc > 0.0, scaled, raw)
     return resk, err
@@ -169,10 +166,19 @@ def integrate(
     los = np.array(edges[:-1])
     his = np.array(edges[1:])
     vals, errs = _gk15_batch(f, los, his)
+    return _refine(f, los, his, vals, errs, spec)
 
+
+def _refine(f: Callable, los, his, vals, errs, spec, name=lambda x: f"x={x!r}") -> IntegralResult:
+    """The bisection loop of both drivers, from the first round's estimates
+    `vals`, `errs` on the intervals [los, his].  `name` renders an abscissa
+    for the NonFinite message."""
     while True:
         total = float(vals.sum())
         err_total = float(errs.sum())
+        if not (math.isfinite(total) and math.isfinite(err_total)):
+            i = int(np.argmin(np.isfinite(vals) & np.isfinite(errs)))
+            raise NonFinite(f"integrand non-finite near {name(0.5 * float(los[i] + his[i]))}")
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         n = los.size
         if err_total <= tol:
@@ -202,11 +208,8 @@ def integrate(
 
 # Half-line policy constants (declared decision rules, not tunables).
 _DIVERGENCE_DOUBLINGS = 8  # monotone block growth over this many doublings
-_MAX_BLOCKS = 60
-# The mapped integral is seeded at s = 1 - 2^-j, j = 1..39, the images of the
-# block edges t = a + 2^j - 1.  The outermost Kronrod node of the last seed
-# interval then sits at 1 - s ~ 2^-47 (t ~ 1e14); seeds down to 2^-51 would
-# round it to s = 1.0, where g is not finite.
+# The first round is seeded at u = 2^-j, j = 1..39: blocks 0..38 reach
+# t = a + 2^39 - 1 (~5.5e11), and block 39 is the rest of the line.
 _SEED_LEVELS = 40
 
 
@@ -216,69 +219,58 @@ def integrate_halfline(
     spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints: Sequence[float] = (),
 ) -> IntegralResult:
-    """Adaptive integral of f over [a, +infinity): one `integrate` of
-    g(s) = f(a + s/(1-s)) / (1-s)^2 over (0, 1), seeded at the images of the
-    dyadic block edges and of `breakpoints`.
+    """Adaptive integral of f over [a, +infinity): one adaptive integral of
+    g(u) = f(a + (1-u)/u) / u^2 over (0, 1], seeded at the images u = 2^-j of
+    the dyadic block edges t = a + 2^j - 1 and at the images of `breakpoints`.
 
-    Raises Divergent when the probe's block estimates beyond the last
+    Raises Divergent when the first round's block estimates beyond the last
     breakpoint grow monotonically over 8 consecutive doublings (e.g. a
-    non-decaying integrand), NonConvergence when they show no decay within
-    60 blocks or the budget runs out, NonFinite as in `integrate`.
+    non-decaying integrand); a block whose estimate overflows counts as
+    growing.  Raises NonConvergence when the budget runs out or the tail
+    needs t beyond the float64 range, and NonFinite, naming t, on any other
+    non-finite integrand value.
     """
     a = float(a)
     if not math.isfinite(a):
         raise DomainError("lower limit must be finite")
 
-    # Structural transitions at declared breakpoints are expected (plateaus,
-    # seams of piecewise profiles); divergence is only diagnosed on blocks
-    # that lie entirely beyond the last of them.
-    guard_start = max([a] + [float(b) for b in breakpoints if b > a])
+    def g(u: np.ndarray) -> np.ndarray:
+        # far blocks of a divergent integrand overflow; that is diagnosed
+        # below, and so is a tail that needs t beyond float64's range
+        with np.errstate(over="ignore"):
+            t = a + (1.0 - u) / u
+            if t.max() == math.inf:
+                raise NonConvergence("tail not resolved within the float64 range of t")
+            return np.asarray(f(t)) / u / u
 
-    probe_sum = 0.0
+    # Intervals in increasing t, i.e. decreasing u.
+    seeds = [0.5**j for j in range(1, _SEED_LEVELS)]
+    seeds += [1.0 / (1.0 + p - a) for p in breakpoints if p > a]
+    edges = _clean_breakpoints(0.0, 1.0, seeds)[::-1]
+    los = np.array(edges[1:])
+    his = np.array(edges[:-1])
+    vals, errs = _gk15_batch(g, los, his)
+
+    # Divergence test on the first round's dyadic blocks.  Structural
+    # transitions at declared breakpoints are expected (plateaus, seams of
+    # piecewise profiles), so only blocks entirely beyond the last of them
+    # count.
+    guard_start = max([a] + [float(p) for p in breakpoints if p > a])
+    block = np.minimum(-np.log2(his), _SEED_LEVELS - 1).astype(int)
+    running = 0.0
     grow_run = 0
-    block_mags: list[float] = []
-    n_decay_needed = 3
-
-    for k in range(_MAX_BLOCKS):
-        lo = a + (2.0**k) - 1.0
-        hi = a + (2.0**(k + 1)) - 1.0
-        est, _ = _gk15_batch(f, np.array([lo]), np.array([hi]))
-        probe_sum += float(est[0])
-        mag = abs(float(est[0]))
-
-        floor = max(spec.abs_tol, 0.25 * spec.rel_tol * abs(probe_sum))
-        if (
-            lo >= guard_start
-            and block_mags
-            and mag >= block_mags[-1] * (1.0 - 1e-12)
-            and mag > floor
-        ):
-            grow_run += 1
-        else:
-            grow_run = 0
+    prev = 0.0
+    for k, est in enumerate(np.bincount(block, weights=vals).tolist()):
+        running += est
+        mag = abs(est)
+        floor = max(spec.abs_tol, 0.25 * spec.rel_tol * abs(running))
+        growing = mag == math.inf or (mag >= prev * (1.0 - 1e-12) and mag > floor)
+        grow_run = grow_run + 1 if k > 0 and growing and a + 2.0**k - 1.0 >= guard_start else 0
         if grow_run >= _DIVERGENCE_DOUBLINGS:
             raise Divergent(
                 f"tail blocks non-decreasing over {_DIVERGENCE_DOUBLINGS} doublings "
-                f"(t up to {hi:.3g})"
+                f"(t up to {a + 2.0 ** (k + 1) - 1.0:.3g})"
             )
-        block_mags.append(mag)
+        prev = mag
 
-        decayed = (
-            len(block_mags) > n_decay_needed
-            and all(
-                block_mags[-i] <= 0.9 * block_mags[-i - 1] + floor
-                for i in range(1, n_decay_needed + 1)
-            )
-        )
-        if decayed or mag <= floor:
-            break
-    else:
-        raise NonConvergence(f"no tail decay within {_MAX_BLOCKS} dyadic blocks")
-
-    def g(s: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - s
-        return np.asarray(f(a + s / one_minus)) / one_minus**2
-
-    seeds = [1.0 - 0.5**j for j in range(1, _SEED_LEVELS)]
-    seeds += [(p - a) / (1.0 + p - a) for p in breakpoints if p > a]
-    return integrate(g, 0.0, 1.0, spec, seeds)
+    return _refine(g, los, his, vals, errs, spec, lambda u: f"t={a + (1.0 - u) / u!r}")

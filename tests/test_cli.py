@@ -19,11 +19,11 @@ SIGMA0 = 32.0 * math.pi**2
 
 
 def test_resolve_sigma_tokens():
-    assert resolve_sigma("32pi2", 0.0) == pytest.approx(SIGMA0, rel=1e-15)
-    assert resolve_sigma("16pi2", 0.0) == pytest.approx(16.0 * math.pi**2, rel=1e-15)
-    assert resolve_sigma("sigma_alpha", 4.0) == pytest.approx(2.0 * SIGMA0, rel=1e-15)
-    assert resolve_sigma("0.8*sigma_alpha", 0.0) == pytest.approx(0.8 * SIGMA0, rel=1e-15)
-    assert resolve_sigma("100.5", 3.0) == pytest.approx(100.5, rel=1e-15)
+    assert resolve_sigma("32pi2", 0.0) == pytest.approx(SIGMA0, rel=1e-15, abs=0.0)
+    assert resolve_sigma("16pi2", 0.0) == pytest.approx(16.0 * math.pi**2, rel=1e-15, abs=0.0)
+    assert resolve_sigma("sigma_alpha", 4.0) == pytest.approx(2.0 * SIGMA0, rel=1e-15, abs=0.0)
+    assert resolve_sigma("0.8*sigma_alpha", 0.0) == pytest.approx(0.8 * SIGMA0, rel=1e-15, abs=0.0)
+    assert resolve_sigma("100.5", 3.0) == pytest.approx(100.5, rel=1e-15, abs=0.0)
     with pytest.raises(ConfigError):
         resolve_sigma("pi2", 0.0)
     with pytest.raises(ConfigError):
@@ -36,7 +36,7 @@ def test_parse_epsilons_ladders():
     eps = parse_epsilons("1e-2:1e-5:decade")
     assert eps == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5])
     eps2 = parse_epsilons("1e-46:1e-52:2decade")
-    assert eps2 == pytest.approx([1e-46, 1e-48, 1e-50, 1e-52])
+    assert eps2 == pytest.approx([1e-46, 1e-48, 1e-50, 1e-52], abs=0.0)
     lst = parse_epsilons("1e-2,1e-3,1e-6")
     assert lst == [1e-2, 1e-3, 1e-6]
     with pytest.raises(ConfigError):
@@ -125,6 +125,21 @@ def test_moser_blowup_exit_3_on_contradicted_verdict(tmp_path):
          "--epsilons", "1e-2:1e-4:decade", "--out-dir", str(out)]
     )
     assert code == 3
+
+
+def test_moser_blowup_decaying_sub_threshold_scan_is_bounded(tmp_path):
+    # beta < 1 and the value falls over every decade (3.5e-5 -> 5.3e-9): the
+    # spread is far above 10 %, but a tail that never rises is bounded
+    out = tmp_path / "run"
+    code = main(
+        ["moser-blowup", "--m", "6", "--alpha", "16", "--beta", "0.8",
+         "--out-dir", str(out)]
+    )
+    assert code == 0
+    meta = json.loads((out / "moser_blowup.json").read_text())
+    assert meta["verdict"] == "Bounded"
+    values = [row["value"] for row in meta["rows"]]
+    assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_threshold_scan_columns(tmp_path):

@@ -26,6 +26,7 @@ from henon4.profiles import (
     corpus_profile,
     laplacian_l2_sq,
     poly_profile,
+    sigma_alpha,
     unit_energy,
     weighted_functional,
 )
@@ -129,6 +130,18 @@ def test_weighted_exp_integral_sqrt_t_divergent():
     wp = LogProfile(gamma, w, w1, w2, source="sqrt(t)")
     with pytest.raises(Divergent):
         weighted_exp_integral_log(wp, alpha, sigma_alpha)
+
+
+@pytest.mark.parametrize("k", [1.05, 1.5])
+def test_weighted_exp_integral_super_threshold_divergent(k):
+    # w = k sqrt(t) at sigma_alpha: the integrand is exp((k^2 - 1) t); for
+    # k = 1.5 the first round overflows beyond t ~ 570
+    w = lambda t: k * np.sqrt(np.asarray(t, dtype=float))
+    alpha = 4.0
+    wp = LogProfile(alpha + 4.0, w, w, w, source=f"{k} sqrt(t)")
+    with pytest.raises(Divergent) as info:
+        weighted_exp_integral_log(wp, alpha, sigma_alpha(alpha))
+    assert str(info.value) == "tail blocks non-decreasing over 8 doublings (t up to 511)"
 
 
 def test_marshall_moser_zero_member():

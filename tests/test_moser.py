@@ -38,7 +38,7 @@ def test_navier_matching_point_exact():
     eps = math.exp(-4.0)
     u = moser_navier(MoserParams(eps, BoundaryKind.NAVIER))
     seam = eps**0.25
-    assert seam == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert seam == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
     expected = 1.0 / (2.0 * math.sqrt(OMEGA_3))
     inner = float(u.value(np.array([seam * (1 - 1e-12)]))[0])
     outer = float(u.value(np.array([seam * (1 + 1e-12)]))[0])
@@ -74,8 +74,8 @@ def test_navier_vanishes_at_boundary():
 
 
 def test_navier_norm_formula():
-    assert navier_norm_sq_exact(math.exp(-4.0)) == pytest.approx(2.0, rel=1e-14)
-    assert navier_norm_sq_exact(math.exp(-100.0)) == pytest.approx(1.04, rel=1e-14)
+    assert navier_norm_sq_exact(math.exp(-4.0)) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    assert navier_norm_sq_exact(math.exp(-100.0)) == pytest.approx(1.04, rel=1e-14, abs=0.0)
     assert navier_norm_sq_exact(1e-300) == pytest.approx(1.0, abs=6e-3)
 
 

@@ -38,11 +38,11 @@ def zero_profile() -> RadialProfile:
 
 
 def test_omega3_matches_ball_volume():
-    assert OMEGA_3 == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+    assert OMEGA_3 == pytest.approx(2.0 * math.pi**2, rel=1e-15, abs=0.0)
     # integral_B 1 dx = OMEGA_3 / 4 = pi^2 / 2
     vol = weighted_functional(zero_profile(), FunctionalParams(0.0, 1.0, None))
     assert vol == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
-    assert BALL_VOLUME == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
+    assert BALL_VOLUME == pytest.approx(math.pi**2 / 2.0, rel=1e-15, abs=0.0)
 
 
 def test_laplacian_zero_profile():
@@ -81,7 +81,7 @@ def test_weighted_functional_oracle_poly4():
     u = poly_profile(2).scaled(1.0 / (4.0 * math.pi))
     sigma = 32.0 * math.pi**2
     got = weighted_functional(u, FunctionalParams(0.0, sigma, 1))
-    assert got == pytest.approx(0.320533940644441, rel=1e-12)
+    assert got == pytest.approx(0.320533940644441, rel=1e-12, abs=0.0)
 
     n = 200_000
     r = np.linspace(0.0, 1.0, n + 1)
@@ -98,9 +98,9 @@ def test_weighted_functional_oracle_poly4():
 def test_lp_norm_examples():
     u = poly_profile(1)
     assert weighted_lp_norm_p(zero_profile(), 2.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert weighted_lp_norm_p(u, 2.0, 0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-12)
+    assert weighted_lp_norm_p(u, 2.0, 0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-12, abs=0.0)
     assert weighted_lp_norm_p(u, 2.0, 4.0) == pytest.approx(
-        2.0 * math.pi**2 / 120.0, rel=1e-12
+        2.0 * math.pi**2 / 120.0, rel=1e-12, abs=0.0
     )
 
 
@@ -194,12 +194,12 @@ def test_weighted_lp_norm_rejects_non_finite_alpha():
 
 
 def test_embedding_bound_examples():
-    assert embedding_bound(2.0, 0.0, 1.0) == pytest.approx(1.0 / 64.0, rel=1e-14)
+    assert embedding_bound(2.0, 0.0, 1.0) == pytest.approx(1.0 / 64.0, rel=1e-14, abs=0.0)
     # p = 2k with k = 1 reduces to the same closed form
     k = 1
     eps = 4.0 / 4.0
     general = math.factorial(k) * eps ** (1 + k) / 4 ** (1 + 2 * k) * OMEGA_3 ** (1 - k)
-    assert general == pytest.approx(1.0 / 64.0, rel=1e-14)
+    assert general == pytest.approx(1.0 / 64.0, rel=1e-14, abs=0.0)
     assert embedding_bound(5.0, 3.0, 0.0) == 0.0
 
 
@@ -215,7 +215,7 @@ def test_embedding_inequality_spot(name, pexp, alpha):
 
 def test_series_upper_bound_examples():
     p = FunctionalParams(0.0, 0.5 * 32.0 * math.pi**2, None)
-    assert series_upper_bound(p, 1.0) == pytest.approx(math.pi**2, rel=1e-14)
+    assert series_upper_bound(p, 1.0) == pytest.approx(math.pi**2, rel=1e-14, abs=0.0)
     # sigma -> 0+: only the k = 0 term survives, the measure of B ... bound
     # tends to OMEGA_3 / 4
     tiny = FunctionalParams(0.0, 1e-12, None)
@@ -226,7 +226,7 @@ def test_series_upper_bound_examples():
         p_m0 = FunctionalParams(p_full.alpha, p_full.sigma, 0)
         lhs = series_upper_bound(p_m0, 1.0)
         rhs = series_upper_bound(p_full, 1.0) - OMEGA_3 / (4.0 + alpha)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_series_upper_bound_threshold_error():
@@ -270,7 +270,7 @@ def test_exp_minus_taylor_consistency():
         for m in (0, 1, 2):
             direct = math.exp(z) - sum(z**k / math.factorial(k) for k in range(m + 1))
             got = float(exp_minus_taylor(np.array([z]), m)[0])
-            assert got == pytest.approx(direct, rel=1e-13)
+            assert got == pytest.approx(direct, rel=1e-13, abs=0.0)
     # successive truncations differ by the dropped Taylor term
     z = np.array([0.01, 0.3, 0.49])
     for m in (0, 1, 2):
@@ -279,7 +279,7 @@ def test_exp_minus_taylor_consistency():
         assert np.allclose(diff, term, rtol=1e-12)
     # m absent reduces to exp
     assert float(exp_minus_taylor(np.array([0.25]), None)[0]) == pytest.approx(
-        math.exp(0.25), rel=1e-15
+        math.exp(0.25), rel=1e-15, abs=0.0
     )
 
 

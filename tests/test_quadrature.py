@@ -21,13 +21,13 @@ def test_zero_integrand():
 
 def test_cubic_polynomial():
     res = integrate(lambda x: x**3, 0.0, 1.0)
-    assert res.value == pytest.approx(0.25, rel=1e-13)
+    assert res.value == pytest.approx(0.25, rel=1e-13, abs=0.0)
 
 
 def test_r3_log_singularity():
     # integration by parts: int_0^1 r^3 (-log r) dr = 1/16
     res = integrate(lambda r: r**3 * (-np.log(r)), 0.0, 1.0)
-    assert res.value == pytest.approx(1.0 / 16.0, rel=1e-11)
+    assert res.value == pytest.approx(1.0 / 16.0, rel=1e-11, abs=0.0)
 
 
 def test_linearity():
@@ -44,7 +44,7 @@ def test_breakpoints_resolve_kink():
     exact = 0.3**2 / 2 + 0.7 * (1 - 0.3) - (1.0 - 0.3**2) / 2 + 0.3  # piecewise by hand
     exact = 0.045 + (0.7 - 0.455)  # int_0^.3 x + int_.3^1 (1-x)
     res = integrate(f, 0.0, 1.0, breakpoints=(0.3,))
-    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_invalid_interval_rejected():
@@ -117,6 +117,40 @@ def test_halfline_constant_integrand_divergent():
 def test_halfline_growing_integrand_divergent():
     with pytest.raises(Divergent):
         integrate_halfline(lambda t: np.log1p(t) / (1.0 + t), 0.0)
+
+
+_DIVERGENT_MESSAGE = "tail blocks non-decreasing over 8 doublings (t up to 511)"
+
+
+@pytest.mark.parametrize("rate", [0.01, 1.0])
+def test_halfline_exponential_growth_divergent(rate):
+    # far blocks of exp(t) overflow in the first round; they count as growth
+    with pytest.raises(Divergent) as info:
+        integrate_halfline(lambda t: np.exp(rate * t), 0.0)
+    assert str(info.value) == _DIVERGENT_MESSAGE
+
+
+@pytest.mark.parametrize("p, exact", [(1.5, 2.0), (1.2, 5.0)])
+def test_halfline_slow_algebraic_tail(p, exact):
+    # g(u) = u^(p-2) is singular at u = 0, where float64 keeps resolution
+    res = integrate_halfline(lambda t: (1.0 + t) ** -p, 0.0)
+    assert res.value == pytest.approx(exact, rel=DEFAULT_SPEC.rel_tol, abs=0.0)
+
+
+def test_halfline_tail_beyond_float_range_fails():
+    # (1+t)^-1.01 needs t far beyond 1e308 before its tail is below rel_tol
+    with pytest.raises(NonConvergence, match="float64 range of t"):
+        integrate_halfline(lambda t: (1.0 + t) ** -1.01, 0.0)
+
+
+def test_halfline_nonfinite_names_t():
+    f = lambda t: np.where(t < 50.0, np.exp(-t), np.nan)
+    with pytest.raises(NonFinite, match=r"near t=41\.66"):
+        integrate_halfline(f, 0.0)
+    # exp(t) overflows beyond t ~ 710, but the breakpoint at 1e10 leaves too
+    # few blocks past it for the growth test: the overflow is reported
+    with pytest.raises(NonFinite, match=r"near t=681\.66"):
+        integrate_halfline(lambda t: np.exp(t), 0.0, breakpoints=(1e10,))
 
 
 def test_closed_form_agreement_within_ten_rel_tol():

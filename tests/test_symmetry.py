@@ -80,7 +80,7 @@ def test_polar_reduction_measure():
 def test_prefactor_64():
     # (1 - 2/64)^64 = exp(64 log(31/32)) = 0.131084..., i.e. e^-2 (1 + o(1))
     val = (1.0 - 2.0 / 64.0) ** 64
-    assert val == pytest.approx(math.exp(64.0 * math.log(31.0 / 32.0)), rel=1e-12)
+    assert val == pytest.approx(math.exp(64.0 * math.log(31.0 / 32.0)), rel=1e-12, abs=0.0)
     assert val == pytest.approx(0.131084, abs=1e-6)
     assert val == pytest.approx(math.exp(-2.0), rel=0.04)
 
@@ -212,7 +212,7 @@ def test_radial_search_evaluates_each_point_once(monkeypatch):
     # the last _family_profile call builds the returned profile, not a candidate
     distinct = set(points[:-1])
     assert len(calls) == len(distinct) == 298
-    assert val == pytest.approx(2.039217769283519e-06, rel=1e-12)
+    assert val == pytest.approx(2.039217769283519e-06, rel=1e-12, abs=0.0)
     assert "(pow:" in prof.description
 
 
