@@ -243,7 +243,8 @@ def integrate_halfline(
                 raise NonConvergence("tail not resolved within the float64 range of t")
             return np.asarray(f(t)) / u / u
 
-    # Intervals in increasing t, i.e. decreasing u.
+    # Intervals in increasing t (decreasing u), so that a non-finite first
+    # round is reported at its smallest t.
     seeds = [0.5**j for j in range(1, _SEED_LEVELS)]
     seeds += [1.0 / (1.0 + p - a) for p in breakpoints if p > a]
     edges = _clean_breakpoints(0.0, 1.0, seeds)[::-1]

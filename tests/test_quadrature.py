@@ -122,9 +122,10 @@ def test_halfline_growing_integrand_divergent():
 _DIVERGENT_MESSAGE = "tail blocks non-decreasing over 8 doublings (t up to 511)"
 
 
-@pytest.mark.parametrize("rate", [0.01, 1.0])
+@pytest.mark.parametrize("rate", [0.01, 1.0, 100.0])
 def test_halfline_exponential_growth_divergent(rate):
-    # far blocks of exp(t) overflow in the first round; they count as growth
+    # far blocks overflow in the first round (for rate 100 from t = 3 on);
+    # an overflowing block counts as growth
     with pytest.raises(Divergent) as info:
         integrate_halfline(lambda t: np.exp(rate * t), 0.0)
     assert str(info.value) == _DIVERGENT_MESSAGE
