@@ -20,11 +20,13 @@ obtained by bounding the weight below on the support ball, is also computed
 Radial side: a certified lower estimate of the radial supremum by multistart
 coordinate ascent over parametric families (boundary-adapted power profiles,
 concentrating extremal members, off-origin ring bumps), each candidate
-scalar-projected onto the unit energy sphere.  At sigma = 32 pi^2 the
-concentrating members win at small alpha (up to alpha = 4..12, growing with
-m), ring bumps from there to alpha = 16, and power profiles from alpha = 32
-on.  Values decay like alpha^-5 (boundary-power class), consistent with the
-alpha^{-9/2} upper bound for the radial supremum.
+scaled onto the unit energy sphere by its exact energy: every family has a
+closed-form ||Delta u||_2^2, so a candidate costs one integral, the
+functional.  At sigma = 32 pi^2 the concentrating members win at small
+alpha (up to alpha = 4..12, growing with m), ring bumps from there to
+alpha = 16, and power profiles from alpha = 32 on.  Values decay like
+alpha^-5 (boundary-power class), consistent with the alpha^{-9/2} upper
+bound for the radial supremum.
 
 Crossover: the smallest grid alpha where the translated-bump value strictly
 exceeds kappa = 1.05 times the radial search value; the margin column is the
@@ -33,7 +35,6 @@ log-ratio log(bump / (kappa * radial)), increasing past the crossover.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,14 +50,14 @@ from .errors import (
     PreconditionError,
     as_index,
 )
-from .moser import MoserParams, moser_navier
+from .moser import MoserParams, moser_navier, navier_norm_sq_exact
 from .profiles import (
+    OMEGA_3,
     BoundaryKind,
     FunctionalParams,
     RadialProfile,
     cos2_profile,
     exp_minus_taylor,
-    laplacian_l2_sq,
     poly_profile,
     power_profile,
     ring_profile,
@@ -255,15 +256,90 @@ def _family_profile(family: str, params: Sequence[float]) -> RadialProfile:
     raise DomainError(f"unknown family {family!r}")
 
 
-# Energies of search candidates, for the life of the module.  4096 entries
-# hold every distinct point of a two-sweep pass, at about 0.2 KB each.
-_ENERGY_MEMO_SIZE = 4096
+def _poly_mul(p: list, q: list) -> list:
+    """Product of two polynomials given as coefficient lists, lowest first."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
-@functools.lru_cache(maxsize=_ENERGY_MEMO_SIZE)
-def _family_energy(family: str, params: tuple, spec: QuadratureSpec) -> float:
-    """||Delta u||_2^2 of a search candidate; it depends on no alpha, sigma or m."""
-    return laplacian_l2_sq(_family_profile(family, params), spec)
+def _poly_add(p: list, q: list, c: float = 1.0) -> list:
+    """p + c q for coefficient lists, lowest first."""
+    out = list(p) + [0.0] * (len(q) - len(p))
+    for i, b in enumerate(q):
+        out[i] += c * b
+    return out
+
+
+def _ring_energy(rho0: float, h: float) -> float:
+    """Closed form of ||Delta u||_2^2 for u = ring_profile(rho0, h), on the
+    search box of the `ring` family only.
+
+    With phi = exp(-(s/h)^2), s = r - rho0, and u = phi (1 - r^2),
+
+        r u'' + 3 u' = phi P,
+        P = r (1 - r^2) (4 s^2/h^4 - 2/h^2) - (3 - 7 r^2) 2 s/h^2 - 8 r,
+
+    a quintic in s, so ||Delta u||_2^2 = OMEGA_3 int_0^1 (r u'' + 3 u')^2 r dr
+    = OMEGA_3 int_0^1 r P^2 exp(-2 s^2/h^2) dr.  Put s = t w with
+    t = h/sqrt(2): the Gaussian becomes exp(-w^2), 4 s^2/h^4 - 2/h^2 =
+    2 (w^2 - 1)/h^2 and 2 s/h^2 = sqrt(2) w/h, and
+
+        ||Delta u||_2^2 = OMEGA_3 t sum_{k=0}^{11} c_k J_k,
+        J_k = int_a^b w^k exp(-w^2) dw,  a = -rho0/t,  b = (1 - rho0)/t,
+
+    where c_k are the coefficients of the degree-11 polynomial r P^2 in w
+    (r = rho0 + t w).  J_0 = sqrt(pi)/2 (erf b - erf a) adds two terms of
+    one sign (a <= 0 < b), J_1 = (exp(-a^2) - exp(-b^2))/2, and integration
+    by parts gives the upward recursion
+
+        J_k = (k-1)/2 J_{k-2} + (a^{k-1} exp(-a^2) - b^{k-1} exp(-b^2))/2.
+
+    On the box rho0 in [0, 0.97], h in [0.03, 0.6] the interval reaches
+    |w| > 2, and the sum agrees with 40-digit mpmath to 3e-15 relative or
+    better (an 8 x 8 grid over the box plus four interior points).  For a
+    wide Gaussian (h >> 1) the interval shrinks around 0, the J_k become
+    small differences of the boundary terms and the recursion loses digits
+    (7e-13 at h = 100), so other parameters are refused rather than given a
+    general formula.
+    """
+    (rho_lo, rho_hi), (h_lo, h_hi) = _FAMILY_BOUNDS["ring"]
+    if not (rho_lo <= rho0 <= rho_hi and h_lo <= h <= h_hi):
+        raise DomainError(f"ring energy outside the search box: rho0={rho0!r}, h={h!r}")
+    t = h / math.sqrt(2.0)
+    r = [rho0, t]
+    r2 = _poly_mul(r, r)
+    a2, a1 = 2.0 / h**2, math.sqrt(2.0) / h
+    poly = _poly_mul(_poly_add(r, _poly_mul(r2, r), -1.0), [-a2, 0.0, a2])
+    poly = _poly_add(poly, _poly_mul(_poly_add([3.0], r2, -7.0), [0.0, -a1]))
+    poly = _poly_add(poly, r, -8.0)
+    coeffs = _poly_mul(r, _poly_mul(poly, poly))
+
+    a, b = -rho0 / t, (1.0 - rho0) / t
+    ea, eb = math.exp(-a * a), math.exp(-b * b)
+    moments = [0.5 * math.sqrt(math.pi) * (math.erf(b) - math.erf(a)), 0.5 * (ea - eb)]
+    pa = pb = 1.0  # a^(k-1) and b^(k-1)
+    for k in range(2, len(coeffs)):
+        pa *= a
+        pb *= b
+        moments.append(0.5 * (k - 1) * moments[k - 2] + 0.5 * (pa * ea - pb * eb))
+    return OMEGA_3 * t * sum(c * j for c, j in zip(coeffs, moments))
+
+
+def _family_energy(family: str, params: Sequence[float]) -> float:
+    """||Delta u||_2^2 of a search candidate, in closed form: for `pow`,
+    Delta (1 - r^q) = -q (q+2) r^(q-2) gives OMEGA_3 q (q+2)^2 / 2; `moser`
+    is `navier_norm_sq_exact`; `ring` is `_ring_energy`."""
+    if family == "pow":
+        q = params[0]
+        return OMEGA_3 * q * (q + 2.0) ** 2 / 2.0
+    if family == "moser":
+        return navier_norm_sq_exact(10.0 ** params[0])
+    if family == "ring":
+        return _ring_energy(params[0], params[1])
+    raise DomainError(f"unknown family {family!r}")
 
 
 def _base_seeds() -> list:
@@ -290,12 +366,11 @@ def radial_max_search(
     Multistart coordinate ascent over the parametric families; every
     candidate is scalar-projected onto the unit energy sphere before the
     functional is evaluated, so any returned value is a true lower bound.
-    Each distinct candidate is evaluated once per call.  A candidate's
-    energy ||Delta u||_2^2 does not depend on alpha, sigma or m, so it is
-    kept in a module-level memo keyed by (family, params, quadrature spec)
-    for the life of the process (least recently used entries beyond 4096
-    are dropped); only its value, not the profile, is kept.  Deterministic
-    for a fixed opts.seed.  Returns (value, profile).
+    Each distinct candidate is evaluated once per call, and its energy
+    ||Delta u||_2^2 comes from the family's closed form (`_family_energy`),
+    so the functional is the only integral per candidate.  Nothing is kept
+    between calls.  Deterministic for a fixed opts.seed.  Returns
+    (value, profile).
     """
     if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
         raise PreconditionError("sigma must stay at or below 32 pi^2")
@@ -304,8 +379,7 @@ def radial_max_search(
     params_alpha = FunctionalParams(alpha, p.sigma, p.m)
 
     def unit_candidate(family: str, params) -> RadialProfile:
-        energy = _family_energy(family, tuple(params), spec)
-        return scale_to_unit(_family_profile(family, params), energy)
+        return scale_to_unit(_family_profile(family, params), _family_energy(family, params))
 
     def objective(family: str, params) -> float:
         try:

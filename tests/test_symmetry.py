@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from henon4 import symmetry
+from henon4 import profiles, symmetry
 from henon4.errors import DomainError, NonConvergence, NonFinite, PreconditionError
 from henon4.moser import MoserParams, moser_navier
 from henon4.profiles import (
@@ -216,39 +216,79 @@ def test_radial_search_evaluates_each_point_once(monkeypatch):
     assert "(pow:" in prof.description
 
 
-def test_radial_search_energy_memo(monkeypatch):
-    p = FunctionalParams(0.0, SIGMA, 1)
-    opts = SearchOptions(seed=0)
-    symmetry._family_energy.cache_clear()
-    cold = radial_max_search(64.0, p, opts)
-    warm = radial_max_search(64.0, p, opts)
-    r = np.linspace(0.0, 1.0, 65)
-    assert warm[0] == cold[0]
-    assert np.array_equal(warm[1].value(r), cold[1].value(r))
-
-    # a call at another alpha integrates only the energies of new points
-    symmetry._family_energy.cache_clear()
-    seen = set()
-    family_profile = symmetry._family_profile
-
-    def recording_profile(family, params):
-        seen.add((family, tuple(params)))
-        return family_profile(family, params)
-
-    monkeypatch.setattr(symmetry, "_family_profile", recording_profile)
-    radial_max_search(64.0, p, opts)
-    first = set(seen)
-    seen.clear()
+def test_radial_search_integrates_no_energy(monkeypatch):
+    # every integral of a search is a candidate's functional: the energies
+    # are closed forms, so one call integrates once per distinct candidate
+    # (298, as in test_radial_search_evaluates_each_point_once)
+    integrals = []
     energies = []
-    energy = symmetry.laplacian_l2_sq
+    integrate_fn = profiles.integrate
+    energy_fn = profiles.laplacian_l2_sq
 
-    def counting_energy(u, spec):
-        energies.append(u.description)
-        return energy(u, spec)
+    def counting_integrate(*args):
+        integrals.append(None)
+        return integrate_fn(*args)
 
-    monkeypatch.setattr(symmetry, "laplacian_l2_sq", counting_energy)
-    radial_max_search(256.0, p, opts)
-    assert len(energies) == len(seen - first) < len(seen)
+    def counting_energy(*args):
+        energies.append(None)
+        return energy_fn(*args)
+
+    monkeypatch.setattr(profiles, "integrate", counting_integrate)
+    monkeypatch.setattr(profiles, "laplacian_l2_sq", counting_energy)
+    radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1), SearchOptions(seed=0))
+    assert len(integrals) == 298
+    assert energies == []
+
+
+def _grid(lo, hi, n=5):
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
+_TIGHT = QuadratureSpec(rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("family", ["pow", "moser", "ring"])
+def test_family_energy_matches_quadrature(family):
+    bounds = _FAMILY_BOUNDS[family]
+    points = [[x] for x in _grid(*bounds[0], 7)]
+    if family == "ring":
+        points = [[rho0, h] for rho0 in _grid(*bounds[0]) for h in _grid(*bounds[1])]
+    for params in points:
+        exact = symmetry._family_energy(family, params)
+        quad = laplacian_l2_sq(_family_profile(family, params), _TIGHT)
+        assert exact == pytest.approx(quad, rel=1e-13, abs=0.0), params
+
+
+def _mp_ring_energy(mpmath, rho0: float, h: float) -> float:
+    """||Delta u||_2^2 of ring_profile(rho0, h) by 40-digit quadrature of
+    OMEGA_3 int_0^1 (r u'' + 3 u')^2 r dr, with u'' and u' in closed form."""
+    with mpmath.workdps(40):
+        rho0, h = mpmath.mpf(rho0), mpmath.mpf(h)
+
+        def f(r):
+            s = r - rho0
+            phi = mpmath.exp(-((s / h) ** 2))
+            d1 = phi * (-2 * s / h**2 * (1 - r**2) - 2 * r)
+            d2 = phi * (
+                (4 * s**2 / h**4 - 2 / h**2) * (1 - r**2) + 8 * s * r / h**2 - 2
+            )
+            return (r * d2 + 3 * d1) ** 2 * r
+
+        pts = sorted({mpmath.mpf(0), max(rho0 - 4 * h, 0), rho0, min(rho0 + 4 * h, 1), mpmath.mpf(1)})
+        return float(2 * mpmath.pi**2 * mpmath.quad(f, pts))
+
+
+@pytest.mark.parametrize("rho0, h", [(0.0, 0.03), (0.0, 0.6), (0.97, 0.03), (0.97, 0.6), (0.62, 0.6)])
+def test_ring_energy_matches_mpmath(rho0, h):
+    # the four corners of the search box and the alpha = 16 winner
+    mpmath = pytest.importorskip("mpmath")
+    exact = _mp_ring_energy(mpmath, rho0, h)
+    assert symmetry._family_energy("ring", [rho0, h]) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_ring_energy_refuses_parameters_outside_the_search_box():
+    with pytest.raises(DomainError, match="search box"):
+        symmetry._family_energy("ring", [0.5, 100.0])
 
 
 def test_radial_search_m_ordering():
