@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFinite
 from .profiles import (
     OMEGA_3,
     BoundaryKind,
@@ -229,7 +229,7 @@ def blowup_scan(
     Each member is normalized onto the unit energy sphere by its quadrature
     energy before evaluation.  The lower_bound_exponent column records
     (alpha+4)/4 * ((beta-1) |log eps| - 4), the predicted log-scale floor of
-    a diverging scan.
+    a diverging scan.  A value that underflows to 0 raises NonFinite.
     """
     if not beta > 0.0:
         raise DomainError("beta must be > 0")
@@ -250,6 +250,8 @@ def blowup_scan(
         u = moser_navier(mp) if bc is BoundaryKind.NAVIER else moser_dirichlet(mp)
         norm_sq = laplacian_l2_sq(u, spec)
         val = weighted_functional(scale_to_unit(u, norm_sq), params, spec)
+        if not 0.0 < val < math.inf:
+            raise NonFinite(f"value = {val!r} at epsilon={eps:g}: log_value needs its log")
         L = -math.log(eps)
         norm_sqs.append(norm_sq)
         values.append(val)

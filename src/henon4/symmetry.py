@@ -7,10 +7,12 @@ energy sphere, and
 
     F_m(u_alpha) = alpha^-4 * integral_B |x_a + y/alpha|^alpha g(u(|y|)) dy,
 
-which reduces by polar decomposition about the symmetry axis to
+which reduces by polar decomposition about the symmetry axis to one integral
 
-    alpha^-4 * 4 pi * int_0^1 int_0^pi g(u(s)) R(s,th)^alpha s^3 sin^2 th dth ds,
-    R(s,th)^2 = xbar^2 + 2 xbar (s/alpha) cos th + (s/alpha)^2.
+    4 pi alpha^-4 int_0^1 g(u(s)) s^3 A^nu S ds,   A = xbar^2 + d^2,  d = s/alpha,
+    S = int_0^pi (1 + z cos th)^nu sin^2 th dth,   z = 2 xbar d / A,  nu = alpha/2,
+
+as R^2 = A (1 + z cos th); `_angular_series` sums S in closed form.
 
 This is a rigorous lower bound for the unconstrained supremum and scales like
 alpha^-4.  The elementary minorant (1 - 2/alpha)^alpha * alpha^-4 * int g(u),
@@ -44,7 +46,6 @@ import numpy as np
 from .errors import (
     DomainError,
     Henon4Error,
-    NonConvergence,
     NonFinite,
     OptFailure,
     PreconditionError,
@@ -66,7 +67,7 @@ from .profiles import (
     unit_energy,
     weighted_functional,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
     "BumpSpec",
@@ -84,6 +85,7 @@ __all__ = [
 ]
 
 CROSSOVER_KAPPA = 1.05  # safety factor on the radial estimate
+_SIGMA_MAX = sigma_alpha(0.0) * (1.0 + 1e-12)  # 32 pi^2, the bound of every sigma check
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,11 @@ def bump_profile(bump: BumpSpec, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialP
 
 
 def _check_bump_params(alpha: float, p: FunctionalParams) -> None:
-    if alpha < 4.0:
-        raise PreconditionError("translated bump requires alpha >= 4")
+    if not (math.isfinite(alpha) and alpha >= 4.0):
+        raise PreconditionError("translated bump requires finite alpha >= 4")
     if p.m is None:
         raise PreconditionError("the comparison concerns truncated functionals (m present)")
-    if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
+    if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
 
 
@@ -131,8 +133,26 @@ def check_sweep(p: FunctionalParams, alphas: Sequence[float]) -> None:
         raise DomainError("translated bump requires finite alpha >= 4")
     if p.m is None or p.m < 1:
         raise DomainError("crossover concerns truncated functionals with m >= 1")
-    if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
+    if p.sigma > _SIGMA_MAX:
         raise DomainError("sigma must stay at or below 32 pi^2")
+
+
+def _angular_series(nu: float, z2: np.ndarray) -> np.ndarray:
+    """S = (pi/2) 2F1(-nu/2, (1-nu)/2; 2; z^2) = sum_k t_k over z2, t_0 = pi/2,
+    t_{k+1} = t_k (nu-2k)(nu-2k-1) z^2/((2k+2)(2k+4)): the binomial series of
+    (1 + z cos th)^nu, whose odd powers of cos th integrate to 0.  It stops at
+    the first |t_k| <= 2^-56 sum, in absolute value, as the terms change sign
+    once when 2k < nu < 2k+1.  For alpha >= 4 and s <= 1, z <= min(0.6,
+    2/(alpha-1)), and every |t_{k+1}/t_k| is below 0.36 (nu(nu-1) z^2/8 < 1/8
+    while 2k+1 <= nu, z^2 after): the dropped tail is smaller than the last
+    term kept and changes no bit of the sum."""
+    term = total = np.full_like(z2, 0.5 * math.pi)
+    k = 0
+    while np.any(np.abs(term) > 2.0**-56 * total):
+        term = term * ((nu - 2 * k) * (nu - 2 * k - 1) / ((2 * k + 2) * (2 * k + 4))) * z2
+        total = total + term
+        k += 1
+    return total
 
 
 def translated_bump_value(
@@ -141,45 +161,22 @@ def translated_bump_value(
     bump: BumpSpec = BumpSpec(),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
-    """Exact F_m of the translated, 1/alpha-scaled bump (2D reduction).
-
-    Evaluated by tensor Gauss-Legendre with node doubling until two
-    successive refinements agree to 10 * rel_tol; raises NonConvergence
-    when the 384-node rule still does not agree with the 192-node one.
-    """
+    """Exact F_m of the translated, 1/alpha-scaled bump, the one integral of
+    the module docstring; A^nu = exp(nu log1p(d^2 - (2 - 1/alpha)/alpha)), as
+    log A of a rounded A ~ 1 would be off by an ulp times nu."""
     _check_bump_params(alpha, p)
     u = bump_profile(bump, spec)
     xbar = 1.0 - 1.0 / alpha
-    inv_a = 1.0 / alpha
+    nu = 0.5 * alpha
 
-    def tensor_value(n: int) -> float:
-        xs, ws = np.polynomial.legendre.leggauss(n)
-        s = 0.5 * (xs + 1.0)  # radius in (0, 1)
-        ws_s = 0.5 * ws
-        th = 0.5 * math.pi * (xs + 1.0)  # angle in (0, pi)
-        ws_t = 0.5 * math.pi * ws
-        val = u.value(s)
-        gs = exp_minus_taylor(p.sigma * val * val, p.m) * s**3 * ws_s
-        r_sq = (
-            xbar**2
-            + 2.0 * xbar * inv_a * np.outer(s, np.cos(th))
-            + (inv_a * s[:, None]) ** 2
-        )
-        weight = np.exp(0.5 * alpha * np.log(r_sq)) * np.sin(th) ** 2 * ws_t[None, :]
-        return 4.0 * math.pi * float(gs @ weight.sum(axis=1)) / alpha**4
+    def integrand(s):
+        d = s / alpha
+        a_minus_1 = d * d - (2.0 - 1.0 / alpha) / alpha
+        z = 2.0 * xbar * d / (1.0 + a_minus_1)
+        weight = np.exp(nu * np.log1p(a_minus_1)) * _angular_series(nu, z * z)
+        return exp_minus_taylor(p.sigma * u.value(s) ** 2, p.m) * s**3 * weight
 
-    prev = tensor_value(48)
-    for n in (96, 192, 384):
-        cur = tensor_value(n)
-        diff = abs(cur - prev)
-        if diff <= 10.0 * spec.rel_tol * abs(cur):
-            return cur
-        prev = cur
-    rel = diff / abs(cur) if cur else math.inf
-    raise NonConvergence(
-        f"translated bump at alpha={alpha:g}: 384 and 192 tensor nodes differ by "
-        f"{rel:.3g} relative, above 10 * rel_tol = {10.0 * spec.rel_tol:.3g}"
-    )
+    return 4.0 * math.pi * integrate(integrand, 0.0, 1.0, spec, u.breakpoints).value / alpha**4
 
 
 def translated_bump_paper_bound(
@@ -192,7 +189,7 @@ def translated_bump_paper_bound(
     _check_bump_params(alpha, p)
     u = bump_profile(bump, spec)
     base = weighted_functional(u, FunctionalParams(0.0, p.sigma, p.m), spec)
-    return (1.0 - 2.0 / alpha) ** alpha / alpha**4 * base
+    return math.exp(alpha * math.log1p(-2.0 / alpha)) / alpha**4 * base  # no rounded base
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +369,7 @@ def radial_max_search(
     between calls.  Deterministic for a fixed opts.seed.  Returns
     (value, profile).
     """
-    if p.sigma > sigma_alpha(0.0) * (1.0 + 1e-12):
+    if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
     if p.m is None or p.m < 1:
         raise PreconditionError("radial search targets truncated functionals, m >= 1")

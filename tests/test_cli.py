@@ -127,6 +127,18 @@ def test_moser_blowup_exit_3_on_contradicted_verdict(tmp_path):
     assert code == 3
 
 
+def test_moser_blowup_names_an_underflowed_value(tmp_path, capsys):
+    # at m = 300 F_m of the eps = 1e-2 member underflows to 0.0; its
+    # log_value is the failure to name, not an internal math domain error
+    out = tmp_path / "run"
+    code = main(["moser-blowup", "--m", "300", "--alpha", "0", "--beta", "1.2",
+                 "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "value = 0.0 at epsilon=0.01" in err
+
+
 def test_moser_blowup_decaying_sub_threshold_scan_is_bounded(tmp_path):
     # beta < 1 and the value falls over every decade (3.5e-5 -> 5.3e-9): the
     # spread is far above 10 %, but a tail that never rises is bounded

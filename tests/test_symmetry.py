@@ -35,6 +35,7 @@ from henon4.symmetry import (
 )
 
 SIGMA = 32.0 * math.pi**2
+_TIGHT = QuadratureSpec(rel_tol=1e-15)
 
 
 def test_bump_normalized_and_admissible():
@@ -149,14 +150,91 @@ def test_bump_preconditions():
         translated_bump_value(16.0, FunctionalParams(0.0, SIGMA, None))
     with pytest.raises(PreconditionError):
         translated_bump_value(16.0, FunctionalParams(0.0, 2.0 * SIGMA, 1))
+    for alpha in (math.nan, math.inf):
+        for fn in (translated_bump_value, translated_bump_paper_bound):
+            with pytest.raises(PreconditionError, match="finite alpha >= 4"):
+                fn(alpha, FunctionalParams(0.0, SIGMA, 1))
 
 
 def test_bump_non_convergence_raises():
-    # at rel_tol = 1e-15 the 192- and 384-node rules differ by ~5e-14
-    # relative, above 10 * rel_tol; the unconverged value must not come back
-    spec = QuadratureSpec(rel_tol=1e-15)
-    with pytest.raises(NonConvergence, match="alpha=16"):
+    # the value is one adaptive integral, which needs 4 subintervals; a
+    # budget of 2 must raise rather than return the unconverged value
+    spec = QuadratureSpec(max_subdivisions=2)
+    with pytest.raises(NonConvergence, match="after 2 subdivisions"):
         translated_bump_value(16.0, FunctionalParams(0.0, SIGMA, 1), BumpSpec(), spec)
+
+
+def test_bump_value_is_one_integral(monkeypatch):
+    calls = []
+    integrate_fn = symmetry.integrate
+
+    def counting_integrate(*args):
+        calls.append(None)
+        return integrate_fn(*args)
+
+    monkeypatch.setattr(symmetry, "integrate", counting_integrate)
+    translated_bump_value(64.0, FunctionalParams(0.0, SIGMA, 1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.65, 65536.0])
+def test_angular_series_matches_quadrature(nu):
+    # nu = 2 (alpha = 4): the series terminates; nu = 2.5: the terms change
+    # sign once; z as the translated bump makes it at alpha = 2 nu
+    alpha = 2.0 * nu
+    xbar = 1.0 - 1.0 / alpha
+    for s in (0.25, 0.5, 1.0):
+        d = s / alpha
+        z = 2.0 * xbar * d / (xbar**2 + d**2)
+        series = float(symmetry._angular_series(nu, np.array([z * z]))[0])
+
+        def integrand(th):
+            return np.exp(nu * np.log1p(z * np.cos(th))) * np.sin(th) ** 2
+
+        quad = integrate(integrand, 0.0, math.pi, _TIGHT).value
+        assert series == pytest.approx(quad, rel=1e-14, abs=0.0), (nu, s)
+
+
+def _tensor_bump_value(alpha: float, p: FunctionalParams, n: int = 384) -> float:
+    """Oracle: the 2D reduction by an n x n tensor Gauss-Legendre rule, with
+    R^alpha = exp(alpha/2 * log1p(R^2 - 1)) and R^2 - 1 formed without
+    cancellation."""
+    u = bump_profile(BumpSpec())
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (xs + 1.0)
+    th = 0.5 * math.pi * (xs + 1.0)
+    d = s / alpha
+    xbar = 1.0 - 1.0 / alpha
+    gs = exp_minus_taylor(p.sigma * u.value(s) ** 2, p.m) * s**3 * 0.5 * ws
+    a_minus_1 = d * d - (2.0 - 1.0 / alpha) / alpha
+    r_sq_minus_1 = a_minus_1[:, None] + 2.0 * xbar * np.outer(d, np.cos(th))
+    weight = np.exp(0.5 * alpha * np.log1p(r_sq_minus_1)) * np.sin(th) ** 2 * 0.5 * math.pi * ws
+    return 4.0 * math.pi * float(gs @ weight.sum(axis=1)) / alpha**4
+
+
+@pytest.mark.parametrize("alpha", [1e6, 1e8, 1e9])
+def test_bump_value_accurate_at_large_alpha(alpha):
+    # log of a rounded R^2 ~ 1 is off by an ulp, times alpha/2: 5.3e-9 at 1e8
+    p = FunctionalParams(0.0, SIGMA, 1)
+    oracle = _tensor_bump_value(alpha, p)
+    assert translated_bump_value(alpha, p) == pytest.approx(
+        oracle, rel=DEFAULT_SPEC.rel_tol, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("alpha", [1e6, 1e8, 1e9])
+def test_bump_paper_bound_accurate_at_large_alpha(alpha):
+    # (1 - 2/alpha)**alpha raises a rounded base to the power alpha: 5.5e-8
+    # off at 1e9; the prefactor is checked against 50-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    p = FunctionalParams(0.0, SIGMA, 1)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        prefactor = float((1 - 2 / a) ** a)
+    base = weighted_functional(bump_profile(BumpSpec()), p)
+    assert translated_bump_paper_bound(alpha, p) == pytest.approx(
+        prefactor / alpha**4 * base, rel=DEFAULT_SPEC.rel_tol, abs=0.0
+    )
 
 
 def test_radial_search_beats_fixed_moser_candidate():
@@ -242,9 +320,6 @@ def test_radial_search_integrates_no_energy(monkeypatch):
 
 def _grid(lo, hi, n=5):
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
-_TIGHT = QuadratureSpec(rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("family", ["pow", "moser", "ring"])
