@@ -346,8 +346,8 @@ def scale_to_unit(u: RadialProfile, energy: float) -> RadialProfile:
 
     The package's one normalisation rule: an energy that is not finite and
     positive raises DomainError.  Callers that already hold the energy (the
-    identity suite, the radial search's closed-form candidate energies,
-    `moser.blowup_scan`) pass it here; `unit_energy` integrates it first.
+    identity suite, the symmetry sweep's family table, `moser.blowup_scan`)
+    pass it here; `unit_energy` integrates it first.
     """
     if not (energy > 0.0 and math.isfinite(energy)):
         raise DomainError(f"cannot normalize {u.description} of energy {energy!r}")

@@ -163,6 +163,18 @@ def test_threshold_scan_columns(tmp_path):
     assert len(lines) == 3
 
 
+def test_symmetry_sweep_names_a_subnormal_bump_value(tmp_path, capsys):
+    # the bump value 1.2e-321 at alpha = 1e80 is subnormal (alpha**4 would
+    # overflow, an internal error), so the sweep names it and exits 3
+    out = tmp_path / "run"
+    code = main(["symmetry-sweep", "--sigma", "32pi2", "--m", "1",
+                 "--alphas", "1e80,1e81,1e82,1e83", "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: bump_exact = 1.206e-321 at alpha=1e+80")
+    assert not out.exists()
+
+
 def test_symmetry_sweep_json_schema_and_determinism(tmp_path):
     args = ["symmetry-sweep", "--sigma", "32pi2", "--m", "1",
             "--alphas", "16,32,64,128", "--seed", "7"]

@@ -22,7 +22,7 @@ from henon4.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from henon4.rearrangement import seeded_comparison_profiles
 from henon4.symmetry import (
     CROSSOVER_KAPPA,
-    _FAMILY_BOUNDS,
+    _FAMILIES,
     BumpSpec,
     SearchOptions,
     bump_profile,
@@ -31,7 +31,6 @@ from henon4.symmetry import (
     radial_max_search,
     translated_bump_paper_bound,
     translated_bump_value,
-    _family_profile,
 )
 
 SIGMA = 32.0 * math.pi**2
@@ -165,28 +164,59 @@ def test_bump_non_convergence_raises():
 
 
 def test_bump_value_is_one_integral(monkeypatch):
+    # the bump's energy is a closed form, so `profiles` integrates nothing
     calls = []
-    integrate_fn = symmetry.integrate
+    for module in (symmetry, profiles):
+        integrate_fn = module.integrate
 
-    def counting_integrate(*args):
-        calls.append(None)
-        return integrate_fn(*args)
+        def counting_integrate(*args, integrate_fn=integrate_fn):
+            calls.append(None)
+            return integrate_fn(*args)
 
-    monkeypatch.setattr(symmetry, "integrate", counting_integrate)
+        monkeypatch.setattr(module, "integrate", counting_integrate)
     translated_bump_value(64.0, FunctionalParams(0.0, SIGMA, 1))
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("nu", [2.0, 2.5, 3.65, 65536.0])
+@pytest.mark.parametrize("kind", ["poly4", "cos2"])
+def test_bump_energy_matches_quadrature(kind):
+    family = _FAMILIES[kind]
+    exact = family.energy()
+    assert exact == pytest.approx(laplacian_l2_sq(family.profile(), _TIGHT), rel=1e-15, abs=0.0)
+
+
+def test_bump_kinds_are_the_families_without_a_search_box():
+    for kind in ("pow", "moser", "ring", "poly6"):
+        with pytest.raises(DomainError, match="unknown bump kind"):
+            BumpSpec(kind)
+
+
+@pytest.mark.parametrize("alpha", [1e80, 1e160])
+def test_bump_at_huge_alpha_underflows_without_overflow(alpha):
+    # alpha**4 overflows past alpha ~ 1e77; the true values lie far below
+    # 1e-300, so both round to a subnormal or to 0.0 instead
+    p = FunctionalParams(0.0, SIGMA, 1)
+    value = translated_bump_value(alpha, p)
+    bound = translated_bump_paper_bound(alpha, p)
+    assert 0.0 <= bound <= value < 1e-300
+    if alpha == 1e80:
+        # alpha^4 F has a finite limit, reached at 1e20 already; a
+        # subnormal near 1.2e-321 keeps about 8 significant bits
+        scaled = translated_bump_value(1e20, p) * 1e80
+        assert value == pytest.approx(scaled * alpha**-4.0, rel=1e-2, abs=0.0)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.65, 65536.0, 5e159])
 def test_angular_series_matches_quadrature(nu):
     # nu = 2 (alpha = 4): the series terminates; nu = 2.5: the terms change
-    # sign once; z as the translated bump makes it at alpha = 2 nu
+    # sign once; nu = 5e159: nu^2 overflows and z^2 underflows, nu z does
+    # neither; z as the translated bump makes it at alpha = 2 nu
     alpha = 2.0 * nu
     xbar = 1.0 - 1.0 / alpha
     for s in (0.25, 0.5, 1.0):
         d = s / alpha
         z = 2.0 * xbar * d / (xbar**2 + d**2)
-        series = float(symmetry._angular_series(nu, np.array([z * z]))[0])
+        series = float(symmetry._angular_series(nu, np.array([z]))[0])
 
         def integrand(th):
             return np.exp(nu * np.log1p(z * np.cos(th))) * np.sin(th) ** 2
@@ -274,24 +304,32 @@ def test_radial_search_evaluates_each_point_once(monkeypatch):
     calls = []
     points = []
     functional = symmetry.weighted_functional
-    family_profile = symmetry._family_profile
+    unit = symmetry._unit
 
     def counting_functional(*args):
         calls.append(None)
         return functional(*args)
 
-    def recording_profile(family, params):
+    def recording_unit(family, params):
         points.append((family, tuple(params)))
-        return family_profile(family, params)
+        return unit(family, params)
 
     monkeypatch.setattr(symmetry, "weighted_functional", counting_functional)
-    monkeypatch.setattr(symmetry, "_family_profile", recording_profile)
+    monkeypatch.setattr(symmetry, "_unit", recording_unit)
     val, prof = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1), SearchOptions(seed=0))
-    # the last _family_profile call builds the returned profile, not a candidate
+    # the last _unit call builds the returned profile, not a candidate
     distinct = set(points[:-1])
     assert len(calls) == len(distinct) == 298
     assert val == pytest.approx(2.039217769283519e-06, rel=1e-12, abs=0.0)
     assert "(pow:" in prof.description
+
+
+def test_radial_search_ring_winner_at_alpha_16():
+    # the one grid alpha where a ring wins: pins the order of the starts and
+    # the ring box the jitter clips to
+    val, prof = radial_max_search(16.0, FunctionalParams(0.0, SIGMA, 1), SearchOptions(seed=0))
+    assert val == pytest.approx(0.0006616792371291995, rel=1e-12, abs=0.0)
+    assert "(ring:" in prof.description
 
 
 def test_radial_search_integrates_no_energy(monkeypatch):
@@ -322,15 +360,16 @@ def _grid(lo, hi, n=5):
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-@pytest.mark.parametrize("family", ["pow", "moser", "ring"])
-def test_family_energy_matches_quadrature(family):
-    bounds = _FAMILY_BOUNDS[family]
+@pytest.mark.parametrize("name", ["pow", "moser", "ring"])
+def test_family_energy_matches_quadrature(name):
+    family = _FAMILIES[name]
+    bounds = family.box
     points = [[x] for x in _grid(*bounds[0], 7)]
-    if family == "ring":
+    if name == "ring":
         points = [[rho0, h] for rho0 in _grid(*bounds[0]) for h in _grid(*bounds[1])]
     for params in points:
-        exact = symmetry._family_energy(family, params)
-        quad = laplacian_l2_sq(_family_profile(family, params), _TIGHT)
+        exact = family.energy(*params)
+        quad = laplacian_l2_sq(family.profile(*params), _TIGHT)
         assert exact == pytest.approx(quad, rel=1e-13, abs=0.0), params
 
 
@@ -358,12 +397,12 @@ def test_ring_energy_matches_mpmath(rho0, h):
     # the four corners of the search box and the alpha = 16 winner
     mpmath = pytest.importorskip("mpmath")
     exact = _mp_ring_energy(mpmath, rho0, h)
-    assert symmetry._family_energy("ring", [rho0, h]) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert symmetry._ring_energy(rho0, h) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_ring_energy_refuses_parameters_outside_the_search_box():
     with pytest.raises(DomainError, match="search box"):
-        symmetry._family_energy("ring", [0.5, 100.0])
+        symmetry._ring_energy(0.5, 100.0)
 
 
 def test_radial_search_m_ordering():
@@ -408,6 +447,15 @@ def test_crossover_detect_names_an_underflowed_value(monkeypatch):
         crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
 
 
+def test_crossover_detect_names_a_subnormal_value(monkeypatch):
+    # at alpha = 1e77 the bump value is 1.2e-309, a subnormal with fewer than
+    # 53 bits that cannot meet rel_tol; the sweep names it as it names 0.0
+    monkeypatch.setattr(symmetry, "translated_bump_value", lambda a, p, bump, spec: 1.2e-309)
+    monkeypatch.setattr(symmetry, "radial_max_search", lambda a, p, opts, spec: (1e-6, None))
+    with pytest.raises(NonFinite, match="bump_exact = 1.2e-309 at alpha=16"):
+        crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
+
+
 def test_crossover_report_shape_small_grid():
     p = FunctionalParams(0.0, SIGMA, 1)
     rep = crossover_detect(p, [16.0, 32.0, 64.0, 128.0], opts=SearchOptions(seed=2))
@@ -426,15 +474,16 @@ def test_search_bump_and_seeded_derivative_consistency():
     def ends_and_middle(lo, hi):
         return (lo, 0.5 * (lo + hi), hi)
 
-    (q_bounds,) = _FAMILY_BOUNDS["pow"]
-    (rho_bounds, h_bounds) = _FAMILY_BOUNDS["ring"]
-    profiles = [_family_profile("pow", [q]) for q in ends_and_middle(*q_bounds)]
+    pow_, moser, ring = (_FAMILIES[name] for name in ("pow", "moser", "ring"))
+    (q_bounds,) = pow_.box
+    (rho_bounds, h_bounds) = ring.box
+    profiles = [pow_.profile(q) for q in ends_and_middle(*q_bounds)]
     profiles += [
-        _family_profile("ring", [rho0, h])
+        ring.profile(rho0, h)
         for rho0 in ends_and_middle(*rho_bounds)
         for h in ends_and_middle(*h_bounds)
     ]
-    profiles += [_family_profile("moser", [x]) for x in _FAMILY_BOUNDS["moser"][0]]
+    profiles += [moser.profile(x) for x in moser.box[0]]
     profiles += [bump_profile(BumpSpec(kind)) for kind in ("poly4", "cos2")]
     for seed in range(10):
         profiles += seeded_comparison_profiles(10, seed)
