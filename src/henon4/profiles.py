@@ -216,16 +216,37 @@ def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> fl
     return OMEGA_3 * res.value
 
 
-# Levels of the weight's dyadic partition; 1 - 2^-53 is the last double of
-# the ladder 1 - 2^-k below 1.
+# Deepest level of the ladder in `_weight_partition`; 1 - 2^-53 is the last
+# double of 1 - 2^-k below 1.
 _WEIGHT_LEVELS_MAX = 53
 
 
 def _weight_partition(alpha: float, breakpoints: tuple) -> tuple:
-    """The profile's breakpoints plus 1 - 2^-k for k = 1..K, with
-    K = min(ceil(log2(alpha+4)), 53); `integrate` sorts and merges them."""
+    """The seed points of the integrals weighted by r^(alpha+3): the
+    profile's breakpoints, the dyadic ladder 1 - 2^-k for k = 1..K with
+    K = min(ceil(log2(alpha+4)), 53), and the geometric midpoint
+    1 - 2^-(k+1/2) of every ladder interval [1 - 2^-k, 1 - 2^-(k+1)] across
+    which the weight grows by more than e^2, (alpha+3) 2^-(k+1) > 2.
+    `integrate` sorts and merges them.
+
+    The weight's mass lies in a layer of width about 1/(alpha+4) at r = 1,
+    which the ladder reaches in the first GK15 round; bisecting from [0, 1]
+    would take about log2(alpha+4) rounds to get there.  Across a ladder
+    interval the weight grows by up to e^35, and there the G7/K15 estimate
+    reads 1e2..1e3 times the tolerance while the halves are already
+    accurate; the midpoints make that first round meet rel_tol.  The rule
+    adds no point below 1/2, and none at all for alpha <= 5, where
+    (alpha+3)/4 <= 2: those integrals keep the ladder's partition, and
+    their values bit for bit.
+    """
     levels = min(math.ceil(math.log2(alpha + 4.0)), _WEIGHT_LEVELS_MAX)
-    return tuple(breakpoints) + tuple(1.0 - 0.5**k for k in range(1, levels + 1))
+    ladder = tuple(1.0 - 0.5**k for k in range(1, levels + 1))
+    mids = tuple(
+        1.0 - 0.5 ** (k + 0.5)
+        for k in range(1, levels)
+        if (alpha + 3.0) * 0.5 ** (k + 1) > 2.0
+    )
+    return tuple(breakpoints) + ladder + mids
 
 
 def weighted_functional(
@@ -236,11 +257,9 @@ def weighted_functional(
     """F(u) or F_m(u): the weighted exponential functional of the profile.
 
     The weight r^(alpha+3) puts the mass of the integral into a layer of
-    width about 1/(alpha+4) at r = 1.  The integral therefore starts from the
-    points 1 - 2^-k for k = 1..min(ceil(log2(alpha+4)), 53), merged with the
-    profile's breakpoints, which reach that layer in the first GK15 round;
-    bisecting from [0, 1] would take about log2(alpha+4) rounds to get there.
-    The seeded intervals count against `spec.max_subdivisions`.
+    width about 1/(alpha+4) at r = 1; the integral starts from the seed
+    points of `_weight_partition`, which resolve that layer in the first
+    GK15 round.  The seeded intervals count against `spec.max_subdivisions`.
     """
     sigma, alpha, m = p.sigma, p.alpha, p.m
 
@@ -261,10 +280,8 @@ def weighted_lp_norm_p(
 ) -> float:
     """integral_B |x|^alpha |u|^p dx (the p-th power of the weighted norm).
 
-    As in `weighted_functional`, the weight r^(alpha+3) concentrates the
-    integral in a layer of width about 1/(alpha+4) at r = 1, so it starts
-    from the points 1 - 2^-k for k = 1..min(ceil(log2(alpha+4)), 53), merged
-    with the profile's breakpoints.
+    As in `weighted_functional`, the integral starts from the seed points of
+    `_weight_partition`.
     """
     if pexp < 1.0:
         raise DomainError("pexp must be >= 1")

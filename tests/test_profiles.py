@@ -30,6 +30,7 @@ from henon4.profiles import (
     weighted_functional,
     weighted_lp_norm_p,
 )
+from henon4.profiles import _weight_partition
 
 
 def zero_profile() -> RadialProfile:
@@ -125,7 +126,7 @@ def _mp_pow_functional(mpmath, q: float, alpha: float, sigma: float) -> float:
             return r ** (alpha + 3) * (mpmath.expm1(z) - z)
 
         w = alpha + 4
-        pts = [0] + [1 - mpmath.mpf(c) / w for c in (256, 64, 16, 4, 1, 0.25)] + [1]
+        pts = [0] + [1 - mpmath.mpf(c) / w for c in (256, 64, 16, 4, 1, 0.25) if c < w] + [1]
         return float(omega * mpmath.quad(f, pts))
 
 
@@ -138,7 +139,7 @@ def _mp_pow_lp2(mpmath, q: float, alpha: float) -> float:
         return float((1 / w - 2 / (w + q) + 1 / (w + 2 * q)) / energy)
 
 
-@pytest.mark.parametrize("alpha", [2048.0, 131072.0])
+@pytest.mark.parametrize("alpha", [64.0, 512.0, 2048.0, 131072.0])
 @pytest.mark.parametrize("q", [1.9, 4.0])
 def test_weighted_integrals_match_mpmath_at_large_alpha(q, alpha):
     mpmath = pytest.importorskip("mpmath")
@@ -171,9 +172,20 @@ def test_weighted_functional_is_accurate_to_rel_tol_when_small():
     assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
-def test_weighted_functional_resolves_the_boundary_layer_at_once(monkeypatch):
-    # the weight's dyadic partition reaches the layer of width 1/(alpha+4)
-    # in the first round; bisecting from [0, 1] takes 17 rounds here
+_SIGMA = 32.0 * math.pi**2
+_WEIGHTED_INTEGRALS = {
+    "F_1": lambda u, alpha: weighted_functional(u, FunctionalParams(alpha, _SIGMA, 1), _RELATIVE),
+    "F_2": lambda u, alpha: weighted_functional(u, FunctionalParams(alpha, _SIGMA, 2), _RELATIVE),
+    "lp2": lambda u, alpha: weighted_lp_norm_p(u, 2.0, alpha, _RELATIVE),
+}
+
+
+@pytest.mark.parametrize("alpha", [64.0, 512.0, 2048.0, 131072.0])
+@pytest.mark.parametrize("integral", sorted(_WEIGHTED_INTEGRALS))
+def test_weighted_functional_resolves_the_boundary_layer_at_once(monkeypatch, integral, alpha):
+    # the weight's partition reaches the layer of width 1/(alpha+4), and its
+    # midpoints split the steep ladder intervals, so the first GK15 round
+    # meets rel_tol; bisecting from [0, 1] takes 17 rounds at alpha = 131072
     batches = []
     kernel = quadrature._gk15_batch
 
@@ -182,9 +194,36 @@ def test_weighted_functional_resolves_the_boundary_layer_at_once(monkeypatch):
         return kernel(f, los, his)
 
     monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
-    p = FunctionalParams(131072.0, 32.0 * math.pi**2, 1)
-    weighted_functional(_unit_pow(1.9), p, _RELATIVE)
-    assert 1 <= len(batches) <= 3
+    _WEIGHTED_INTEGRALS[integral](_unit_pow(1.9), alpha)
+    assert len(batches) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 4.0, 5.0])
+def test_weight_partition_is_the_dyadic_ladder_up_to_alpha_5(alpha):
+    # These seeds must stay as they are: splitting [1/2, 3/4] at alpha = 0
+    # moves `talenti-check --seed 2` profile 0's u_sq (true value
+    # 1.43010130502565) from 5.7e-11 relative on one side of it to 4.4e-11
+    # on the other, a step of 1.0e-10, so a report compared with the old
+    # value at rel_tol fails.
+    bps = (0.3, 0.7)
+    levels = math.ceil(math.log2(alpha + 4.0))
+    ladder = tuple(1.0 - 0.5**k for k in range(1, levels + 1))
+    assert _weight_partition(alpha, bps) == bps + ladder
+
+
+@pytest.mark.parametrize("alpha", [5.5, 6.0, 64.0, 131072.0, 1e8, 1e20, 1e300])
+def test_weight_partition_splits_only_steep_ladder_intervals(alpha):
+    # Below 1/2 the partition is the profile's breakpoints alone: splitting
+    # [0, 1/2] moves the `moser-blowup --alpha 64` values that the suite's
+    # references record (see ROADMAP item 3).
+    bps = (0.1, 0.4)
+    points = _weight_partition(alpha, bps)
+    assert points[:2] == bps and min(points[2:]) == 0.5
+    levels = min(math.ceil(math.log2(alpha + 4.0)), 53)
+    mids = set(points[2:]) - {1.0 - 0.5**k for k in range(1, levels + 1)}
+    assert mids  # the weight grows by more than e^2 across [1/2, 3/4]
+    # each added point is the geometric midpoint 1 - 2^-(k+1/2) of a ladder interval
+    assert mids <= {1.0 - 0.5 ** (k + 0.5) for k in range(1, levels)}
 
 
 def test_weighted_lp_norm_rejects_non_finite_alpha():
