@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Henon4Error
+from .errors import DomainError, Henon4Error, as_index
 from .logtransform import log_energy, sqrt_transform_energy, to_log_profile
 from .moser import MoserParams, blowup_scan
 from .profiles import (
@@ -56,7 +56,7 @@ from .profiles import (
 )
 from .quadrature import QuadratureSpec
 from .rearrangement import seeded_comparison_profiles, talenti_comparison_check
-from .symmetry import BumpSpec, SearchOptions, check_sweep, crossover_detect
+from .symmetry import BumpSpec, check_sweep, crossover_detect
 
 __all__ = ["RunConfig", "ConfigError", "build_config", "run", "emit", "main"]
 
@@ -313,12 +313,14 @@ def _construct(command: str, p: dict) -> dict:
         }
     if command == "talenti-check":
         return {"count": p.get("count", 10), "seed": p.get("seed", 20240807)}
+    # --seed is checked as on talenti-check, but the sweep is deterministic and ignores it
+    if as_index(p.get("seed", 0), "seed") < 0:
+        raise DomainError("seed must be >= 0")
     sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
     return {
         "params": FunctionalParams(0.0, sigma, p.get("m", 1)),
         "alphas": parse_alphas(str(p.get("alphas", "16,32,64,128,256,512"))),
         "bump": BumpSpec(p.get("bump", "poly4")),
-        "opts": SearchOptions(seed=p.get("seed", 0)),
     }
 
 
@@ -478,9 +480,8 @@ def _symmetry_sweep(
     params: FunctionalParams,
     alphas: list,
     bump: BumpSpec,
-    opts: SearchOptions,
 ):
-    report = crossover_detect(params, alphas, bump, opts, spec)
+    report = crossover_detect(params, alphas, bump, spec)
     for r in report.rows:
         _print(
             f"alpha={r.alpha:<6g} bump={r.bump_exact:.6e} bound={r.bump_paper_bound:.6e} "

@@ -21,7 +21,14 @@ vanishes to second order at r = 1: with a = |log(1 - eta)|,
 
 (The leading coefficient must carry |log(1-eta)|, not log(1-eta), for the cap
 to match the positive outer branch; the derivative formulas below follow from
-that reading.)  Its energy is 1 + O(log L / L).
+that reading.)  Its energy is exact: with Delta u = u'' + 3u'/r and
+OMEGA_3 c^2 = 1/L, c = 1/sqrt(OMEGA_3 L), the plateau gives 4/L and the log
+branch (Delta u = -2c/r^2) (4/L)(L/4 - a).  On the cap, in s = -log r with
+u = f(s), Delta u = (f'' - 2f')/r^2 and |Delta u|^2 r^3 dr = (f'' - 2f')^2 ds,
+with f'' - 2f' = c (4a - (6 + 8a) s + 6 s^2)/a^2; this polynomial integral
+over s in [0, a] gives (4/a - 2 + 68a/15)/L, so
+
+    ||Delta u_{eps,0}||_2^2 = 1 + (2 + 4/a + 8a/15)/L.
 
 `blowup_scan` normalizes a member onto the unit energy sphere, evaluates the
 weighted functional at sigma = beta * sigma_alpha for each eps, and classifies
@@ -49,7 +56,6 @@ from .profiles import (
     BoundaryKind,
     FunctionalParams,
     RadialProfile,
-    laplacian_l2_sq,
     scale_to_unit,
     sigma_alpha,
     weighted_functional,
@@ -62,6 +68,7 @@ __all__ = [
     "moser_navier",
     "navier_norm_sq_exact",
     "moser_dirichlet",
+    "dirichlet_norm_sq_exact",
     "blowup_scan",
     "DIVERGING_GROWTH_PER_DECADE",
     "BOUNDED_VARIATION",
@@ -135,9 +142,14 @@ def moser_navier(mp: MoserParams) -> RadialProfile:
 
 def navier_norm_sq_exact(epsilon: float) -> float:
     """Closed form of ||Delta u_eps||_2^2 = 1 + 4/|log eps|."""
-    if not 0.0 < epsilon < _EPS_MAX:
-        raise DomainError("epsilon out of range")
-    return 1.0 + 4.0 / (-math.log(epsilon))
+    return 1.0 + 4.0 / MoserParams(epsilon, BoundaryKind.NAVIER).log_eps()
+
+
+def dirichlet_norm_sq_exact(epsilon: float) -> float:
+    """Closed form of ||Delta u_{eps,0}||_2^2 (module docstring)."""
+    mp = MoserParams(epsilon, BoundaryKind.DIRICHLET)
+    a = -math.log1p(-mp.eta())
+    return 1.0 + (2.0 + 4.0 / a + 8.0 * a / 15.0) / mp.log_eps()
 
 
 def moser_dirichlet(mp: MoserParams) -> RadialProfile:
@@ -226,8 +238,9 @@ def blowup_scan(
 ) -> ThresholdExperiment:
     """Evaluate F (or F_m) at sigma = beta * sigma_alpha along an eps scan.
 
-    Each member is normalized onto the unit energy sphere by its quadrature
-    energy before evaluation.  The lower_bound_exponent column records
+    Each member is normalized onto the unit energy sphere by its closed-form
+    energy (`navier_norm_sq_exact`, `dirichlet_norm_sq_exact`) before
+    evaluation.  The lower_bound_exponent column records
     (alpha+4)/4 * ((beta-1) |log eps| - 4), the predicted log-scale floor of
     a diverging scan.  A value that underflows to 0 raises NonFinite.
     """
@@ -247,8 +260,10 @@ def blowup_scan(
     lbes = []
     for eps in eps_list:
         mp = MoserParams(eps, bc)
-        u = moser_navier(mp) if bc is BoundaryKind.NAVIER else moser_dirichlet(mp)
-        norm_sq = laplacian_l2_sq(u, spec)
+        if bc is BoundaryKind.NAVIER:
+            u, norm_sq = moser_navier(mp), navier_norm_sq_exact(eps)
+        else:
+            u, norm_sq = moser_dirichlet(mp), dirichlet_norm_sq_exact(eps)
         val = weighted_functional(scale_to_unit(u, norm_sq), params, spec)
         if not 0.0 < val < math.inf:
             raise NonFinite(f"value = {val!r} at epsilon={eps:g}: log_value needs its log")

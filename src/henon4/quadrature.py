@@ -12,6 +12,12 @@ value 2.1e-10 off at rel_tol = 1e-10 without an error.  On a half-line the
 same holds for tails (1+t)^-p with 1.03 < p < 1.1, whose mapped integrand
 is u^-(2-p) at u = 0; p <= 1.03 raises NonConvergence.
 
+Nor is a layer narrower than the first round's node spacing: if every node
+reads 0, every estimate is 0 and the sum is accepted, so
+`integrate_halfline(lambda t: np.exp(-a*t) * t**4, 0.0)` at a = 1e6 returns
+exactly 0.0 with error estimate 0 (true value 24/a^5; a = 1e5 is still
+right).  Callers must scale the variable so that the layer is O(1) wide.
+
 The half-line driver follows QUADPACK's qagi: [a, inf) is mapped once onto
 (0, 1] by t = a + (1-u)/u, and g(u) = f(t)/u^2 is integrated under the same
 single test, error <= rel_tol * |value|.  The singular end u = 0 keeps full

@@ -20,8 +20,8 @@ alpha^-4.  The elementary minorant (1 - 2/alpha)^alpha * alpha^-4 * int g(u),
 obtained by bounding the weight below on the support ball, is also computed
 (the bump_paper_bound column).
 
-Radial side: a certified lower estimate of the radial supremum by multistart
-coordinate ascent over parametric families (boundary-adapted power profiles,
+Radial side: a certified lower estimate of the radial supremum by coordinate
+ascent from one start per parametric family (boundary-adapted power profiles,
 concentrating extremal members, off-origin ring bumps), each candidate
 scaled onto the unit energy sphere by its exact energy: every family has a
 closed-form ||Delta u||_2^2, so a candidate costs one integral, the
@@ -53,7 +53,6 @@ from .errors import (
     NonFinite,
     OptFailure,
     PreconditionError,
-    as_index,
 )
 from .moser import MoserParams, moser_navier, navier_norm_sq_exact
 from .profiles import (
@@ -74,7 +73,6 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
     "BumpSpec",
-    "SearchOptions",
     "SweepRow",
     "SweepReport",
     "bump_profile",
@@ -170,36 +168,36 @@ def _ring_energy(rho0: float, h: float) -> float:
 
 class _Family(NamedTuple):
     """Profile and closed-form ||Delta u||_2^2 as functions of the parameters,
-    their search box (one (lo, hi) each) and the search's base starts."""
+    their search box (one (lo, hi) each) and the search's start."""
 
     profile: Callable
     energy: Callable
     box: tuple = ()
-    starts: tuple = ()
+    start: tuple = ()
 
 
 # Energies: poly4 = (1 - r^2)^2 has Delta u = 24 r^2 - 16, hence 16 pi^2;
 # cos2 = cos^2(pi r / 2) gives pi^4 (pi^2 + 9) / 16; Delta (1 - r^q) =
 # -q (q+2) r^(q-2) gives pow OMEGA_3 q (q+2)^2 / 2; moser is
 # `navier_norm_sq_exact` of epsilon = 10^x; ring is `_ring_energy`.  The
-# starts are visited in table order, and the jitter draws among them.
+# search visits the families in table order.
 _FAMILIES = {
     "poly4": _Family(lambda: poly_profile(2), lambda: 16.0 * math.pi**2),
     "cos2": _Family(cos2_profile, lambda: math.pi**4 * (math.pi**2 + 9.0) / 16.0),
     "pow": _Family(
         power_profile,
         lambda q: OMEGA_3 * q * (q + 2.0) ** 2 / 2.0,
-        ((0.5, 12.0),), ((1.2,), (2.0,), (3.5,)),
+        ((0.5, 12.0),), (2.0,),
     ),
     "moser": _Family(
         lambda x: moser_navier(MoserParams(10.0**x, BoundaryKind.NAVIER)),
         lambda x: navier_norm_sq_exact(10.0**x),
-        ((-12.0, -0.95),), ((-2.0,), (-4.0,)),  # x = log10 epsilon
+        ((-12.0, -0.95),), (-2.0,),  # x = log10 epsilon
     ),
     "ring": _Family(
         ring_profile,
         _ring_energy,
-        ((0.0, 0.97), (0.03, 0.6)), ((0.3, 0.3), (0.7, 0.15), (0.9, 0.08)),
+        ((0.0, 0.97), (0.03, 0.6)), (0.3, 0.3),
     ),
 }
 
@@ -315,21 +313,9 @@ def translated_bump_paper_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    """Seed of the rng that perturbs the extra search starts."""
-
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if as_index(self.seed, "seed") < 0:  # an integer, as numpy's rng needs
-            raise DomainError("seed must be >= 0")
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SWEEPS = 2  # coordinate-ascent passes per start
+_SWEEPS = 2  # coordinate-ascent passes per family
 _GOLDEN_ITERS = 16
-_JITTER_STARTS = 3  # extra rng-perturbed starts on top of the base seeds
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int):
@@ -357,19 +343,18 @@ def _golden_max(fn, lo: float, hi: float, iters: int):
 def radial_max_search(
     alpha: float,
     p: FunctionalParams,
-    opts: SearchOptions = SearchOptions(),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ):
     """Certified lower estimate of the radial supremum of F_m.
 
-    Multistart coordinate ascent over the parametric families; every
-    candidate is scalar-projected onto the unit energy sphere before the
-    functional is evaluated, so any returned value is a true lower bound.
-    Each distinct candidate is evaluated once per call, and its energy
-    ||Delta u||_2^2 comes from the family's closed form (`_unit`), so the
-    functional is the only integral per candidate.  Nothing is kept
-    between calls.  Deterministic for a fixed opts.seed.  Returns
-    (value, profile).
+    Coordinate ascent over the parametric families in table order, from one
+    start each; every golden-section line spans the family's whole box.
+    Every candidate is scalar-projected onto the unit energy sphere before
+    the functional is evaluated, so any returned value is a true lower
+    bound.  Each distinct candidate is evaluated once per call, and its
+    energy ||Delta u||_2^2 comes from the family's closed form (`_unit`), so
+    the functional is the only integral per candidate.  Nothing is kept
+    between calls, and nothing random enters.  Returns (value, profile).
     """
     if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
@@ -392,25 +377,16 @@ def radial_max_search(
             seen[key] = objective(family, params)
         return seen[key]
 
-    rng = np.random.default_rng(opts.seed)
-    base = [(name, start) for name, family in _FAMILIES.items() for start in family.starts]
-    starts = list(base)
-    for _ in range(_JITTER_STARTS):
-        family, params = base[int(rng.integers(len(base)))]
-        jittered = [
-            float(np.clip(x * rng.uniform(0.8, 1.25), lo, hi))
-            for x, (lo, hi) in zip(params, _FAMILIES[family].box)
-        ]
-        starts.append((family, jittered))
-
     best_val = -math.inf
     best_family = None
     best_params = None
-    for family, params in starts:
-        params = list(params)
+    for family, entry in _FAMILIES.items():
+        if not entry.box:
+            continue  # a bump, not a search family
+        params = list(entry.start)
         val = lookup(family, params)
         for _ in range(_SWEEPS):
-            for dim, (lo, hi) in enumerate(_FAMILIES[family].box):
+            for dim, (lo, hi) in enumerate(entry.box):
 
                 def line(x, dim=dim):
                     trial = list(params)
@@ -473,7 +449,6 @@ def crossover_detect(
     p: FunctionalParams,
     alphas: Sequence[float],
     bump: BumpSpec = BumpSpec(),
-    opts: SearchOptions = SearchOptions(),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> SweepReport:
     """Sweep the grid, fit decay slopes, and locate the numerical crossover.
@@ -491,7 +466,7 @@ def crossover_detect(
     for a in alphas:
         bump_exact = translated_bump_value(a, p, bump, spec)
         bump_bound = translated_bump_paper_bound(a, p, bump, spec)
-        radial_val, radial_prof = radial_max_search(a, p, opts, spec)
+        radial_val, radial_prof = radial_max_search(a, p, spec)
         for name, v in (("bump_exact", bump_exact), ("radial_max", radial_val)):
             # a subnormal carries fewer than 53 bits and cannot meet rel_tol
             if not sys.float_info.min <= v < math.inf:

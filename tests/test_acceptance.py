@@ -46,7 +46,6 @@ from henon4.rearrangement import seeded_comparison_profiles, talenti_comparison_
 from henon4.symmetry import (
     CROSSOVER_KAPPA,
     BumpSpec,
-    SearchOptions,
     crossover_detect,
 )
 
@@ -196,7 +195,6 @@ def symmetry_sweeps():
             FunctionalParams(0.0, SIGMA0, m),
             SWEEP_ALPHAS,
             BumpSpec("poly4"),
-            SearchOptions(seed=7),
         )
     reps["elapsed"] = time.time() - t0
     return reps

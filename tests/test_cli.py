@@ -206,6 +206,17 @@ def test_symmetry_sweep_json_schema_and_determinism(tmp_path):
     assert header == "alpha,bump_exact,bump_paper_bound,radial_max,radial_profile_id"
 
 
+def test_symmetry_sweep_ignores_the_seed(tmp_path):
+    # --seed is checked but the search uses no randomness
+    args = ["symmetry-sweep", "--sigma", "32pi2", "--m", "1", "--alphas", "16,32,64,128"]
+    out0 = tmp_path / "seed0"
+    out7 = tmp_path / "seed7"
+    assert main(args + ["--seed", "0", "--out-dir", str(out0)]) == 0
+    assert main(args + ["--seed", "7", "--out-dir", str(out7)]) == 0
+    for name in ("sweep_report.csv", "sweep_report.json"):
+        assert (out0 / name).read_bytes() == (out7 / name).read_bytes()
+
+
 def test_csv_cells_are_17_digit_roundtrip(tmp_path):
     out = tmp_path / "rt"
     assert main(["threshold-scan", "--alphas", "0,4", "--out-dir", str(out)]) == 0

@@ -9,6 +9,7 @@ from henon4.errors import DomainError
 from henon4.moser import (
     MoserParams,
     blowup_scan,
+    dirichlet_norm_sq_exact,
     moser_dirichlet,
     moser_navier,
     navier_norm_sq_exact,
@@ -20,6 +21,7 @@ from henon4.profiles import (
     laplacian_l2_sq,
     series_upper_bound,
 )
+from henon4.quadrature import QuadratureSpec
 
 
 def test_params_validation():
@@ -125,6 +127,20 @@ def test_dirichlet_norm_deviation_bracket(eps):
     L = -math.log(eps)
     bracket = (laplacian_l2_sq(u) - 1.0) * L / math.log(L)
     assert 0.1 <= bracket <= 50.0
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-14, 1e-46, 1e-54, 1e-62])
+def test_dirichlet_norm_closed_form_matches_quadrature(eps):
+    # the epsilons of the Dirichlet scans, whose members blowup_scan
+    # normalises by the closed form
+    u = moser_dirichlet(MoserParams(eps, BoundaryKind.DIRICHLET))
+    quad = laplacian_l2_sq(u, QuadratureSpec(rel_tol=1e-13))
+    assert dirichlet_norm_sq_exact(eps) == pytest.approx(quad, rel=4e-16, abs=0.0)
+
+
+def test_dirichlet_norm_closed_form_refuses_what_the_member_refuses():
+    with pytest.raises(DomainError):
+        dirichlet_norm_sq_exact(1e-3)
 
 
 def test_blowup_scan_validation():
