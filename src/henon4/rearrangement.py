@@ -18,8 +18,11 @@ The radial Poisson solve
 
 is integrated cell-by-cell in closed form against the mu-interpolant (the
 inner cumulative is quadratic in mu per cell; the outer integrand is then a
-combination of mu^{-1/2}, mu^{1/2}, mu^{3/2} antiderivatives), so the chain
-adds no quadrature error beyond the sampling itself.
+combination of mu^{-1/2}, mu^{1/2}, mu^{3/2} antiderivatives): no quadrature
+error, but each cell integral is a difference anti(x1) - anti(x0) of values
+typically 1e5-1e6 times larger (the quadratic is expanded about y = 0), so
+float64 u is off by up to ~5e-8 at the v#-knots against the same chain
+computed in extended precision.
 """
 
 from __future__ import annotations
@@ -48,36 +51,53 @@ __all__ = [
 ]
 
 _DEFAULT_GRID = 100_000
+_GRIDS: dict = {}  # size -> (radii, weights): the grid of the last size used
+_BLOCK = 8192  # points per block in the passes over the samples: bounds their temporaries
 
 
 def _radius_grid(grid_size: int):
-    edges = np.linspace(0.0, 1.0, grid_size + 1)
-    radii = 0.5 * (edges[:-1] + edges[1:])
-    weights = edges[1:] ** 4 - edges[:-1] ** 4
-    return radii, weights
+    """Cell centers and shell-volume weights (read-only) of the radius grid."""
+    grid_size = as_index(grid_size, "grid_size")
+    if grid_size < 16:
+        raise PreconditionError("grid_size too small for a meaningful rearrangement")
+    grid = _GRIDS.get(grid_size)  # checked first: as keys, 16.0 and True equal ints
+    if grid is None:
+        edges = np.linspace(0.0, 1.0, grid_size + 1)
+        radii = 0.5 * (edges[:-1] + edges[1:])
+        weights = edges[1:] ** 4 - edges[:-1] ** 4
+        radii.flags.writeable = weights.flags.writeable = False
+        grid = radii, weights
+        _GRIDS.clear()
+        _GRIDS[grid_size] = grid
+    return grid
+
+
+def _blocks(n: int):
+    return [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
 
 def _rearranged_knots(values: np.ndarray, weights: np.ndarray):
     """Sort samples descending with their measure weights; return the
-    mu-positions (slab midpoints), values and carried weights of the
-    quantile function."""
+    mu-positions (slab midpoints) padded with mu = 0 and 1, the values padded
+    with their end values, and the carried weights of the quantile function."""
     order = np.argsort(-values, kind="stable")
-    v = values[order]
+    sharp = np.empty(values.size + 2)
+    np.take(values, order, out=sharp[1:-1])
+    sharp[0], sharp[-1] = sharp[1], sharp[-2]
     w = weights[order]
-    cum = np.concatenate([[0.0], np.cumsum(w)])
-    cum[-1] = 1.0  # rounding guard; weights sum to 1 exactly in real terms
-    mids = 0.5 * (cum[:-1] + cum[1:])
-    return mids, v, w
+    del order
+    knots = np.empty_like(sharp)  # knots[:-1] first holds the cumulative weights
+    knots[0] = 0.0
+    np.cumsum(w, out=knots[1:-1])
+    knots[-2] = 1.0  # rounding guard; weights sum to 1 exactly in real terms
+    np.multiply(0.5, knots[:-2] + knots[1:-1], out=knots[1:-1])
+    knots[-1] = 1.0
+    return knots, sharp, w
 
 
 def _interp_in_mu(mu_knots: np.ndarray, values: np.ndarray) -> Callable:
-    def at_mu(mu):
-        return np.interp(
-            np.asarray(mu, dtype=float), mu_knots, values,
-            left=values[0], right=values[-1],
-        )
-
-    return at_mu
+    # np.interp holds the end values outside the knots
+    return lambda mu: np.interp(mu, mu_knots, values)
 
 
 def _interp_slopes(mu_knots: np.ndarray, values: np.ndarray):
@@ -94,22 +114,14 @@ def _interp_slopes(mu_knots: np.ndarray, values: np.ndarray):
     return slope_at_mu
 
 
-def _step_l2(values: np.ndarray, weights: np.ndarray) -> float:
-    """integral_B g^2 for the step rearrangement: exact measure-space sum."""
-    return (OMEGA_3 / 4.0) * float(np.sum(values * values * weights))
-
-
-def decreasing_rearrangement(
-    u: RadialProfile, grid_size: int = _DEFAULT_GRID
-) -> RadialProfile:
+def decreasing_rearrangement(u: RadialProfile, grid_size: int = _DEFAULT_GRID) -> RadialProfile:
     """Radially decreasing profile equidistributed with |u| in 4-volume."""
-    if grid_size < 16:
-        raise PreconditionError("grid_size too small for a meaningful rearrangement")
     radii, weights = _radius_grid(grid_size)
     samples = np.abs(np.asarray(u.value(radii), dtype=float))
     if not np.all(np.isfinite(samples)):
         raise NonFinite(f"profile {u.description} not bounded on the sample grid")
-    mu_knots, sorted_vals, _ = _rearranged_knots(samples, weights)
+    knots, sharp, _ = _rearranged_knots(samples, weights)
+    mu_knots, sorted_vals = knots[1:-1], sharp[1:-1]
 
     at_mu = _interp_in_mu(mu_knots, sorted_vals)
     slope_at_mu = _interp_slopes(mu_knots, sorted_vals)
@@ -126,61 +138,54 @@ def decreasing_rearrangement(
         rr = np.asarray(r, dtype=float)
         return slope_at_mu(rr**4) * 12.0 * rr**2
 
-    return RadialProfile(
-        value,
-        d1,
-        d2,
-        BoundaryKind.NAVIER,
-        f"rearranged({u.description})",
-    )
+    return RadialProfile(value, d1, d2, BoundaryKind.NAVIER, f"rearranged({u.description})")
 
 
 class _SolveChain:
     """Closed-form integration chain for -Delta u = f against a mu-interpolant.
 
-    Per-cell data is precomputed once; evaluations cost O(log M) per point.
+    `knots` are the mu-knots padded with 0 and 1 and `f_knots` the values
+    padded with their end values; both are kept, not copied.  Per cell it
+    stores the slope, the inner cumulative at the left knot and the suffix of
+    whole-cell outer integrals; the quadratic's coefficients are recomputed
+    from these wherever they are needed.  Evaluations cost O(log M) per point.
     """
 
-    def __init__(self, mu_centers: np.ndarray, f_values: np.ndarray) -> None:
-        knots = np.concatenate([[0.0], mu_centers, [1.0]])
-        fk = np.concatenate([[f_values[0]], f_values, [f_values[-1]]])
-        x0 = knots[:-1]
-        x1 = knots[1:]
-        f0 = fk[:-1]
-        f1 = fk[1:]
-        width = x1 - x0
-        slope = np.where(width > 0, (f1 - f0) / np.where(width > 0, width, 1.0), 0.0)
-        # G(x) = int_0^s f tau^3 dtau at x = s^4; per cell quadratic in x
-        cell = 0.25 * 0.5 * (f0 + f1) * width
-        cum = np.concatenate([[0.0], np.cumsum(cell)])
-        # expand per cell around y = 0: G(y) = a0 + a1 y + a2 y^2
-        a2 = 0.125 * slope
-        a1 = 0.25 * (f0 - slope * x0)
-        a0 = cum[:-1] - 0.25 * f0 * x0 + 0.125 * slope * x0 * x0
-        a0[0] = 0.0  # G(0) = 0 exactly; keeps the y^{-1/2} term clean at 0
+    def __init__(self, knots: np.ndarray, f_knots: np.ndarray) -> None:
+        self.knots, self.f_knots = knots, f_knots
+        n = knots.size - 1
+        self.slope, self.cum, self.suffix = np.empty(n), np.zeros(n + 1), np.zeros(n + 1)
+        for lo, hi in _blocks(n):
+            x0, x1 = knots[lo:hi], knots[lo + 1 : hi + 1]
+            f0, f1 = f_knots[lo:hi], f_knots[lo + 1 : hi + 1]
+            h = x1 - x0
+            self.slope[lo:hi] = np.where(h > 0, (f1 - f0) / np.where(h > 0, h, 1.0), 0.0)
+            # G(x) = int_0^s f tau^3 dtau at x = s^4; per cell quadratic in x
+            cell = 0.25 * 0.5 * (f0 + f1) * h
+            if lo:  # the running total enters as the first addend: one cumsum's rounding
+                cell[0] += self.cum[lo]
+            np.cumsum(cell, out=self.cum[lo + 1 : hi + 1])
+            # whole-cell integrals of G(y) y^{-3/2}
+            coeffs = self._coeffs(slice(lo, hi))
+            self.suffix[lo:hi] = self._anti(x1, coeffs) - self._anti(x0, coeffs)
+        for lo, hi in reversed(_blocks(n)):  # suffix sums, accumulated leftward
+            part = self.suffix[lo:hi][::-1]
+            if hi < n:
+                part[0] += self.suffix[hi]
+            np.cumsum(part, out=part)
 
-        self.knots = knots
-        self.f_knots = fk
-        self.x0 = x0
-        self.f0 = f0
-        self.slope = slope
-        self.cum = cum
-        self.a0 = a0
-        self.a1 = a1
-        self.a2 = a2
-        # suffix of whole-cell integrals of G(y) y^{-3/2}, accumulated rightward
-        idx = np.arange(x1.size)
-        full = self._anti(x1, idx) - self._anti(np.maximum(x0, 1e-300), idx)
-        self.suffix = np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]])
+    def _coeffs(self, cell):
+        """-2 a0, 2 a1, 2/3 a2 of G(y) = a0 + a1 y + a2 y^2 on the given cells,
+        expanded around y = 0 (a0 = 0 exactly on the padding cell 0, x0 = slope = 0)."""
+        x0, f0, slope = self.knots[cell], self.f_knots[cell], self.slope[cell]
+        a0 = self.cum[cell] - 0.25 * f0 * x0 + 0.125 * slope * x0 * x0
+        return -2.0 * a0, 2.0 * (0.25 * (f0 - slope * x0)), (2.0 / 3.0) * (0.125 * slope)
 
-    def _anti(self, y, cell):
-        # antiderivative of (a0 + a1 y + a2 y^2) y^{-3/2}
-        ys = np.sqrt(y)
-        return (
-            -2.0 * self.a0[cell] / ys
-            + 2.0 * self.a1[cell] * ys
-            + (2.0 / 3.0) * self.a2[cell] * ys**3
-        )
+    @staticmethod
+    def _anti(y, coeffs):
+        # antiderivative of (a0 + a1 y + a2 y^2) y^{-3/2}, with y = 0 read as 1e-300
+        ys = np.sqrt(np.maximum(y, 1e-300))
+        return coeffs[0] / ys + coeffs[1] * ys + coeffs[2] * ys**3
 
     def _locate(self, x):
         return np.clip(np.searchsorted(self.knots, x) - 1, 0, self.knots.size - 2)
@@ -189,16 +194,15 @@ class _SolveChain:
         """G at x = s^4."""
         x = np.asarray(x, dtype=float)
         idx = self._locate(x)
-        dx = x - self.x0[idx]
-        return self.cum[idx] + 0.25 * (self.f0[idx] * dx + 0.5 * self.slope[idx] * dx * dx)
+        dx = x - self.knots[idx]
+        return self.cum[idx] + 0.25 * (self.f_knots[idx] * dx + 0.5 * self.slope[idx] * dx * dx)
 
     def outer_suffix(self, x):
-        """u(rho) = (1/4) int_{x}^{1} G(y) y^{-3/2} dy at x = rho^4 (exact)."""
+        """u(rho) = (1/4) int_{x}^{1} G(y) y^{-3/2} dy at x = rho^4, in closed form."""
         x = np.asarray(x, dtype=float)
         idx = self._locate(x)
-        partial = self._anti(self.knots[idx + 1], idx) - self._anti(
-            np.maximum(x, 1e-300), idx
-        )
+        coeffs = self._coeffs(idx)
+        partial = self._anti(self.knots[idx + 1], coeffs) - self._anti(x, coeffs)
         return 0.25 * (partial + self.suffix[idx + 1])
 
 
@@ -215,12 +219,14 @@ def talenti_radial_solve(f: Callable, grid_size: int = _DEFAULT_GRID) -> RadialP
     fv = np.asarray(f(radii), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise NonFinite("right-hand side not finite on the sample grid")
-    return _solve_from_samples(radii**4, fv)
+    return _solve_from_samples(
+        np.concatenate([[0.0], radii**4, [1.0]]), np.concatenate([fv[:1], fv, fv[-1:]])
+    )
 
 
-def _solve_from_samples(mu_knots: np.ndarray, f_values: np.ndarray) -> RadialProfile:
-    chain = _SolveChain(mu_knots, f_values)
-    f_mu = _interp_in_mu(mu_knots, f_values)
+def _solve_from_samples(knots: np.ndarray, f_knots: np.ndarray) -> RadialProfile:
+    chain = _SolveChain(knots, f_knots)
+    f_mu = _interp_in_mu(knots, f_knots)
 
     def value(r):
         rr = np.asarray(r, dtype=float)
@@ -237,7 +243,7 @@ def _solve_from_samples(mu_knots: np.ndarray, f_values: np.ndarray) -> RadialPro
         return -f_mu(rr**4) + 3.0 * chain.inner_cumulative(rr**4) / rsafe**4
 
     u = RadialProfile(value, d1, d2, BoundaryKind.NAVIER, "poisson-solution")
-    _residual_guard(u, chain, f_mu, float(np.max(np.abs(f_values))))
+    _residual_guard(u, chain, f_mu, float(np.max(np.abs(f_knots))))
     return u
 
 
@@ -267,8 +273,9 @@ def _residual_guard(u: RadialProfile, chain: "_SolveChain", f_mu, f_sup: float) 
             DEFAULT_SPEC,
         ).value
         got = float(u.value(np.array([lo]))[0])
-        # the adaptive reference itself plateaus near 1e-8 on integrands with
-        # one interpolation kink per sample cell, so the guard is loose
+        # the chain's own rounding puts u up to ~5e-8 off (module docstring);
+        # the adaptive reference agrees with an extended-precision chain to
+        # ~1e-10, so the guard is loose enough for the chain, not the reference
         if abs(got - ref) > 1e-6 * max(abs(ref), f_sup):
             raise NonFinite(
                 f"poisson solve cross-check at rho={lo}: {got!r} vs quadrature {ref!r}"
@@ -285,9 +292,7 @@ class ComparisonReport:
 
 
 def talenti_comparison_check(
-    v: RadialProfile,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    grid_size: int = _DEFAULT_GRID,
+    v: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC, grid_size: int = _DEFAULT_GRID
 ) -> ComparisonReport:
     """Comparison oracle: the symmetrized problem dominates pointwise.
 
@@ -307,24 +312,26 @@ def talenti_comparison_check(
     if not np.all(np.isfinite(f_abs)):
         raise NonFinite("Delta v not finite on the sample grid")
     f_mu, f_sharp, f_w = _rearranged_knots(f_abs, weights)
-    v_mu, v_sharp, _ = _rearranged_knots(
-        np.abs(np.asarray(v.value(radii), dtype=float)), weights
-    )
+    # integral_B (f#)^2 for the step rearrangement: exact measure-space sum
+    f_vals = f_sharp[1:-1]
+    fs_l2 = math.sqrt((OMEGA_3 / 4.0) * float(np.sum(f_vals * f_vals * f_w)))
+    del f_abs, f_w
+    v_samples = np.abs(np.asarray(v.value(radii), dtype=float))
+    v_knots, v_vals = _rearranged_knots(v_samples, weights)[:2]
+    del v_samples
+    v_mu, v_sharp = v_knots[1:-1], v_vals[1:-1]
 
     u = _solve_from_samples(f_mu, f_sharp)
-    u_vals = np.asarray(u.value(v_mu**0.25), dtype=float)
-    gaps = u_vals - v_sharp
-    min_gap = float(np.min(gaps))
+    min_gap = float(np.min([
+        np.min(u.value(v_mu[lo:hi] ** 0.25) - v_sharp[lo:hi])
+        for lo, hi in _blocks(v_mu.size)
+    ]))
 
-    f_l2_sq = OMEGA_3 * integrate(
-        lambda r: f(r) ** 2 * np.asarray(r, dtype=float) ** 3,
-        0.0,
-        1.0,
-        spec,
-        v.breakpoints,
-    ).value
-    fs_l2_sq = _step_l2(f_sharp, f_w)
-    l2_rel = abs(math.sqrt(fs_l2_sq) - math.sqrt(f_l2_sq)) / math.sqrt(f_l2_sq)
+    f_l2 = math.sqrt(OMEGA_3 * integrate(
+        lambda r: f(r) ** 2 * np.asarray(r, dtype=float) ** 3, 0.0, 1.0, spec, v.breakpoints
+    ).value)
+    # both norms vanish when Delta v = 0, and then so does their difference
+    l2_rel = abs(fs_l2 - f_l2) / f_l2 if f_l2 or fs_l2 else 0.0
 
     v_sq = weighted_lp_norm_p(v, 2.0, 0.0, spec)
     u_sq = weighted_lp_norm_p(u, 2.0, 0.0, spec)
@@ -370,13 +377,5 @@ def seeded_comparison_profiles(count: int = 10, seed: int = 20240807) -> list:
             rr = np.asarray(r, dtype=float)
             return 2.0 * p2 + 12.0 * p4 * rr**2 + 30.0 * p6 * rr**4
 
-        out.append(
-            RadialProfile(
-                value,
-                d1,
-                d2,
-                BoundaryKind.NAVIER,
-                f"seeded:{seed}:{k}",
-            )
-        )
+        out.append(RadialProfile(value, d1, d2, BoundaryKind.NAVIER, f"seeded:{seed}:{k}"))
     return out
