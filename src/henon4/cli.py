@@ -1,16 +1,19 @@
 """Command-line runner: identity suites, threshold scans, blow-up
 experiments, comparison checks, symmetry sweeps.
 
-Commands
+Commands (one table, `_COMMANDS`, maps each to its report stem and body)
 
     verify-identities   energy identities, pointwise log bound margins,
                         weighted-norm embedding and series-bound properties
-                        over the built-in corpus
+                        over the built-in corpus; --alpha sets the third
+                        gamma = alpha + 4 of the energy-identity triple
     threshold-scan      per-alpha table: sharp threshold, series bound and
                         the largest corpus value of the functional
     moser-blowup        threshold-sharpness scan along an epsilon ladder
     talenti-check       rearrangement/comparison oracle on seeded profiles
     symmetry-sweep      translated-bump versus radial-search sweep report
+
+Every flag but --config is a config-file key (one table, `_FLAGS`).
 
 Exit codes: 0 success, 2 invalid configuration (nothing is computed or
 written), 3 numerical failure (a verdict or invariant contradicts the
@@ -59,14 +62,6 @@ from .rearrangement import seeded_comparison_profiles, talenti_comparison_check
 from .symmetry import BumpSpec, check_sweep, crossover_detect
 
 __all__ = ["RunConfig", "ConfigError", "build_config", "run", "emit", "main"]
-
-_COMMANDS = (
-    "verify-identities",
-    "threshold-scan",
-    "moser-blowup",
-    "talenti-check",
-    "symmetry-sweep",
-)
 
 
 class ConfigError(ValueError):
@@ -184,21 +179,22 @@ def parse_alphas(token: str) -> list:
     return out
 
 
-_ALLOWED_KEYS = {
-    "alpha",
-    "sigma",
-    "beta",
-    "m",
-    "epsilons",
-    "alphas",
-    "bump",
-    "bc",
-    "seed",
-    "count",
-    "out_dir",
-    "format",
-    "rel_tol",
-    "max_subdiv",
+# Each config key and the argparse kwargs of its flag, --<key with - for _>.
+_FLAGS = {
+    "alpha": {"type": float},
+    "sigma": {},
+    "beta": {"type": float},
+    "m": {"type": int},
+    "epsilons": {},
+    "alphas": {},
+    "bump": {},
+    "bc": {"choices": ["navier", "dirichlet"]},
+    "seed": {"type": int},
+    "count": {"type": int},
+    "out_dir": {},
+    "format": {"choices": ["csv", "json", "both"]},
+    "rel_tol": {"type": float},
+    "max_subdiv": {"type": int},
 }
 
 
@@ -209,21 +205,9 @@ def build_config(argv: Sequence[str]) -> RunConfig:
         "verification suites and experiments",
     )
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--sigma", type=str, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--epsilons", type=str, default=None)
-    parser.add_argument("--alphas", type=str, default=None)
-    parser.add_argument("--bump", type=str, default=None)
-    parser.add_argument("--bc", type=str, default=None, choices=["navier", "dirichlet"])
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--count", type=int, default=None)
-    parser.add_argument("--out-dir", type=str, default=None)
-    parser.add_argument("--format", type=str, default=None, choices=["csv", "json", "both"])
-    parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--rel-tol", type=float, default=None)
-    parser.add_argument("--max-subdiv", type=int, default=None)
+    for key, kwargs in _FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), **kwargs)
+    parser.add_argument("--config")
     ns = parser.parse_args(argv)
 
     params: dict = {}
@@ -234,26 +218,26 @@ def build_config(argv: Sequence[str]) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - _ALLOWED_KEYS
+        unknown = set(loaded) - set(_FLAGS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         params.update(loaded)
-
-    for key in _ALLOWED_KEYS:  # a flag wins over the config file
-        if getattr(ns, key) is not None:
-            params[key] = getattr(ns, key)
+    # a flag wins over the config file
+    params.update((key, getattr(ns, key)) for key in _FLAGS if getattr(ns, key) is not None)
 
     rel_tol = params.pop("rel_tol", None)
     max_subdiv = params.pop("max_subdiv", None)
     out_dir = params.pop("out_dir", None) or os.environ.get("HENON4_OUT_DIR", "out")
     fmt = params.pop("format", "both")
-    if fmt not in ("csv", "json", "both"):
+    if fmt not in _FLAGS["format"]["choices"]:
         raise ConfigError(f"unknown format {fmt!r}")
+    given = {}  # QuadratureSpec holds the defaults of what is not given
     try:
-        quadrature = QuadratureSpec(
-            rel_tol=float(rel_tol) if rel_tol is not None else 1e-10,
-            max_subdivisions=max_subdiv if max_subdiv is not None else 2000,
-        )
+        if rel_tol is not None:
+            given["rel_tol"] = float(rel_tol)
+        if max_subdiv is not None:
+            given["max_subdivisions"] = max_subdiv
+        quadrature = QuadratureSpec(**given)
     except (Henon4Error, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -269,38 +253,26 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 def _resolve(command: str, p: dict) -> dict:
     """The command body's arguments, built from the raw params into library
     objects whose constructors and checks hold the preconditions; every
-    default is written here once.  Raises ConfigError on any rejected input.
+    default is written here once.  `run` maps what they raise to ConfigError.
     """
-    try:
-        inputs = _construct(command, p)
-    except (Henon4Error, ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    try:  # preconditions that a library call, not a constructor, checks
-        if command == "threshold-scan":
-            inputs["bounds"] = [series_upper_bound(q, 1.0) for q in inputs["grid"]]
-        elif command == "talenti-check":
-            inputs["profiles"] = seeded_comparison_profiles(inputs["count"], inputs["seed"])
-        elif command == "symmetry-sweep":
-            check_sweep(inputs["params"], inputs["alphas"])
-    except Henon4Error as exc:
-        raise ConfigError(str(exc)) from exc
-    return inputs
-
-
-def _construct(command: str, p: dict) -> dict:
     # alpha, sigma and m pass the library's rules whatever the command uses
     alpha = float(p.get("alpha", 0.0))
     sigma = resolve_sigma(str(p["sigma"]), alpha) if "sigma" in p else 1.0
     FunctionalParams(alpha, sigma, p.get("m"))
     if command == "verify-identities":
-        return {"alpha": float(p.get("alpha", 16.0))}
+        alpha = float(p.get("alpha", 16.0))
+        profiles = [corpus_profile(name) for name in corpus_names()]
+        return {
+            "alpha": alpha,
+            "profiles": profiles,
+            # alpha sets the third gamma of the energy-identity triple
+            "log_profiles": [[to_log_profile(u, g) for g in (1.0, 4.0, alpha + 4.0)] for u in profiles],
+        }
     if command == "threshold-scan":
         token = str(p.get("sigma", "0.9*sigma_alpha"))
         alphas = parse_alphas(str(p.get("alphas", "0,1,4,16")))
-        return {
-            "sigma_token": token,
-            "grid": [FunctionalParams(a, resolve_sigma(token, a)) for a in alphas],
-        }
+        grid = [FunctionalParams(a, resolve_sigma(token, a)) for a in alphas]
+        return {"sigma_token": token, "grid": grid, "bounds": [series_upper_bound(q, 1.0) for q in grid]}
     if command == "moser-blowup":
         beta = float(p.get("beta", 1.2))
         bc = BoundaryKind(p.get("bc", "navier"))
@@ -312,16 +284,17 @@ def _construct(command: str, p: dict) -> dict:
             "members": [MoserParams(e, bc) for e in eps],
         }
     if command == "talenti-check":
-        return {"count": p.get("count", 10), "seed": p.get("seed", 20240807)}
+        count, seed = p.get("count", 10), p.get("seed", 20240807)
+        return {"count": count, "seed": seed, "profiles": seeded_comparison_profiles(count, seed)}
     # --seed is checked as on talenti-check, but the sweep is deterministic and ignores it
     if as_index(p.get("seed", 0), "seed") < 0:
         raise DomainError("seed must be >= 0")
     sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
-    return {
-        "params": FunctionalParams(0.0, sigma, p.get("m", 1)),
-        "alphas": parse_alphas(str(p.get("alphas", "16,32,64,128,256,512"))),
-        "bump": BumpSpec(p.get("bump", "poly4")),
-    }
+    params = FunctionalParams(0.0, sigma, p.get("m", 1))
+    alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))
+    bump = BumpSpec(p.get("bump", "poly4"))
+    check_sweep(params, alphas)
+    return {"params": params, "alphas": alphas, "bump": bump}
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +306,18 @@ def _print(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _verify_identities(spec: QuadratureSpec, alpha: float):
-    gammas = (1.0, 4.0, alpha + 4.0)
+def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_profiles: list):
     rows = []
     failures = 0
     names = corpus_names()
-    profiles = [corpus_profile(name) for name in names]
     energies = [laplacian_l2_sq(u, spec) for u in profiles]
     units = [scale_to_unit(u, energy) for u, energy in zip(profiles, energies)]
 
-    for name, u, radial in zip(names, profiles, energies):
+    for name, u, radial, triple in zip(names, profiles, energies, log_profiles):
         sqrt_form = sqrt_transform_energy(u, spec)
         worst = abs(sqrt_form - radial) / radial
-        for gamma in gammas:
-            log_form = log_energy(to_log_profile(u, gamma), spec)
+        for wp in triple:
+            log_form = log_energy(wp, spec)
             worst = max(worst, abs(log_form - radial) / radial)
         ok = worst <= 1e-8
         failures += not ok
@@ -508,6 +479,16 @@ def _symmetry_sweep(
     return table, 0, f"alpha_star={star}"
 
 
+# Each command: the stem of its reports, <stem>.csv and <stem>.json, and its body.
+_COMMANDS = {
+    "verify-identities": ("verify_identities", _verify_identities),
+    "threshold-scan": ("threshold_scan", _threshold_scan),
+    "moser-blowup": ("moser_blowup", _moser_blowup),
+    "talenti-check": ("talenti_check", _talenti_check),
+    "symmetry-sweep": ("sweep_report", _symmetry_sweep),
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute the configured command; write outputs; return the exit code.
 
@@ -515,28 +496,19 @@ def run(config: RunConfig) -> int:
     library rejects the command's inputs.
     """
     t0 = time.time()
-    inputs = _resolve(config.command, config.params)
-    body = {
-        "verify-identities": _verify_identities,
-        "threshold-scan": _threshold_scan,
-        "moser-blowup": _moser_blowup,
-        "talenti-check": _talenti_check,
-        "symmetry-sweep": _symmetry_sweep,
-    }[config.command]
+    stem, body = _COMMANDS[config.command]
+    try:
+        inputs = _resolve(config.command, config.params)
+    except (Henon4Error, ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
     report, code, note = body(config.quadrature, **inputs)
 
-    stem = config.command.replace("-", "_")
-    if config.command == "symmetry-sweep":
-        stem = "sweep_report"
     wrote = []
-    if config.fmt in ("csv", "both"):
-        path = config.out_dir / f"{stem}.csv"
-        emit(report, "csv", path)
-        wrote.append(str(path))
-    if config.fmt in ("json", "both"):
-        path = config.out_dir / f"{stem}.json"
-        emit(report, "json", path)
-        wrote.append(str(path))
+    for fmt in ("csv", "json"):
+        if config.fmt in (fmt, "both"):
+            path = config.out_dir / f"{stem}.{fmt}"
+            emit(report, fmt, path)
+            wrote.append(str(path))
     _print(f"{config.command}: {note} ({time.time() - t0:.1f}s) -> {', '.join(wrote)}")
     return code
 

@@ -26,13 +26,14 @@ saturating and pulse-shaped psi.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, Henon4Error, PreconditionError
-from .profiles import OMEGA_3, RadialProfile
+from .profiles import OMEGA_3, RadialProfile, _check_alpha
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_halfline
 
 __all__ = [
@@ -61,10 +62,18 @@ class LogProfile:
     breakpoints: tuple = ()
 
 
+# Largest gamma whose gamma**1.5, the scale of w'', is a finite double.
+_GAMMA_MAX = sys.float_info.max ** (2.0 / 3.0)
+
+
 def to_log_profile(u: RadialProfile, gamma: float) -> LogProfile:
-    """Transform a radial profile; derivatives by the chain rule at r = e^{-t/gamma}."""
+    """Transform a radial profile; derivatives by the chain rule at r = e^{-t/gamma}.
+
+    DomainError for a gamma above about 3.2e205, where gamma**1.5 overflows."""
     if not gamma > 0.0:
         raise PreconditionError("gamma must be > 0")
+    if not gamma <= _GAMMA_MAX:
+        raise DomainError(f"gamma = {gamma:g} is above {_GAMMA_MAX:.4g}, where gamma**1.5 overflows")
     amp = 2.0 * math.sqrt(OMEGA_3 * gamma)
     slope = 2.0 * math.sqrt(OMEGA_3 / gamma)
     curv = 2.0 * math.sqrt(OMEGA_3) / gamma**1.5
@@ -91,13 +100,17 @@ def to_log_profile(u: RadialProfile, gamma: float) -> LogProfile:
 
 
 def log_energy(wp: LogProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """int_0^inf (gamma/2 * w'' - w')^2 dt."""
+    """int_0^inf (gamma/2 * w'' - w')^2 dt, integrated as gamma * int_0^inf
+    f(gamma s) ds: a transformed profile varies on the scale t ~ gamma, and
+    in s = t/gamma its tail decays within the half-line's first doublings
+    at every gamma."""
     g = wp.gamma
 
-    def integrand(t):
+    def integrand(s):
+        t = g * np.asarray(s, dtype=float)
         return (0.5 * g * wp.w2(t) - wp.w1(t)) ** 2
 
-    return integrate_halfline(integrand, 0.0, spec, wp.breakpoints).value
+    return g * integrate_halfline(integrand, 0.0, spec, tuple(b / g for b in wp.breakpoints)).value
 
 
 def sqrt_transform_energy(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -320,8 +333,7 @@ def estimates_check(
     not come from an admissible decreasing profile (energy above 1, negative
     or non-finite w').
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise DomainError("alpha must be finite and >= 0")
+    _check_alpha(alpha)
     ap4 = alpha + 4.0
     T = 50.0 * ap4
     t = np.linspace(0.0, T, _CHECK_NODES)

@@ -110,6 +110,12 @@ def assert_boundary_conditions(u: RadialProfile, tol: float = 1e-12) -> None:
             )
 
 
+def _check_alpha(alpha: float) -> None:
+    """The package's one rule for a weight exponent alpha."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise DomainError("alpha must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class FunctionalParams:
     """Weight exponent, exponential coefficient, optional truncation order."""
@@ -119,8 +125,7 @@ class FunctionalParams:
     m: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise DomainError("alpha must be finite and >= 0")
+        _check_alpha(self.alpha)
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError("sigma must be finite and > 0")
         if self.m is not None and as_index(self.m, "m") < 0:
@@ -283,10 +288,9 @@ def weighted_lp_norm_p(
     As in `weighted_functional`, the integral starts from the seed points of
     `_weight_partition`.
     """
-    if pexp < 1.0:
+    if not pexp >= 1.0:
         raise DomainError("pexp must be >= 1")
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise DomainError("alpha must be finite and >= 0")
+    _check_alpha(alpha)
 
     def integrand(r):
         rr = np.asarray(r)
@@ -305,8 +309,9 @@ def embedding_bound(pexp: float, alpha: float, lap_norm: float) -> float:
             <= (eps_emb/4)^{1+p/2} Gamma(1+p/2) OMEGA_3^{1-p/2} 2^{-p}
                * ||Delta u||_2^p.
     """
-    if pexp < 1.0 or alpha < 0.0 or lap_norm < 0.0:
-        raise DomainError("need pexp >= 1, alpha >= 0, lap_norm >= 0")
+    if not (1.0 <= pexp < math.inf and lap_norm >= 0.0):
+        raise DomainError("need finite pexp >= 1 and lap_norm >= 0")
+    _check_alpha(alpha)
     eps_emb = 4.0 / (4.0 + alpha)
     return (
         (eps_emb / 4.0) ** (1.0 + pexp / 2.0)
@@ -325,6 +330,8 @@ def series_upper_bound(p: FunctionalParams, lap_norm: float) -> float:
         F_m <= OMEGA_3 / (4+alpha) * x^{m+1} / (1-x)
     (the truncated tail starts at k = m+1 since F_m subtracts through k = m).
     """
+    if not lap_norm >= 0.0:
+        raise DomainError(f"lap_norm must be >= 0, got {lap_norm!r}")
     sa = p.sigma_alpha()
     if p.sigma >= sa:
         raise ThresholdError(f"sigma = {p.sigma:.6g} >= sigma_alpha = {sa:.6g}")

@@ -245,6 +245,39 @@ def test_emit_empty_report_header_only(tmp_path):
     assert json.loads(jpath.read_text()) == {"suite": "empty", "rows": []}
 
 
+# cheap arguments for each command, and the stem of the reports it writes
+_CHEAP_RUNS = [
+    (["verify-identities"], "verify_identities"),
+    (["threshold-scan", "--alphas", "0,4"], "threshold_scan"),
+    (["moser-blowup", "--alpha", "0", "--beta", "1.2"], "moser_blowup"),
+    (["talenti-check", "--count", "1", "--seed", "0"], "talenti_check"),
+    (["symmetry-sweep", "--alphas", "16,32,64,128"], "sweep_report"),
+]
+
+
+@pytest.mark.parametrize("fmt, given", [("csv", "flag"), ("json", "config"), ("both", "default")])
+@pytest.mark.parametrize("argv, stem", _CHEAP_RUNS, ids=[argv[0] for argv, _ in _CHEAP_RUNS])
+def test_each_command_writes_its_documented_reports(tmp_path, argv, stem, fmt, given):
+    out = tmp_path / "run"
+    if given == "flag":
+        argv = argv + ["--format", fmt, "--out-dir", str(out)]
+    elif given == "config":  # out_dir and format are config-file keys too
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out_dir": str(out), "format": fmt}))
+        argv = argv + ["--config", str(cfg_file)]
+    else:
+        argv = argv + ["--out-dir", str(out)]
+    assert main(argv) == 0
+    suffixes = ("csv", "json") if fmt == "both" else (fmt,)
+    assert sorted(p.name for p in out.iterdir()) == [f"{stem}.{x}" for x in suffixes]
+
+
+@pytest.mark.parametrize("alpha", ["508", "4092", "1e6"])
+def test_verify_identities_holds_at_large_alpha(tmp_path, alpha):
+    # the third gamma of the energy-identity triple is alpha + 4
+    assert main(["verify-identities", "--alpha", alpha, "--out-dir", str(tmp_path)]) == 0
+
+
 _REJECTED = [
     (["threshold-scan", "--alphas=-1,0"], None),
     (["threshold-scan", "--sigma", "sigma_alpha"], None),
@@ -274,6 +307,7 @@ _REJECTED = [
     (["moser-blowup"], {"m": True}),
     (["symmetry-sweep"], {"m": True}),
     (["moser-blowup"], {"m": 2.0}),
+    (["verify-identities", "--alpha", "1e300"], None),
 ]
 
 

@@ -57,6 +57,15 @@ def test_to_log_profile_poly2_closed_form():
     )
 
 
+def test_to_log_profile_refuses_a_gamma_whose_scale_overflows():
+    # w'' carries gamma**-1.5, which overflows above gamma ~ 3.2e205
+    u = corpus_profile("poly2")
+    assert log_energy(to_log_profile(u, 3e205)) == pytest.approx(32.0 * math.pi**2, rel=1e-9)
+    for gamma in (4e205, 1e300, math.inf):
+        with pytest.raises(DomainError, match="gamma = "):
+            to_log_profile(u, gamma)
+
+
 def test_decreasing_source_gives_nonnegative_w1():
     for name in ("poly2", "poly4", "pow:3", "moser:1e-4:navier"):
         u = corpus_profile(name)
@@ -90,13 +99,13 @@ def test_sqrt_transform_identity():
     )
 
 
-@pytest.mark.parametrize("name", ["poly2", "poly4", "cos2", "moser:1e-4:navier"])
+@pytest.mark.parametrize("name", ["poly2", "poly4", "cos2", "moser:1e-4:navier", "ring:0.55:0.25"])
 def test_exact_identity_triple(name):
     u = corpus_profile(name)
     radial = laplacian_l2_sq(u)
     sqrt_form = sqrt_transform_energy(u)
     assert abs(sqrt_form - radial) <= 1e-8 * radial
-    for gamma in (1.0, 4.0, 20.0):
+    for gamma in (1.0, 4.0, 20.0, 512.0, 4096.0, 1e6):
         log_form = log_energy(to_log_profile(u, gamma))
         assert abs(log_form - radial) <= 1e-8 * radial
 

@@ -230,6 +230,21 @@ def test_weighted_lp_norm_rejects_non_finite_alpha():
     for alpha in (math.inf, math.nan, -1.0):
         with pytest.raises(DomainError):
             weighted_lp_norm_p(poly_profile(1), 2.0, alpha)
+        with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+            embedding_bound(2.0, alpha, 1.0)
+        with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+            FunctionalParams(alpha, 1.0, None)
+
+
+def test_bounds_reject_nan_and_negative_arguments():
+    for pexp, lap_norm in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, -1.0)):
+        with pytest.raises(DomainError):
+            embedding_bound(pexp, 0.0, lap_norm)
+    with pytest.raises(DomainError):
+        weighted_lp_norm_p(poly_profile(1), math.nan, 0.0)
+    for lap_norm in (math.nan, -0.5):
+        with pytest.raises(DomainError):
+            series_upper_bound(FunctionalParams(0.0, 1.0, None), lap_norm)
 
 
 def test_embedding_bound_examples():
