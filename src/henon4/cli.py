@@ -48,14 +48,13 @@ from .profiles import (
     corpus_names,
     corpus_profile,
     embedding_bound,
-    laplacian_l2_sq,
+    laplacian_l2_sq_batch,
     pointwise_log_bound_margin,
     scale_to_unit,
     series_upper_bound,
     sigma_alpha,
-    unit_energy,
-    weighted_functional,
-    weighted_lp_norm_p,
+    weighted_functional_batch,
+    weighted_lp_norm_p_batch,
 )
 from .quadrature import QuadratureSpec
 from .rearrangement import seeded_comparison_profiles, talenti_comparison_check
@@ -310,7 +309,7 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
     rows = []
     failures = 0
     names = corpus_names()
-    energies = [laplacian_l2_sq(u, spec) for u in profiles]
+    energies = laplacian_l2_sq_batch(profiles, spec)
     units = [scale_to_unit(u, energy) for u, energy in zip(profiles, energies)]
 
     for name, u, radial, triple in zip(names, profiles, energies, log_profiles):
@@ -329,27 +328,25 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
         failures += not ok
         rows.append(("log-bound-margin", name, margin, ok))
 
-    for name, u, radial in zip(names, profiles, energies):
+    # each block integrates all of its profiles in lockstep
+    grid = [(pexp, a) for pexp in (2.0, 4.0, 6.0) for a in (0.0, 1.0, 4.0, 16.0)]
+    norms = weighted_lp_norm_p_batch([(u, pexp, a) for u in profiles for pexp, a in grid], spec)
+    for k, (name, radial) in enumerate(zip(names, energies)):
         lap = math.sqrt(radial)
         worst = 0.0
-        for pexp in (2.0, 4.0, 6.0):
-            for a in (0.0, 1.0, 4.0, 16.0):
-                lhs = weighted_lp_norm_p(u, pexp, a, spec)
-                rhs = embedding_bound(pexp, a, lap)
-                worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
+        for (pexp, a), lhs in zip(grid, norms[k * len(grid) :]):
+            rhs = embedding_bound(pexp, a, lap)
+            worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
         ok = worst <= 1.0 + 1e-8
         failures += not ok
         rows.append(("embedding-bound", name, worst, ok))
 
-    for name, u in zip(names, units):
+    grid = [FunctionalParams(a, 0.9 * sigma_alpha(a), m) for a in (0.0, 1.0, 4.0, 16.0) for m in (None, 0, 1, 2)]
+    values = weighted_functional_batch([(u, params) for u in units for params in grid], spec)
+    for k, name in enumerate(names):
         worst = 0.0
-        for a in (0.0, 1.0, 4.0, 16.0):
-            sigma = 0.9 * sigma_alpha(a)
-            for m in (None, 0, 1, 2):
-                params = FunctionalParams(a, sigma, m)
-                val = weighted_functional(u, params, spec)
-                bound = series_upper_bound(params, 1.0)
-                worst = max(worst, val / bound)
+        for params, val in zip(grid, values[k * len(grid) :]):
+            worst = max(worst, val / series_upper_bound(params, 1.0))
         ok = worst <= 1.0 + 1e-8
         failures += not ok
         rows.append(("series-bound", name, worst, ok))
@@ -367,11 +364,13 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
 def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: list):
     rows = []
     failures = 0
-    units = [unit_energy(corpus_profile(name), spec) for name in corpus_names()]
+    profiles = [corpus_profile(name) for name in corpus_names()]
+    units = laplacian_l2_sq_batch(profiles, spec, lambda i, energy: scale_to_unit(profiles[i], energy))
     for params, bound in zip(grid, bounds):
+        # one row's corpus in lockstep: a failing row still prints the rows before it
         worst = 0.0
-        for u in units:
-            worst = max(worst, weighted_functional(u, params, spec))
+        for val in weighted_functional_batch([(u, params) for u in units], spec):
+            worst = max(worst, val)
         ok = worst <= bound * (1.0 + 1e-8)
         failures += not ok
         rows.append((params.alpha, params.sigma_alpha(), bound, worst))

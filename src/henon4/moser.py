@@ -58,7 +58,7 @@ from .profiles import (
     RadialProfile,
     scale_to_unit,
     sigma_alpha,
-    weighted_functional,
+    weighted_functional_batch,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
@@ -254,24 +254,33 @@ def blowup_scan(
 
     params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
 
-    norm_sqs = []
-    values = []
-    log_values = []
-    lbes = []
+    # Per epsilon, in order: the member, its integral, its value check (the
+    # batch's `then`).  The members before a failed construction are
+    # integrated in lockstep first, so that their failures come before it.
+    members, norm_sqs, rejected = [], [], None
     for eps in eps_list:
-        mp = MoserParams(eps, bc)
-        if bc is BoundaryKind.NAVIER:
-            u, norm_sq = moser_navier(mp), navier_norm_sq_exact(eps)
-        else:
-            u, norm_sq = moser_dirichlet(mp), dirichlet_norm_sq_exact(eps)
-        val = weighted_functional(scale_to_unit(u, norm_sq), params, spec)
-        if not 0.0 < val < math.inf:
-            raise NonFinite(f"value = {val!r} at epsilon={eps:g}: log_value needs its log")
-        L = -math.log(eps)
+        try:
+            mp = MoserParams(eps, bc)
+            if bc is BoundaryKind.NAVIER:
+                u, norm_sq = moser_navier(mp), navier_norm_sq_exact(eps)
+            else:
+                u, norm_sq = moser_dirichlet(mp), dirichlet_norm_sq_exact(eps)
+            members.append(scale_to_unit(u, norm_sq))
+        except Exception as exc:  # raised in its place, below
+            rejected = exc
+            break
         norm_sqs.append(norm_sq)
-        values.append(val)
-        log_values.append(math.log(val))
-        lbes.append((alpha + 4.0) / 4.0 * ((beta - 1.0) * L - 4.0))
+
+    def checked(i: int, val: float) -> float:
+        if not 0.0 < val < math.inf:
+            raise NonFinite(f"value = {val!r} at epsilon={eps_list[i]:g}: log_value needs its log")
+        return val
+
+    values = weighted_functional_batch([(u, params) for u in members], spec, checked)
+    if rejected is not None:
+        raise rejected
+    log_values = [math.log(val) for val in values]
+    lbes = [(alpha + 4.0) / 4.0 * ((beta - 1.0) * -math.log(eps) - 4.0) for eps in eps_list]
 
     verdict = _classify(eps_list, values, beta)
     return ThresholdExperiment(

@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ThresholdError, as_index
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, integrate_batch
 
 __all__ = [
     "OMEGA_3",
@@ -43,8 +43,11 @@ __all__ = [
     "FunctionalParams",
     "sigma_alpha",
     "laplacian_l2_sq",
+    "laplacian_l2_sq_batch",
     "weighted_functional",
+    "weighted_functional_batch",
     "weighted_lp_norm_p",
+    "weighted_lp_norm_p_batch",
     "embedding_bound",
     "series_upper_bound",
     "pointwise_log_bound_margin",
@@ -209,16 +212,48 @@ def exp_minus_taylor(z, m: Optional[int]):
     return out
 
 
-def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """integral_B |Delta u|^2 dx for a radial profile."""
-
+def _laplacian_integrand(u: RadialProfile) -> Callable:
     def integrand(r):
         rr = np.asarray(r)
         sq = np.sqrt(rr)
         return (rr * sq * u.d2(rr) + 3.0 * sq * u.d1(rr)) ** 2
 
-    res = integrate(integrand, 0.0, 1.0, spec, u.breakpoints)
+    return integrand
+
+
+def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """integral_B |Delta u|^2 dx for a radial profile."""
+    res = integrate(_laplacian_integrand(u), 0.0, 1.0, spec, u.breakpoints)
     return OMEGA_3 * res.value
+
+
+def laplacian_l2_sq_batch(
+    profiles: Sequence[RadialProfile],
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    then: Optional[Callable] = None,
+) -> list:
+    """`laplacian_l2_sq` of each profile, bit for bit, in lockstep
+    (`integrate_batch`; `then(i, energy)` as there)."""
+    integrands = [_laplacian_integrand(u) for u in profiles]
+    return _omega_batch(_each(integrands), [(0.0, 1.0, u.breakpoints) for u in profiles], spec, then)
+
+
+def _each(integrands: Sequence[Callable]) -> Callable:
+    """The batch integrand of per-problem integrands: each sees its own abscissae."""
+
+    def f(x, parts):
+        out = np.empty_like(x)
+        for i, sl in parts:
+            out[sl] = integrands[i](x[sl])
+        return out
+
+    return f
+
+
+def _omega_batch(f: Callable, intervals: list, spec: QuadratureSpec, then=None) -> list:
+    """OMEGA_3 times each integral of `integrate_batch`, passed to `then`."""
+    then = then or (lambda i, value: value)
+    return integrate_batch(f, intervals, spec, lambda i, res: then(i, OMEGA_3 * res.value))
 
 
 # Deepest level of the ladder in `_weight_partition`; 1 - 2^-53 is the last
@@ -254,6 +289,19 @@ def _weight_partition(alpha: float, breakpoints: tuple) -> tuple:
     return tuple(breakpoints) + ladder + mids
 
 
+def _functional_terms(u: RadialProfile, alpha: float, sigma: float) -> Callable:
+    """F_m's integrand before its series: r -> (r^(alpha+3), sigma u(r)^2).
+    Its parameters are scalars per problem, so that the batch form takes the
+    same `pow` path as `weighted_functional`."""
+
+    def terms(r):
+        rr = np.asarray(r)
+        s = u.value(rr)
+        return rr ** (alpha + 3.0), sigma * s * s
+
+    return terms
+
+
 def weighted_functional(
     u: RadialProfile,
     p: FunctionalParams,
@@ -266,15 +314,56 @@ def weighted_functional(
     points of `_weight_partition`, which resolve that layer in the first
     GK15 round.  The seeded intervals count against `spec.max_subdivisions`.
     """
-    sigma, alpha, m = p.sigma, p.alpha, p.m
+    terms = _functional_terms(u, p.alpha, p.sigma)
+
+    def integrand(r):
+        weight, z = terms(r)
+        return weight * exp_minus_taylor(z, p.m)
+
+    res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(p.alpha, u.breakpoints))
+    return OMEGA_3 * res.value
+
+
+def weighted_functional_batch(
+    problems: Sequence[tuple],
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    then: Optional[Callable] = None,
+) -> list:
+    """`weighted_functional` of each (profile, params) pair, bit for bit, in
+    lockstep (`integrate_batch`; `then(i, value)` as there).  Each round sums
+    the series of all problems of one m with one `exp_minus_taylor` call,
+    whose values do not depend on the other z values of the call."""
+    problems = list(problems)
+    terms = [_functional_terms(u, p.alpha, p.sigma) for u, p in problems]
+
+    def f(x, parts):
+        out = np.empty_like(x)
+        by_m: dict = {}
+        for i, sl in parts:
+            weight, z = terms[i](x[sl])
+            by_m.setdefault(problems[i][1].m, []).append((sl, weight, z))
+        for m, group in by_m.items():
+            g = exp_minus_taylor(np.concatenate([z for _, _, z in group]), m)
+            start = 0
+            for sl, weight, z in group:
+                out[sl] = weight * g[start : start + z.size]
+                start += z.size
+        return out
+
+    intervals = [(0.0, 1.0, _weight_partition(p.alpha, u.breakpoints)) for u, p in problems]
+    return _omega_batch(f, intervals, spec, then)
+
+
+def _lp_integrand(u: RadialProfile, pexp: float, alpha: float) -> Callable:
+    if not pexp >= 1.0:
+        raise DomainError("pexp must be >= 1")
+    _check_alpha(alpha)
 
     def integrand(r):
         rr = np.asarray(r)
-        s = u.value(rr)
-        return rr ** (alpha + 3.0) * exp_minus_taylor(sigma * s * s, m)
+        return rr ** (alpha + 3.0) * np.abs(u.value(rr)) ** pexp
 
-    res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(alpha, u.breakpoints))
-    return OMEGA_3 * res.value
+    return integrand
 
 
 def weighted_lp_norm_p(
@@ -288,16 +377,27 @@ def weighted_lp_norm_p(
     As in `weighted_functional`, the integral starts from the seed points of
     `_weight_partition`.
     """
-    if not pexp >= 1.0:
-        raise DomainError("pexp must be >= 1")
-    _check_alpha(alpha)
-
-    def integrand(r):
-        rr = np.asarray(r)
-        return rr ** (alpha + 3.0) * np.abs(u.value(rr)) ** pexp
-
+    integrand = _lp_integrand(u, pexp, alpha)
     res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(alpha, u.breakpoints))
     return OMEGA_3 * res.value
+
+
+def weighted_lp_norm_p_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
+    """`weighted_lp_norm_p` of each (profile, pexp, alpha), bit for bit, in
+    lockstep (`integrate_batch`).  A rejected pexp or alpha fails its
+    problem in its place: the problems before it are integrated first."""
+    integrands, intervals, rejected = [], [], None
+    for u, pexp, alpha in problems:
+        try:
+            integrands.append(_lp_integrand(u, pexp, alpha))
+        except DomainError as exc:
+            rejected = exc
+            break
+        intervals.append((0.0, 1.0, _weight_partition(alpha, u.breakpoints)))
+    values = _omega_batch(_each(integrands), intervals, spec)
+    if rejected is not None:
+        raise rejected
+    return values
 
 
 def embedding_bound(pexp: float, alpha: float, lap_norm: float) -> float:

@@ -27,13 +27,33 @@ t = a + 2^j - 1, so features at every t-scale up to ~5e11 are resolved at
 once.  Its block estimates, read in increasing t, are also the divergence
 test: monotone growth over 8 consecutive doublings raises Divergent.  The
 same bisection loop as on a finite interval then refines that partition.
+
+That loop, `_refine`, advances a list of independent problems in lockstep;
+`integrate` and `integrate_halfline` are batches of one, and
+`integrate_batch` runs many.  Each problem keeps its own partition, error
+test, split order and subdivision count, and each round makes one
+`_gk15_batch` call over the new intervals of every live problem, so a round
+costs about the numpy call overhead of one problem's round.  Failures come
+in input order, as from a loop of `integrate`: once problem i fails, the
+problems after it stop, `integrate_batch` issues the floating-point warnings
+that problems 0..i gave (deferred until then) and drops the others', and it
+raises problem i's failure.  A batch returns the bits of the loop on two
+conditions, which the batch integrands of `profiles` keep:
+  - every parameter of one problem's integrand is a scalar, as in its lone
+    form: a broadcast exponent could take a different `pow` path;
+  - what one call computes for the joined abscissae of several problems
+    does not depend on the others' values, as for `exp_minus_taylor`, whose
+    series adds terms that change no bit (its docstring).
+The GK15 sums of one interval do not depend on the others in the batch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +64,7 @@ __all__ = [
     "IntegralResult",
     "integrate",
     "integrate_halfline",
+    "integrate_batch",
     "DEFAULT_SPEC",
 ]
 
@@ -156,6 +177,20 @@ def _clean_breakpoints(a: float, b: float, breakpoints: Sequence[float]) -> list
     return [a] + pts + [b]
 
 
+def _partition(a: float, b: float, breakpoints: Sequence[float] = ()):
+    """The first round's intervals on (a, b): (los, his), split at `breakpoints`."""
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
+    edges = _clean_breakpoints(a, b, breakpoints)
+    return np.array(edges[:-1]), np.array(edges[1:])
+
+
+def _name_x(x: float) -> str:
+    return f"x={x!r}"
+
+
 def integrate(
     f: Callable,
     a: float,
@@ -168,53 +203,209 @@ def integrate(
     `breakpoints` lists interior abscissae where the integrand is known to be
     non-smooth; the initial partition is split there.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a}, {b}]")
-
-    edges = _clean_breakpoints(a, b, breakpoints)
-    los = np.array(edges[:-1])
-    his = np.array(edges[1:])
+    los, his = _partition(a, b, breakpoints)
     vals, errs = _gk15_batch(f, los, his)
-    return _refine(f, los, his, vals, errs, spec)
+    return _only(_refine(_alone(f), [(los, his, vals, errs)], spec, _name_x))
 
 
-def _refine(f: Callable, los, his, vals, errs, spec, name=lambda x: f"x={x!r}") -> IntegralResult:
-    """The bisection loop of both drivers, from the first round's estimates
-    `vals`, `errs` on the intervals [los, his].  `name` renders an abscissa
-    for the NonFinite message."""
-    while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
-        if not (math.isfinite(total) and math.isfinite(err_total)):
-            i = int(np.argmin(np.isfinite(vals) & np.isfinite(errs)))
-            raise NonFinite(f"integrand non-finite near {name(0.5 * float(los[i] + his[i]))}")
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        n = los.size
-        if err_total <= tol:
-            return IntegralResult(total, err_total, n)
-        if n >= spec.max_subdivisions:
-            raise NonConvergence(
-                f"error {err_total:.3e} > tol {tol:.3e} after {n} subdivisions"
+def integrate_batch(
+    f: Callable,
+    problems: Sequence[tuple],
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    then: Optional[Callable] = None,
+) -> list:
+    """Adaptive integrals of independent problems in lockstep, one GK15 round
+    for all of them: what a loop of `integrate` would return, bit for bit.
+
+    `problems[i]` is `(a, b)` or `(a, b, breakpoints)`.  The batch integrand
+    `f(x, parts)` gets the joined abscissae of one round, and `parts` lists
+    `(i, sl)` per problem, in input order: `x[sl]` are problem i's, and the
+    returned array holds f_i there.  `then(i, result)`, the loop's next step
+    after integral i, runs in input order once the integrals are done: what
+    it returns is problem i's outcome and what it raises is problem i's
+    failure.  Returns one outcome per problem, in input order (the
+    IntegralResult without `then`).  Raises the failure of the first problem
+    that fails, in input order, as the loop would: problems after it stop,
+    and the warnings of their integrands are dropped.
+    """
+    states, split, deferred = [], [], []
+    evaluate = _joined(f, deferred)
+    for i, problem in enumerate(problems):
+        deferred.append(_Deferred())
+        try:
+            los, his = _partition(*problem)
+        except Exception as exc:  # problem i fails before any round
+            states.append(exc)
+            break
+        states.append(None)
+        split.append((i, los, his))
+    for (i, los, his), res in zip(split, evaluate(split)):
+        states[i] = res if isinstance(res, BaseException) else (los, his, *res)
+    outcomes, bad = _refine(evaluate, states, spec, _name_x)
+    if then is not None:
+        for i in range(len(states) if bad is None else bad):
+            try:
+                outcomes[i] = then(i, outcomes[i])
+            except Exception as exc:
+                outcomes[i], bad = exc, i
+                break
+    for caught in deferred[: None if bad is None else bad + 1]:
+        caught.issue()
+    if bad is not None:
+        raise outcomes[bad]
+    return outcomes
+
+
+def _only(refined):
+    outcomes, bad = refined
+    if bad is not None:
+        raise outcomes[bad]
+    return outcomes[0]
+
+
+def _alone(f: Callable):
+    """The GK15 round of a single problem: its integrand's warnings and
+    exceptions surface as they happen."""
+    return lambda split: [_gk15_batch(f, split[0][1], split[0][2])]
+
+
+def _joined(f: Callable, deferred: list):
+    """The GK15 round of a batch: one `_gk15_batch` call over the new
+    intervals of every problem in `split`, a list of (i, los, his, ...).
+    Returns per entry (vals, errs), or the exception problem i's integrand
+    raised.  A round whose integrand warns or raises is evaluated again one
+    problem at a time, so that each warning goes to `deferred[i]` of the
+    problem that gave it and each exception fails only that problem."""
+
+    def evaluate(split):
+        if not split:
+            return []
+        los = np.concatenate([entry[1] for entry in split])
+        his = np.concatenate([entry[2] for entry in split])
+        parts, bounds, start = [], [], 0
+        for entry in split:
+            end = start + entry[1].size
+            parts.append((entry[0], slice(_XGK.size * start, _XGK.size * end)))
+            bounds.append((start, end))
+            start = end
+        caught = _Deferred()
+        try:
+            with caught.trap():
+                vals, errs = _gk15_batch(lambda x: f(x, parts), los, his)
+            if not caught.kept:
+                return [(vals[s:e], errs[s:e]) for s, e in bounds]
+        except Exception:
+            pass  # the problem that raised is found below
+        return [_isolated(f, entry[0], entry[1], entry[2], deferred[entry[0]]) for entry in split]
+
+    return evaluate
+
+
+def _isolated(f: Callable, i: int, los, his, caught: "_Deferred"):
+    try:
+        with caught.trap():
+            return _gk15_batch(lambda x: f(x, ((i, slice(None)),)), los, his)
+    except Exception as exc:
+        return exc
+
+
+class _Deferred:
+    """numpy's floating-point warnings, kept to be issued later, each as
+    numpy would have issued it: an errcall object of numpy's 'log' mode,
+    which hands it the text of each warning."""
+
+    def __init__(self) -> None:
+        self.kept: list = []
+
+    def write(self, text: str) -> None:
+        frame = sys._getframe(1)  # the caller of the ufunc that warned
+        message = text.removeprefix("Warning: ").rstrip("\n")
+        self.kept.append((message, frame.f_code.co_filename, frame.f_lineno, frame.f_globals))
+
+    def trap(self):
+        """Keep, instead of issuing, the warnings that numpy would issue now."""
+        modes = {kind: "log" for kind, mode in np.geterr().items() if mode == "warn"}
+        return np.errstate(call=self, **modes)
+
+    def issue(self) -> None:
+        for message, filename, lineno, module_globals in self.kept:
+            registry = module_globals.setdefault("__warningregistry__", {})
+            module = module_globals.get("__name__", "<string>")
+            warnings.warn_explicit(message, RuntimeWarning, filename, lineno, module, registry, module_globals)
+
+
+def _refine(evaluate: Callable, states: list, spec: QuadratureSpec, name: Callable):
+    """The one bisection loop of every driver, QUADPACK qag's, over
+    independent problems in lockstep.
+
+    `states[i]` is problem i's first partition and its estimates (los, his,
+    vals, errs), or the exception that already ended it.  Each round, every
+    live problem in input order meets its own test error <= rel_tol*|value|,
+    or splits its own intervals, and `evaluate(split)` runs one GK15 round on
+    the new halves of all of them; `name` renders an abscissa for the
+    NonFinite message.  Once a problem fails, the problems after it
+    stop, as a loop would never have reached them.  Returns (outcomes, bad):
+    the outcome of each problem that ran to its end, and the index of the
+    failed problem, whose outcome is its exception, or None.
+    """
+    outcomes: list = [None] * len(states)
+    bad = None
+    live = []
+    for i, state in enumerate(states):
+        if isinstance(state, BaseException):
+            outcomes[i], bad = state, i
+            break
+        live.append(i)
+    while live:
+        split = []
+        for i in live:
+            if bad is not None and i > bad:
+                break
+            los, his, vals, errs = states[i]
+            total = float(vals.sum())
+            err_total = float(errs.sum())
+            n = los.size
+            if not (math.isfinite(total) and math.isfinite(err_total)):
+                j = int(np.argmin(np.isfinite(vals) & np.isfinite(errs)))
+                at = name(0.5 * float(los[j] + his[j]))
+                outcomes[i], bad = NonFinite(f"integrand non-finite near {at}"), i
+                continue
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            if err_total <= tol:
+                outcomes[i] = IntegralResult(total, err_total, n)
+                continue
+            if n >= spec.max_subdivisions:
+                message = f"error {err_total:.3e} > tol {tol:.3e} after {n} subdivisions"
+                outcomes[i], bad = NonConvergence(message), i
+                continue
+            # Split every interval above its equidistributed error share, worst
+            # first, capped per round; always split at least the worst one.
+            order = np.argsort(errs, kind="stable")[::-1]
+            share = 0.5 * tol / n
+            k = int(np.count_nonzero(errs > share))
+            k = max(1, min(k, _MAX_BATCH, spec.max_subdivisions - n))
+            pick = order[:k]
+            mids = 0.5 * (los[pick] + his[pick])
+            keep = np.ones(n, dtype=bool)
+            keep[pick] = False
+            split.append((i, np.concatenate([los[pick], mids]), np.concatenate([mids, his[pick]]), keep))
+        if not split:
+            break
+        live = []
+        for (i, new_los, new_his, keep), res in zip(split, evaluate(split)):
+            if isinstance(res, BaseException):
+                outcomes[i], bad = res, i
+                break
+            los, his, vals, errs = states[i]
+            new_vals, new_errs = res
+            states[i] = (
+                np.concatenate([los[keep], new_los]),
+                np.concatenate([his[keep], new_his]),
+                np.concatenate([vals[keep], new_vals]),
+                np.concatenate([errs[keep], new_errs]),
             )
-        # Split every interval above its equidistributed error share, worst
-        # first, capped per round; always split at least the worst one.
-        order = np.argsort(errs, kind="stable")[::-1]
-        share = 0.5 * tol / n
-        k = int(np.count_nonzero(errs > share))
-        k = max(1, min(k, _MAX_BATCH, spec.max_subdivisions - n))
-        pick = order[:k]
-        mids = 0.5 * (los[pick] + his[pick])
-        new_los = np.concatenate([los[pick], mids])
-        new_his = np.concatenate([mids, his[pick]])
-        new_vals, new_errs = _gk15_batch(f, new_los, new_his)
-        keep = np.ones(n, dtype=bool)
-        keep[pick] = False
-        los = np.concatenate([los[keep], new_los])
-        his = np.concatenate([his[keep], new_his])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+            live.append(i)
+    return outcomes, bad
 
 
 # Half-line policy constants (declared decision rules, not tunables).
@@ -285,4 +476,5 @@ def integrate_halfline(
             )
         prev = mag
 
-    return _refine(g, los, his, vals, errs, spec, lambda u: f"t={a + (1.0 - u) / u!r}")
+    name = lambda u: f"t={a + (1.0 - u) / u!r}"
+    return _only(_refine(_alone(g), [(los, his, vals, errs)], spec, name))

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 
 import pytest
 
+from henon4 import quadrature
 from henon4.cli import (
     ConfigError,
     build_config,
@@ -347,3 +349,36 @@ def test_non_integer_count_message_names_the_key(tmp_path, capsys, argv, config,
     assert main(argv + ["--config", str(cfg_file), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be an integer, got {next(iter(config.values()))}" in err
+
+
+def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):
+    # 933 GK15 rounds when each integral ran alone; the lockstep blocks
+    # evaluate the same intervals, so the node count stays exact
+    rounds = []
+    kernel = quadrature._gk15_batch
+
+    def counting_kernel(f, los, his):
+        rounds.append(los.size * 15)
+        return kernel(f, los, his)
+
+    monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
+    assert main(["verify-identities", "--alpha", "16", "--out-dir", str(tmp_path)]) == 0
+    assert len(rounds) <= 300
+    assert sum(rounds) == 83085
+
+
+def test_threshold_scan_raises_the_loops_first_failure(tmp_path, capsys):
+    # until ROADMAP item 7 mends it, alpha = 320 fails with a 0*inf in
+    # moser:1e-6:dirichlet, the last corpus profile: the row before it is
+    # printed, and the message names the abscissa a loop over the corpus gave
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["threshold-scan", "--alphas", "16,320", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert [str(w.message) for w in caught] == [
+        "overflow encountered in exp",
+        "invalid value encountered in multiply",
+    ]
+    out, err = capsys.readouterr()
+    assert out.startswith("[PASS] alpha=16 ")
+    assert err == "numerical failure: integrand non-finite near x=0.015811388300841896\n"

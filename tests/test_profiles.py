@@ -20,6 +20,7 @@ from henon4.profiles import (
     embedding_bound,
     exp_minus_taylor,
     laplacian_l2_sq,
+    laplacian_l2_sq_batch,
     pointwise_log_bound_margin,
     poly_profile,
     power_profile,
@@ -28,7 +29,9 @@ from henon4.profiles import (
     series_upper_bound,
     unit_energy,
     weighted_functional,
+    weighted_functional_batch,
     weighted_lp_norm_p,
+    weighted_lp_norm_p_batch,
 )
 from henon4.profiles import _weight_partition
 
@@ -478,3 +481,40 @@ def test_functional_params_validation():
 def test_power_profile_rejects_bad_exponent():
     with pytest.raises(DomainError):
         power_profile(0.0)
+
+
+def test_batch_forms_are_the_scalar_forms_bit_for_bit():
+    # one batch mixes every corpus profile with alphas and truncation orders,
+    # so each exp_minus_taylor call joins z values of many problems
+    profiles = [corpus_profile(name) for name in corpus_names()]
+    energies = laplacian_l2_sq_batch(profiles)
+    assert energies == [laplacian_l2_sq(u) for u in profiles]
+    units = [scale_to_unit(u, e) for u, e in zip(profiles, energies)]
+    grid = [FunctionalParams(a, s * 32.0 * math.pi**2, m) for a in (0.0, 3.5, 64.0) for s in (0.5, 0.9) for m in (None, 0, 1, 3)]
+    problems = [(u, p) for u in units for p in grid]
+    assert weighted_functional_batch(problems) == [weighted_functional(u, p) for u, p in problems]
+    lps = [(u, pexp, a) for u in units for pexp in (1.0, 2.0, 6.0) for a in (0.0, 16.0)]
+    assert weighted_lp_norm_p_batch(lps) == [weighted_lp_norm_p(*item) for item in lps]
+
+
+def test_batch_forms_fail_in_input_order():
+    # a ring 1e-3 wide needs more than 8 subdivisions; the zero profile none
+    u, z = ring_profile(0.55, 1e-3), zero_profile()
+    tight = quadrature.QuadratureSpec(max_subdivisions=8)
+    with pytest.raises(DomainError, match="pexp"):
+        weighted_lp_norm_p_batch([(z, 2.0, 0.0), (z, 0.5, 0.0), (u, 2.0, 0.0)], tight)
+    with pytest.raises(quadrature.NonConvergence):
+        weighted_lp_norm_p_batch([(z, 2.0, 0.0), (u, 2.0, 0.0), (z, 0.5, 0.0)], tight)
+    # `then` runs in input order, and only up to the first failure
+    seen = []
+
+    def then(i, value):
+        seen.append(i)
+        if i == 1:
+            raise ThresholdError("stop")
+        return value
+
+    params = FunctionalParams(0.0, 10.0, 1)
+    with pytest.raises(ThresholdError, match="stop"):
+        weighted_functional_batch([(_unit_pow(2.0), params)] * 4, then=then)
+    assert seen == [0, 1]

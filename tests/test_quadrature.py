@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from henon4.errors import Divergent, DomainError, NonConvergence, NonFinite
+from henon4 import quadrature
+from henon4.errors import Divergent, DomainError, Henon4Error, NonConvergence, NonFinite
 from henon4.quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
     integrate,
+    integrate_batch,
     integrate_halfline,
 )
 
@@ -164,3 +167,124 @@ def test_closed_form_agreement_within_ten_rel_tol():
     for f, a, b, exact in cases:
         got = integrate(f, a, b, DEFAULT_SPEC).value
         assert abs(got - exact) <= 10 * DEFAULT_SPEC.rel_tol * abs(exact)
+
+
+# ---------------------------------------------------------------------------
+# integrate_batch: a loop of `integrate`, in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _batch_of(fs):
+    """The batch integrand of the lone integrands `fs`."""
+
+    def f(x, parts):
+        out = np.empty_like(x)
+        for i, sl in parts:
+            out[sl] = fs[i](x[sl])
+        return out
+
+    return f
+
+
+def _bits(res):
+    return res.value.hex(), res.error_estimate.hex(), res.subdivisions_used
+
+
+_SPEC_200 = QuadratureSpec(rel_tol=1e-10, max_subdivisions=200)
+_CONVERGING = [
+    (lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0, (0.3,)),  # kink at a breakpoint
+    (lambda x: np.sin(40.0 * x) ** 2 * np.exp(-x), 0.0, 3.0, ()),  # many rounds
+    (lambda x: x**-0.5, 0.0, 1.0, ()),  # bisects toward an endpoint singularity
+    (lambda x: np.cos(x), -1.0, 2.0, (0.0, 1.0, 5.0)),
+]
+_NONCONVERGING = (lambda x: 1.0 / x, 0.0, 1.0, ())  # exhausts 200 subdivisions
+_NONFINITE = (lambda x: np.where(x < 0.7, x, np.inf), 0.0, 1.0, ())  # with no warning
+# np.where evaluates both branches: exp overflows and warns, the value is x
+_WARNING = (lambda x: np.where(x < 2.0, x, np.exp(1000.0 * x)), 0.0, 1.0, ())
+
+
+def _loop(problems, spec):
+    """What a loop of `integrate` returns before its first failure, and that failure."""
+    results = []
+    for f, a, b, bps in problems:
+        try:
+            results.append(integrate(f, a, b, spec, bps))
+        except Henon4Error as exc:
+            return results, exc
+    return results, None
+
+
+def _batch(problems, spec):
+    """`integrate_batch`'s results, recorded by `then`, and its failure."""
+    got = {}
+    then = lambda i, res: got.setdefault(i, res)
+    try:
+        integrate_batch(_batch_of([p[0] for p in problems]), [p[1:] for p in problems], spec, then)
+    except Henon4Error as exc:
+        return [got[i] for i in sorted(got)], exc
+    assert sorted(got) == list(range(len(problems)))
+    return [got[i] for i in sorted(got)], None
+
+
+@pytest.mark.parametrize("failing", [None, _NONCONVERGING, _NONFINITE])
+def test_batch_is_bitwise_a_loop_of_integrate(failing):
+    problems = _CONVERGING + ([failing] if failing else []) + _CONVERGING[:2]
+    want, want_exc = _loop(problems, _SPEC_200)
+    got, got_exc = _batch(problems, _SPEC_200)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    assert max(r.subdivisions_used for r in want) > 40  # a multi-round problem
+    assert type(got_exc) is type(want_exc) and str(got_exc) == str(want_exc)
+    if failing is None:
+        outcomes = integrate_batch(_batch_of([p[0] for p in problems]), [p[1:] for p in problems], _SPEC_200)
+        assert [_bits(r) for r in outcomes] == [_bits(r) for r in want]
+
+
+def test_batch_raises_the_first_failure_in_input_order():
+    # the NonFinite problem fails in the first round, the NonConvergence one
+    # only after 200 subdivisions: input order decides, not time
+    for first, second, kind in (
+        (_NONCONVERGING, _NONFINITE, NonConvergence),
+        (_NONFINITE, _NONCONVERGING, NonFinite),
+    ):
+        with pytest.raises(kind):
+            integrate_batch(_batch_of([first[0], second[0]]), [first[1:], second[1:]], _SPEC_200)
+    # a problem rejected before its first round fails in its place too
+    with pytest.raises(NonFinite):
+        integrate_batch(_batch_of([_NONFINITE[0], None]), [_NONFINITE[1:], (1.0, 0.0)])
+    with pytest.raises(DomainError, match="need finite a < b"):
+        integrate_batch(_batch_of([None, _NONFINITE[0]]), [(1.0, 0.0), _NONFINITE[1:]])
+
+
+@pytest.mark.parametrize("problem", _CONVERGING)
+def test_batch_of_one_is_integrate(problem):
+    f, a, b, bps = problem
+    (res,) = integrate_batch(_batch_of([f]), [(a, b, bps)])
+    assert _bits(res) == _bits(integrate(f, a, b, DEFAULT_SPEC, bps))
+
+
+def test_gk15_rows_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    los = np.sort(rng.uniform(-3.0, 3.0, 97))
+    his = los + rng.uniform(1e-9, 2.0, 97)
+    f = lambda x: np.exp(-(x**2)) * np.sin(7.0 * x) + np.abs(x) ** 0.3
+    vals, errs = quadrature._gk15_batch(f, los, his)
+    for k in range(los.size):
+        alone = quadrature._gk15_batch(f, los[k : k + 1], his[k : k + 1])
+        assert (alone[0][0].hex(), alone[1][0].hex()) == (vals[k].hex(), errs[k].hex())
+    part = quadrature._gk15_batch(f, los[10:43], his[10:43])
+    assert np.array_equal(part[0], vals[10:43]) and np.array_equal(part[1], errs[10:43])
+
+
+def test_batch_drops_the_warnings_of_problems_after_a_failure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be raised here, before the NonFinite
+        with pytest.raises(NonFinite):
+            integrate_batch(_batch_of([_NONFINITE[0], _WARNING[0]]), [_NONFINITE[1:], _WARNING[1:]])
+    # the warnings of the problems up to the failure are issued, as by the loop
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        with pytest.raises(NonFinite):
+            integrate_batch(_batch_of([_WARNING[0], _NONFINITE[0]]), [_WARNING[1:], _NONFINITE[1:]])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        (res,) = integrate_batch(_batch_of([_WARNING[0]]), [_WARNING[1:]])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        assert _bits(res) == _bits(integrate(*_WARNING[:3]))
