@@ -33,12 +33,14 @@ That loop, `_refine`, advances a list of independent problems in lockstep;
 `integrate_batch` runs many.  Each problem keeps its own partition, error
 test, split order and subdivision count, and each round makes one
 `_gk15_batch` call over the new intervals of every live problem, so a round
-costs about the numpy call overhead of one problem's round.  Failures come
-in input order, as from a loop of `integrate`: once problem i fails, the
-problems after it stop, `integrate_batch` issues the floating-point warnings
-that problems 0..i gave (deferred until then) and drops the others', and it
-raises problem i's failure.  A batch returns the bits of the loop on two
-conditions, which the batch integrands of `profiles` keep:
+costs about the numpy call overhead of one problem's round.  A batch keeps
+its lockstep results only when the run was silent: numpy's 'warn' modes
+raise during it, and if anything raises (a bad interval, a failed
+integral, the integrand, or a floating-point warning), the batch is
+computed again as the loop of `integrate` it stands for, which raises the
+loop's first failure and issues the loop's warnings in the loop's order.
+A silent batch returns the bits of the loop on two conditions, which the
+batch integrands of `profiles` keep:
   - every parameter of one problem's integrand is a scalar, as in its lone
     form: a broadcast exponent could take a different `pow` path;
   - what one call computes for the joined abscissae of several problems
@@ -50,8 +52,6 @@ The GK15 sums of one interval do not depend on the others in the batch.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -204,8 +204,8 @@ def integrate(
     non-smooth; the initial partition is split there.
     """
     los, his = _partition(a, b, breakpoints)
-    vals, errs = _gk15_batch(f, los, his)
-    return _only(_refine(_alone(f), [(los, his, vals, errs)], spec, _name_x))
+    (res,) = _refine(lambda x, parts: f(x), [(los, his, *_gk15_batch(f, los, his))], spec, _name_x)
+    return res
 
 
 def integrate_batch(
@@ -224,160 +224,80 @@ def integrate_batch(
     after integral i, runs in input order once the integrals are done: what
     it returns is problem i's outcome and what it raises is problem i's
     failure.  Returns one outcome per problem, in input order (the
-    IntegralResult without `then`).  Raises the failure of the first problem
-    that fails, in input order, as the loop would: problems after it stop,
-    and the warnings of their integrands are dropped.
+    IntegralResult without `then`).
+
+    The lockstep run is kept only if it is silent: it runs with each numpy
+    floating-point mode that is 'warn' set to 'raise' (other modes stay as
+    the caller set them), and if anything in it raises, its results are
+    dropped and the batch is the loop `then(i, integrate(f_i, a, b, spec,
+    breakpoints))` over i, which raises the first failure and issues the
+    warnings of the loop, in its order.
     """
-    states, split, deferred = [], [], []
-    evaluate = _joined(f, deferred)
-    for i, problem in enumerate(problems):
-        deferred.append(_Deferred())
-        try:
-            los, his = _partition(*problem)
-        except Exception as exc:  # problem i fails before any round
-            states.append(exc)
-            break
-        states.append(None)
-        split.append((i, los, his))
-    for (i, los, his), res in zip(split, evaluate(split)):
-        states[i] = res if isinstance(res, BaseException) else (los, his, *res)
-    outcomes, bad = _refine(evaluate, states, spec, _name_x)
-    if then is not None:
-        for i in range(len(states) if bad is None else bad):
-            try:
-                outcomes[i] = then(i, outcomes[i])
-            except Exception as exc:
-                outcomes[i], bad = exc, i
-                break
-    for caught in deferred[: None if bad is None else bad + 1]:
-        caught.issue()
-    if bad is not None:
-        raise outcomes[bad]
-    return outcomes
-
-
-def _only(refined):
-    outcomes, bad = refined
-    if bad is not None:
-        raise outcomes[bad]
-    return outcomes[0]
-
-
-def _alone(f: Callable):
-    """The GK15 round of a single problem: its integrand's warnings and
-    exceptions surface as they happen."""
-    return lambda split: [_gk15_batch(f, split[0][1], split[0][2])]
-
-
-def _joined(f: Callable, deferred: list):
-    """The GK15 round of a batch: one `_gk15_batch` call over the new
-    intervals of every problem in `split`, a list of (i, los, his, ...).
-    Returns per entry (vals, errs), or the exception problem i's integrand
-    raised.  A round whose integrand warns or raises is evaluated again one
-    problem at a time, so that each warning goes to `deferred[i]` of the
-    problem that gave it and each exception fails only that problem."""
-
-    def evaluate(split):
-        if not split:
-            return []
-        los = np.concatenate([entry[1] for entry in split])
-        his = np.concatenate([entry[2] for entry in split])
-        parts, bounds, start = [], [], 0
-        for entry in split:
-            end = start + entry[1].size
-            parts.append((entry[0], slice(_XGK.size * start, _XGK.size * end)))
-            bounds.append((start, end))
-            start = end
-        caught = _Deferred()
-        try:
-            with caught.trap():
-                vals, errs = _gk15_batch(lambda x: f(x, parts), los, his)
-            if not caught.kept:
-                return [(vals[s:e], errs[s:e]) for s, e in bounds]
-        except Exception:
-            pass  # the problem that raised is found below
-        return [_isolated(f, entry[0], entry[1], entry[2], deferred[entry[0]]) for entry in split]
-
-    return evaluate
-
-
-def _isolated(f: Callable, i: int, los, his, caught: "_Deferred"):
+    if not problems:
+        return []
+    then = then or (lambda i, res: res)
+    raising = {kind: "raise" for kind, mode in np.geterr().items() if mode == "warn"}
     try:
-        with caught.trap():
-            return _gk15_batch(lambda x: f(x, ((i, slice(None)),)), los, his)
-    except Exception as exc:
-        return exc
+        with np.errstate(**raising):
+            split = [(i, *_partition(*problem)) for i, problem in enumerate(problems)]
+            states = [(los, his, *res) for (_, los, his), res in zip(split, _round(f, split))]
+            results = _refine(f, states, spec, _name_x)
+    except Exception:
+        return [
+            then(i, integrate(lambda x: f(x, ((i, slice(None)),)), a, b, spec, *bps))
+            for i, (a, b, *bps) in enumerate(problems)
+        ]
+    return [then(i, res) for i, res in enumerate(results)]
 
 
-class _Deferred:
-    """numpy's floating-point warnings, kept to be issued later, each as
-    numpy would have issued it: an errcall object of numpy's 'log' mode,
-    which hands it the text of each warning."""
-
-    def __init__(self) -> None:
-        self.kept: list = []
-
-    def write(self, text: str) -> None:
-        frame = sys._getframe(1)  # the caller of the ufunc that warned
-        message = text.removeprefix("Warning: ").rstrip("\n")
-        self.kept.append((message, frame.f_code.co_filename, frame.f_lineno, frame.f_globals))
-
-    def trap(self):
-        """Keep, instead of issuing, the warnings that numpy would issue now."""
-        modes = {kind: "log" for kind, mode in np.geterr().items() if mode == "warn"}
-        return np.errstate(call=self, **modes)
-
-    def issue(self) -> None:
-        for message, filename, lineno, module_globals in self.kept:
-            registry = module_globals.setdefault("__warningregistry__", {})
-            module = module_globals.get("__name__", "<string>")
-            warnings.warn_explicit(message, RuntimeWarning, filename, lineno, module, registry, module_globals)
+def _round(f: Callable, split: list) -> list:
+    """One GK15 round of a batch: one `_gk15_batch` call over the new
+    intervals of every problem in `split`, a list of (i, los, his, ...), with
+    the batch integrand f(x, parts).  Returns (vals, errs) per entry."""
+    if len(split) == 1:  # every round of the lone drivers: nothing to join
+        i, los, his, *_ = split[0]
+        return [_gk15_batch(lambda x: f(x, ((i, slice(None)),)), los, his)]
+    parts, bounds, start = [], [], 0
+    for i, los, *_ in split:
+        end = start + los.size
+        parts.append((i, slice(_XGK.size * start, _XGK.size * end)))
+        bounds.append((start, end))
+        start = end
+    los = np.concatenate([entry[1] for entry in split])
+    his = np.concatenate([entry[2] for entry in split])
+    vals, errs = _gk15_batch(lambda x: f(x, parts), los, his)
+    return [(vals[s:e], errs[s:e]) for s, e in bounds]
 
 
-def _refine(evaluate: Callable, states: list, spec: QuadratureSpec, name: Callable):
+def _refine(f: Callable, states: list, spec: QuadratureSpec, name: Callable) -> list:
     """The one bisection loop of every driver, QUADPACK qag's, over
     independent problems in lockstep.
 
     `states[i]` is problem i's first partition and its estimates (los, his,
-    vals, errs), or the exception that already ended it.  Each round, every
-    live problem in input order meets its own test error <= rel_tol*|value|,
-    or splits its own intervals, and `evaluate(split)` runs one GK15 round on
-    the new halves of all of them; `name` renders an abscissa for the
-    NonFinite message.  Once a problem fails, the problems after it
-    stop, as a loop would never have reached them.  Returns (outcomes, bad):
-    the outcome of each problem that ran to its end, and the index of the
-    failed problem, whose outcome is its exception, or None.
+    vals, errs).  Each round, every live problem in input order meets its
+    own test error <= rel_tol*|value|, or splits its own intervals, and one
+    `_round` of the batch integrand `f` evaluates the new halves of all of
+    them; `name` renders an abscissa for the NonFinite message.  Returns one
+    IntegralResult per problem; raises the first failure it meets.
     """
     outcomes: list = [None] * len(states)
-    bad = None
-    live = []
-    for i, state in enumerate(states):
-        if isinstance(state, BaseException):
-            outcomes[i], bad = state, i
-            break
-        live.append(i)
-    while live:
+    live = range(len(states))
+    while True:
         split = []
         for i in live:
-            if bad is not None and i > bad:
-                break
             los, his, vals, errs = states[i]
             total = float(vals.sum())
             err_total = float(errs.sum())
             n = los.size
             if not (math.isfinite(total) and math.isfinite(err_total)):
                 j = int(np.argmin(np.isfinite(vals) & np.isfinite(errs)))
-                at = name(0.5 * float(los[j] + his[j]))
-                outcomes[i], bad = NonFinite(f"integrand non-finite near {at}"), i
-                continue
+                raise NonFinite(f"integrand non-finite near {name(0.5 * float(los[j] + his[j]))}")
             tol = max(spec.abs_tol, spec.rel_tol * abs(total))
             if err_total <= tol:
                 outcomes[i] = IntegralResult(total, err_total, n)
                 continue
             if n >= spec.max_subdivisions:
-                message = f"error {err_total:.3e} > tol {tol:.3e} after {n} subdivisions"
-                outcomes[i], bad = NonConvergence(message), i
-                continue
+                raise NonConvergence(f"error {err_total:.3e} > tol {tol:.3e} after {n} subdivisions")
             # Split every interval above its equidistributed error share, worst
             # first, capped per round; always split at least the worst one.
             order = np.argsort(errs, kind="stable")[::-1]
@@ -390,22 +310,16 @@ def _refine(evaluate: Callable, states: list, spec: QuadratureSpec, name: Callab
             keep[pick] = False
             split.append((i, np.concatenate([los[pick], mids]), np.concatenate([mids, his[pick]]), keep))
         if not split:
-            break
-        live = []
-        for (i, new_los, new_his, keep), res in zip(split, evaluate(split)):
-            if isinstance(res, BaseException):
-                outcomes[i], bad = res, i
-                break
+            return outcomes
+        for (i, new_los, new_his, keep), (new_vals, new_errs) in zip(split, _round(f, split)):
             los, his, vals, errs = states[i]
-            new_vals, new_errs = res
             states[i] = (
                 np.concatenate([los[keep], new_los]),
                 np.concatenate([his[keep], new_his]),
                 np.concatenate([vals[keep], new_vals]),
                 np.concatenate([errs[keep], new_errs]),
             )
-            live.append(i)
-    return outcomes, bad
+        live = [entry[0] for entry in split]
 
 
 # Half-line policy constants (declared decision rules, not tunables).
@@ -477,4 +391,5 @@ def integrate_halfline(
         prev = mag
 
     name = lambda u: f"t={a + (1.0 - u) / u!r}"
-    return _only(_refine(_alone(g), [(los, his, vals, errs)], spec, name))
+    (res,) = _refine(lambda x, parts: g(x), [(los, his, vals, errs)], spec, name)
+    return res

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from henon4 import quadrature
 from henon4.errors import DomainError
 from henon4.moser import (
     MoserParams,
@@ -150,6 +151,16 @@ def test_blowup_scan_validation():
         blowup_scan(0.0, 1.2, [1e-2, 1e-2])
     with pytest.raises(DomainError):
         blowup_scan(0.0, 0.0, [1e-2, 1e-3])
+
+
+def test_blowup_scan_rejects_its_first_epsilon_before_any_integral(monkeypatch):
+    # the members before the rejected one are none: an empty batch
+    def kernel(f, los, his):
+        raise AssertionError("_gk15_batch called")
+
+    monkeypatch.setattr(quadrature, "_gk15_batch", kernel)
+    with pytest.raises(DomainError, match=r"epsilon must lie in \(0, e\^-2\), got 0.5"):
+        blowup_scan(0.0, 1.2, [0.5, 0.1])
 
 
 def test_blowup_diverging_navier():

@@ -201,6 +201,16 @@ _NONCONVERGING = (lambda x: 1.0 / x, 0.0, 1.0, ())  # exhausts 200 subdivisions
 _NONFINITE = (lambda x: np.where(x < 0.7, x, np.inf), 0.0, 1.0, ())  # with no warning
 # np.where evaluates both branches: exp overflows and warns, the value is x
 _WARNING = (lambda x: np.where(x < 2.0, x, np.exp(1000.0 * x)), 0.0, 1.0, ())
+# overflows only once bisection puts nodes within 1e-3 of the kink at 0.3,
+# from the fourth round on; its value stays finite
+_LATE_OVERFLOW = (
+    lambda x: np.abs(x - 0.3) ** 0.5 * np.minimum(np.exp(np.where(np.abs(x - 0.3) < 1e-3, 1000.0, 0.0)), 1.0),
+    0.0,
+    1.0,
+    (),
+)
+# overflows in a multiply in the first round
+_EARLY_OVERFLOW = (lambda x: np.where(x < 2.0, x, 1e300 * (x + 1e300)), 0.0, 1.0, ())
 
 
 def _loop(problems, spec):
@@ -226,14 +236,25 @@ def _batch(problems, spec):
     return [got[i] for i in sorted(got)], None
 
 
-@pytest.mark.parametrize("failing", [None, _NONCONVERGING, _NONFINITE])
+def _recorded(run, *args):
+    """What `run(*args)` returns, and the warnings it issues, as the
+    (category, message, filename, lineno) of each, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run(*args)
+    return out, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@pytest.mark.parametrize("failing", [None, _NONCONVERGING, _NONFINITE, _WARNING])
 def test_batch_is_bitwise_a_loop_of_integrate(failing):
     problems = _CONVERGING + ([failing] if failing else []) + _CONVERGING[:2]
-    want, want_exc = _loop(problems, _SPEC_200)
-    got, got_exc = _batch(problems, _SPEC_200)
+    (want, want_exc), want_warned = _recorded(_loop, problems, _SPEC_200)
+    (got, got_exc), got_warned = _recorded(_batch, problems, _SPEC_200)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
     assert max(r.subdivisions_used for r in want) > 40  # a multi-round problem
     assert type(got_exc) is type(want_exc) and str(got_exc) == str(want_exc)
+    assert got_warned == want_warned
+    assert [w[:2] for w in want_warned] == ([(RuntimeWarning, "overflow encountered in exp")] if failing is _WARNING else [])
     if failing is None:
         outcomes = integrate_batch(_batch_of([p[0] for p in problems]), [p[1:] for p in problems], _SPEC_200)
         assert [_bits(r) for r in outcomes] == [_bits(r) for r in want]
@@ -288,3 +309,52 @@ def test_batch_drops_the_warnings_of_problems_after_a_failure():
         (res,) = integrate_batch(_batch_of([_WARNING[0]]), [_WARNING[1:]])
     with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
         assert _bits(res) == _bits(integrate(*_WARNING[:3]))
+
+
+class _Reached(BaseException):
+    """Raised by a stub that must not run; no `except Exception` hides it."""
+
+
+def test_empty_batch_evaluates_nothing(monkeypatch):
+    def stub(*args):
+        raise _Reached
+
+    monkeypatch.setattr(quadrature, "_gk15_batch", stub)
+    monkeypatch.setattr(quadrature, "_round", stub)
+    assert integrate_batch(stub, []) == []
+    assert integrate_batch(stub, [], then=stub) == []
+
+
+def test_batch_warns_in_the_loops_order():
+    # the lockstep meets _WARNING's overflow in its first round, the loop
+    # only after the 20 of _LATE_OVERFLOW
+    problems = [_LATE_OVERFLOW, _WARNING]
+    (want, _), want_warned = _recorded(_loop, problems, DEFAULT_SPEC)
+    (got, _), got_warned = _recorded(_batch, problems, DEFAULT_SPEC)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    assert got_warned == want_warned and len(want_warned) == 21
+
+
+def test_batch_keeps_the_callers_error_state():
+    problems = _CONVERGING[:2] + [_WARNING, _LATE_OVERFLOW] + _CONVERGING[2:]
+    before = np.geterr()
+    with pytest.warns(RuntimeWarning):
+        integrate_batch(_batch_of([p[0] for p in problems]), [p[1:] for p in problems])
+    assert np.geterr() == before
+    # 'raise': the loop's first overflow in input order, although the
+    # lockstep meets the early one first
+    for first, second, match in (
+        (_LATE_OVERFLOW, _EARLY_OVERFLOW, "exp"),
+        (_EARLY_OVERFLOW, _LATE_OVERFLOW, "multiply"),
+    ):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match=f"overflow encountered in {match}"):
+                integrate_batch(_batch_of([first[0], second[0]]), [first[1:], second[1:]])
+            assert np.geterr()["over"] == "raise"
+    # 'ignore': the loop's bits, silently
+    with np.errstate(all="ignore"):
+        want, want_warned = _recorded(_loop, problems, DEFAULT_SPEC)
+        (got, got_exc), got_warned = _recorded(_batch, problems, DEFAULT_SPEC)
+    assert want[1] is None and got_exc is None
+    assert [_bits(r) for r in got] == [_bits(r) for r in want[0]]
+    assert got_warned == want_warned == []
