@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, Henon4Error, PreconditionError
-from .profiles import OMEGA_3, RadialProfile, _check_alpha
+from .errors import DomainError, PreconditionError
+from .profiles import OMEGA_3, RadialProfile
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_halfline
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "marshall_moser_integral",
     "PsiMember",
     "marshall_moser_family",
-    "EstimatesReport",
-    "estimates_check",
 ]
 
 
@@ -290,85 +288,3 @@ def marshall_moser_family() -> tuple:
 
     assert len(members) >= 20
     return tuple(members)
-
-
-# ---------------------------------------------------------------------------
-# pointwise growth estimates for decreasing-profile transforms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EstimatesReport:
-    est1_ok: bool
-    est2_ok: bool
-    est3_ok: bool
-    w0_ok: bool
-    margins: tuple  # worst (lhs - rhs) for est1, est2, est3, w'(0) bounds
-    tail_kappa: float  # (w(T)/sqrt(T))^2 at the truncation horizon
-    tail_bound: float  # e^{T (kappa - 1)}, certified tail of e^{w^2 - t}
-
-    @property
-    def all_ok(self) -> bool:
-        return self.est1_ok and self.est2_ok and self.est3_ok and self.w0_ok
-
-
-_MARGIN_TOL = 1e-9
-_CHECK_NODES = 2001
-
-
-def estimates_check(
-    wp: LogProfile,
-    alpha: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> EstimatesReport:
-    """Grid check of the growth estimates for unit-energy decreasing sources.
-
-    On 2001 equispaced nodes of t in [0, T], T = 50 (alpha+4), verifies
-        w'(t) - w'(0) <= 2/(alpha+4) (sqrt(t) + w(t)),
-        w(t)          <= sqrt(t),
-        w'(t)         <= sqrt(2/(alpha+4)) (1 + 2 sqrt(t/(alpha+4))),
-        0 <= w'(0)    <= sqrt(2/(alpha+4)),
-    reporting worst signed margins (ok iff margin <= 1e-9).  DomainError for
-    a non-finite or negative alpha; PreconditionError when the transform did
-    not come from an admissible decreasing profile (energy above 1, negative
-    or non-finite w').
-    """
-    _check_alpha(alpha)
-    ap4 = alpha + 4.0
-    T = 50.0 * ap4
-    t = np.linspace(0.0, T, _CHECK_NODES)
-
-    w_vals = np.asarray(wp.w(t), dtype=float)
-    w1_vals = np.asarray(wp.w1(t), dtype=float)
-    if not (np.all(np.isfinite(w_vals)) and np.all(np.isfinite(w1_vals))):
-        raise PreconditionError("w or w' non-finite on the check grid")
-    if np.min(w1_vals) < -_MARGIN_TOL:
-        raise PreconditionError("w' < 0: source profile is not radially decreasing")
-
-    try:
-        energy = log_energy(wp, spec)
-    except Henon4Error as exc:
-        raise PreconditionError(f"energy not evaluable: {exc}") from exc
-    if energy > 1.0 + 1e-9:
-        raise PreconditionError(f"energy {energy:.12g} exceeds the unit sphere")
-
-    w10 = float(w1_vals[0])
-    sqrt_t = np.sqrt(t)
-    est1 = float(np.max(w1_vals - w10 - (2.0 / ap4) * (sqrt_t + w_vals)))
-    est2 = float(np.max(w_vals - sqrt_t))
-    est3 = float(np.max(w1_vals - math.sqrt(2.0 / ap4) * (1.0 + 2.0 * np.sqrt(t / ap4))))
-    w0 = max(-w10, w10 - math.sqrt(2.0 / ap4))
-
-    wT = float(w_vals[-1])
-    kappa = (wT / math.sqrt(T)) ** 2 if T > 0 else 0.0
-    tail = math.exp(min(T * (kappa - 1.0), 700.0))
-
-    return EstimatesReport(
-        est1_ok=est1 <= _MARGIN_TOL,
-        est2_ok=est2 <= _MARGIN_TOL,
-        est3_ok=est3 <= _MARGIN_TOL,
-        w0_ok=w0 <= _MARGIN_TOL,
-        margins=(est1, est2, est3, w0),
-        tail_kappa=kappa,
-        tail_bound=tail,
-    )

@@ -37,7 +37,6 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, integrate_batch
 
 __all__ = [
     "OMEGA_3",
-    "BALL_VOLUME",
     "BoundaryKind",
     "RadialProfile",
     "FunctionalParams",
@@ -54,7 +53,6 @@ __all__ = [
     "exp_minus_taylor",
     "scale_to_unit",
     "unit_energy",
-    "assert_boundary_conditions",
     "poly_profile",
     "power_profile",
     "ring_profile",
@@ -65,7 +63,6 @@ __all__ = [
 ]
 
 OMEGA_3 = 2.0 * math.pi**2
-BALL_VOLUME = OMEGA_3 / 4.0
 
 
 class BoundaryKind(Enum):
@@ -98,19 +95,6 @@ class RadialProfile:
             description=f"{c:.6g}*({u.description})",
             breakpoints=u.breakpoints,
         )
-
-
-def assert_boundary_conditions(u: RadialProfile, tol: float = 1e-12) -> None:
-    """Check u(1) = 0 (and u'(1) = 0 for Dirichlet) to `tol`."""
-    v1 = float(np.asarray(u.value(np.array([1.0])))[0])
-    if abs(v1) > tol:
-        raise PreconditionError(f"{u.description}: |u(1)| = {abs(v1):.3e} > {tol:.0e}")
-    if u.boundary is BoundaryKind.DIRICHLET:
-        d1 = float(np.asarray(u.d1(np.array([1.0])))[0])
-        if abs(d1) > tol:
-            raise PreconditionError(
-                f"{u.description}: |u'(1)| = {abs(d1):.3e} > {tol:.0e}"
-            )
 
 
 def _check_alpha(alpha: float) -> None:

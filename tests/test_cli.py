@@ -367,6 +367,29 @@ def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):
     assert sum(rounds) == 83085
 
 
+@pytest.mark.parametrize(
+    "alphas, calls, nodes",
+    [(None, 904, 137895), ("2048,8192,32768,131072", 454, 186435)],
+)
+def test_symmetry_sweep_kernel_work_pinned(tmp_path, monkeypatch, alphas, calls, nodes):
+    # each candidate of the radial search is one scalar integral;
+    # ROADMAP item 11 (the lockstep sweep) is expected to move these counts,
+    # and the change that does must state the new ones here
+    rounds = []
+    kernel = quadrature._gk15_batch
+
+    def counting_kernel(f, los, his):
+        rounds.append(los.size * 15)
+        return kernel(f, los, his)
+
+    monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
+    argv = ["symmetry-sweep", "--m", "1", "--out-dir", str(tmp_path)]
+    if alphas is not None:
+        argv += ["--alphas", alphas]
+    assert main(argv) == 0
+    assert (len(rounds), sum(rounds)) == (calls, nodes)
+
+
 def test_threshold_scan_raises_the_loops_first_failure(tmp_path, capsys):
     # until ROADMAP item 7 mends it, alpha = 320 fails with a 0*inf in
     # moser:1e-6:dirichlet, the last corpus profile: the row before it is

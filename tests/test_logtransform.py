@@ -7,9 +7,7 @@ import pytest
 
 from henon4.errors import Divergent, DomainError, PreconditionError
 from henon4.logtransform import (
-    EstimatesReport,
     LogProfile,
-    estimates_check,
     log_energy,
     marshall_moser_family,
     marshall_moser_integral,
@@ -17,12 +15,10 @@ from henon4.logtransform import (
     to_log_profile,
     weighted_exp_integral_log,
 )
-from henon4.moser import MoserParams, moser_navier
 from henon4.profiles import (
     OMEGA_3,
     BoundaryKind,
     FunctionalParams,
-    corpus_names,
     corpus_profile,
     laplacian_l2_sq,
     poly_profile,
@@ -208,53 +204,9 @@ def test_marshall_moser_precondition():
         )
 
 
-def test_estimates_zero_profile():
-    z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    wp = LogProfile(4.0, z, z, z, source="zero")
-    rep = estimates_check(wp, 0.0)
-    assert rep.all_ok
-    assert all(m <= 0.0 + 1e-12 for m in rep.margins)
-
-
-def test_estimates_moser_normalized():
-    u = unit_energy(moser_navier(MoserParams(1e-4, BoundaryKind.NAVIER)))
-    wp = to_log_profile(u, 4.0)
-    rep = estimates_check(wp, 0.0)
-    assert rep.all_ok
-    assert rep.tail_kappa < 1.0
-    assert rep.tail_bound < 1e-10
-
-
 def test_estimates_reduced_integrand_below_one():
-    # est2 at threshold forces e^{w^2 - t} <= 1 pointwise
+    # w(t) <= sqrt(t) at threshold forces e^{w^2 - t} <= 1 pointwise
     u = unit_energy(poly_profile(1))
     wp = to_log_profile(u, 4.0)
     t = np.linspace(0.0, 200.0, 2001)
     assert np.max(wp.w(t) ** 2 - t) <= 1e-9
-
-
-def test_estimates_sqrt_t_precondition_path():
-    w = lambda t: np.sqrt(np.asarray(t, dtype=float))
-
-    def w1(t):
-        with np.errstate(divide="ignore"):
-            return 0.5 / np.sqrt(np.asarray(t, dtype=float))
-
-    w2 = lambda t: -0.25 * np.maximum(np.asarray(t, dtype=float), 1e-300) ** -1.5
-    wp = LogProfile(4.0, w, w1, w2, source="sqrt(t)")
-    with pytest.raises(PreconditionError):
-        estimates_check(wp, 0.0)
-
-
-def test_estimates_rejects_overweight_profile():
-    u = poly_profile(1)  # energy 32 pi^2 >> 1
-    wp = to_log_profile(u, 4.0)
-    with pytest.raises(PreconditionError):
-        estimates_check(wp, 0.0)
-
-
-@pytest.mark.parametrize("alpha", [-4.0, -5.0, math.nan])
-def test_estimates_rejects_bad_alpha(alpha):
-    wp = to_log_profile(unit_energy(corpus_profile("poly4")), 1.0)
-    with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
-        estimates_check(wp, alpha)

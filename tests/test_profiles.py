@@ -9,12 +9,10 @@ import pytest
 from henon4 import quadrature
 from henon4.errors import DomainError, PreconditionError, ThresholdError
 from henon4.profiles import (
-    BALL_VOLUME,
     OMEGA_3,
     BoundaryKind,
     FunctionalParams,
     RadialProfile,
-    assert_boundary_conditions,
     corpus_names,
     corpus_profile,
     embedding_bound,
@@ -46,7 +44,6 @@ def test_omega3_matches_ball_volume():
     # integral_B 1 dx = OMEGA_3 / 4 = pi^2 / 2
     vol = weighted_functional(zero_profile(), FunctionalParams(0.0, 1.0, None))
     assert vol == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
-    assert BALL_VOLUME == pytest.approx(math.pi**2 / 2.0, rel=1e-15, abs=0.0)
 
 
 def test_laplacian_zero_profile():
@@ -433,7 +430,10 @@ def test_corpus_complete_and_boundary_clean():
     assert len(names) >= 10
     for name in names:
         u = corpus_profile(name)
-        assert_boundary_conditions(u, tol=1e-12)
+        one = np.array([1.0])
+        assert abs(u.value(one)[0]) <= 1e-12, name
+        if u.boundary is BoundaryKind.DIRICHLET:
+            assert abs(u.d1(one)[0]) <= 1e-12, name
 
 
 def test_corpus_derivative_consistency():
