@@ -322,8 +322,8 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
         failures += not ok
         rows.append(("energy-identity", name, worst, ok))
 
-    for name, u in zip(names, units):
-        margin = pointwise_log_bound_margin(u, spec)
+    for name, u, energy in zip(names, profiles, energies):
+        margin = pointwise_log_bound_margin(u, energy)
         ok = margin <= 1.0 + 1e-9
         failures += not ok
         rows.append(("log-bound-margin", name, margin, ok))

@@ -431,20 +431,20 @@ def series_upper_bound(p: FunctionalParams, lap_norm: float) -> float:
 _LOG_BOUND_NODES = 512
 
 
-def pointwise_log_bound_margin(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Worst ratio of |u(r)| to its logarithmic pointwise bound.
+def pointwise_log_bound_margin(u: RadialProfile, energy: float) -> float:
+    """Worst ratio of |u(r)| to its logarithmic pointwise bound, given the
+    energy ||Delta u||_2^2 of `u`.
 
     Evaluates sup over 512 log-spaced nodes of
         |u(r)| * 2 sqrt(OMEGA_3) / (sqrt(-log r) * ||Delta u||_2);
     the radial pointwise estimate asserts this never exceeds 1.
-    Returns 0.0 for the zero profile by convention.
+    Returns 0.0 for the zero profile (energy 0) by convention.
     """
-    lap = laplacian_l2_sq(u, spec)
-    if lap <= 0.0:
+    if energy <= 0.0:
         return 0.0
     r = np.geomspace(1e-6, 1.0 - 1e-6, _LOG_BOUND_NODES)
     vals = np.abs(np.asarray(u.value(r)))
-    bound = np.sqrt(-np.log(r)) * math.sqrt(lap) / (2.0 * math.sqrt(OMEGA_3))
+    bound = np.sqrt(-np.log(r)) * math.sqrt(energy) / (2.0 * math.sqrt(OMEGA_3))
     return float(np.max(vals / bound))
 
 

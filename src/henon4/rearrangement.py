@@ -6,30 +6,29 @@ uniform radius grid, each sample weighted by its shell volume fraction
 ((i+1)/M)^4 - (i/M)^4; sorting the samples by value, carrying the weights,
 yields the quantile function of the field, i.e. its decreasing rearrangement:
 sorted value k occupies the measure slab between consecutive cumulative
-weights, and the rearranged profile interpolates the slab midpoints linearly
-in mu.  Integral functionals of the rearrangement then agree with those of
-the field up to the O(M^-2) midpoint sampling error, because the sort is a
-weighted permutation.
+weights and is placed at the slab's midpoint, its mu-knot.  Integral
+functionals of the rearrangement, summed over the slabs, then agree with
+those of the field up to the O(M^-2) midpoint sampling error, because the
+sort is a weighted permutation.
 
 The radial Poisson solve
 
     -Delta u = f  in B,  u = 0 on the boundary,
     u(rho) = int_rho^1 s^{-3} ( int_0^s f(tau) tau^3 dtau ) ds
 
-is integrated cell-by-cell in closed form against the mu-interpolant (the
-inner cumulative is quadratic in mu per cell; the outer integrand is then a
-combination of mu^{-1/2}, mu^{1/2}, mu^{3/2} antiderivatives): no quadrature
-error, but each cell integral is a difference anti(x1) - anti(x0) of values
-typically 1e5-1e6 times larger (the quadratic is expanded about y = 0), so
-float64 u is off by up to ~5e-8 at the v#-knots against the same chain
-computed in extended precision.
+is integrated cell-by-cell in closed form against the interpolant of f that
+is linear in mu between the knots (the inner cumulative is quadratic in mu
+per cell; the outer integrand is then a combination of mu^{-1/2}, mu^{1/2},
+mu^{3/2} antiderivatives): no quadrature error, but each cell integral is a
+difference anti(x1) - anti(x0) of values typically 1e5-1e6 times larger (the
+quadratic is expanded about y = 0), so float64 u is off by up to ~5e-8 at the
+v#-knots against the same chain computed in extended precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from .profiles import (
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
-    "decreasing_rearrangement",
-    "talenti_radial_solve",
     "talenti_comparison_check",
     "ComparisonReport",
     "seeded_comparison_profiles",
@@ -93,52 +90,6 @@ def _rearranged_knots(values: np.ndarray, weights: np.ndarray):
     np.multiply(0.5, knots[:-2] + knots[1:-1], out=knots[1:-1])
     knots[-1] = 1.0
     return knots, sharp, w
-
-
-def _interp_in_mu(mu_knots: np.ndarray, values: np.ndarray) -> Callable:
-    # np.interp holds the end values outside the knots
-    return lambda mu: np.interp(mu, mu_knots, values)
-
-
-def _interp_slopes(mu_knots: np.ndarray, values: np.ndarray):
-    widths = np.diff(mu_knots)
-    widths = np.where(widths > 0, widths, 1.0)
-    slopes = np.diff(values) / widths
-
-    def slope_at_mu(mu):
-        mu = np.asarray(mu, dtype=float)
-        idx = np.clip(np.searchsorted(mu_knots, mu) - 1, 0, slopes.size - 1)
-        out = slopes[idx]
-        return np.where((mu <= mu_knots[0]) | (mu >= mu_knots[-1]), 0.0, out)
-
-    return slope_at_mu
-
-
-def decreasing_rearrangement(u: RadialProfile, grid_size: int = _DEFAULT_GRID) -> RadialProfile:
-    """Radially decreasing profile equidistributed with |u| in 4-volume."""
-    radii, weights = _radius_grid(grid_size)
-    samples = np.abs(np.asarray(u.value(radii), dtype=float))
-    if not np.all(np.isfinite(samples)):
-        raise NonFinite(f"profile {u.description} not bounded on the sample grid")
-    knots, sharp, _ = _rearranged_knots(samples, weights)
-    mu_knots, sorted_vals = knots[1:-1], sharp[1:-1]
-
-    at_mu = _interp_in_mu(mu_knots, sorted_vals)
-    slope_at_mu = _interp_slopes(mu_knots, sorted_vals)
-
-    def value(r):
-        rr = np.asarray(r, dtype=float)
-        return at_mu(rr**4)
-
-    def d1(r):
-        rr = np.asarray(r, dtype=float)
-        return slope_at_mu(rr**4) * 4.0 * rr**3
-
-    def d2(r):
-        rr = np.asarray(r, dtype=float)
-        return slope_at_mu(rr**4) * 12.0 * rr**2
-
-    return RadialProfile(value, d1, d2, BoundaryKind.NAVIER, f"rearranged({u.description})")
 
 
 class _SolveChain:
@@ -206,27 +157,9 @@ class _SolveChain:
         return 0.25 * (partial + self.suffix[idx + 1])
 
 
-def talenti_radial_solve(f: Callable, grid_size: int = _DEFAULT_GRID) -> RadialProfile:
-    """Radial solution of -Delta u = f with u = 0 at the boundary.
-
-    `f` must be the (radially decreasing, bounded) right-hand side as a
-    vectorized function of the radius.  The returned profile carries exact
-    first/second derivatives of the integrated interpolant, and the residual
-    -u'' - 3u'/rho - f vanishes identically for it by construction; a finite
-    difference check is still run on interior nodes as an independent guard.
-    """
-    radii, _ = _radius_grid(grid_size)
-    fv = np.asarray(f(radii), dtype=float)
-    if not np.all(np.isfinite(fv)):
-        raise NonFinite("right-hand side not finite on the sample grid")
-    return _solve_from_samples(
-        np.concatenate([[0.0], radii**4, [1.0]]), np.concatenate([fv[:1], fv, fv[-1:]])
-    )
-
-
 def _solve_from_samples(knots: np.ndarray, f_knots: np.ndarray) -> RadialProfile:
     chain = _SolveChain(knots, f_knots)
-    f_mu = _interp_in_mu(knots, f_knots)
+    f_mu = lambda mu: np.interp(mu, knots, f_knots)  # end values held outside the knots
 
     def value(r):
         rr = np.asarray(r, dtype=float)

@@ -108,7 +108,7 @@ def test_criterion_3_pointwise_embedding_series():
     worst_margin = 0.0
     for name in corpus_names():
         u = unit_energy(corpus_profile(name))
-        margin = pointwise_log_bound_margin(u)
+        margin = pointwise_log_bound_margin(u, laplacian_l2_sq(u))
         worst_margin = max(worst_margin, margin)
         assert margin <= 1.0 + 1e-9, name
 

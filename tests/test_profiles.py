@@ -300,12 +300,12 @@ def test_sigma_alpha_identity():
 
 
 def test_pointwise_margin_zero_profile():
-    assert pointwise_log_bound_margin(zero_profile()) == 0.0
+    assert pointwise_log_bound_margin(zero_profile(), 0.0) == 0.0
 
 
 def test_pointwise_margin_poly2():
     u = poly_profile(1)
-    m = pointwise_log_bound_margin(u)
+    m = pointwise_log_bound_margin(u, laplacian_l2_sq(u))
     assert m <= 1.0 + 1e-9
     # ratio at r = 1/e: |u| = 1 - e^{-2} against bound sqrt(1)*||Delta u||/(2 sqrt(omega3))
     lap = math.sqrt(32.0 * math.pi**2)
@@ -315,7 +315,7 @@ def test_pointwise_margin_poly2():
 
 def test_pointwise_margin_moser():
     u = unit_energy(corpus_profile("moser:1e-4:navier"))
-    assert pointwise_log_bound_margin(u) <= 1.0 + 1e-9
+    assert pointwise_log_bound_margin(u, laplacian_l2_sq(u)) <= 1.0 + 1e-9
 
 
 def test_exp_minus_taylor_consistency():

@@ -7,6 +7,7 @@ import pytest
 
 from henon4.errors import DomainError, PreconditionError
 from henon4.profiles import (
+    OMEGA_3,
     BoundaryKind,
     RadialProfile,
     corpus_profile,
@@ -15,10 +16,10 @@ from henon4.profiles import (
 )
 from henon4.rearrangement import (
     ComparisonReport,
-    decreasing_rearrangement,
+    _radius_grid,
+    _rearranged_knots,
     seeded_comparison_profiles,
     talenti_comparison_check,
-    talenti_radial_solve,
 )
 
 
@@ -27,21 +28,27 @@ def make_profile(value, d1, d2, desc) -> RadialProfile:
     return RadialProfile(wrap(value), wrap(d1), wrap(d2), BoundaryKind.NAVIER, desc)
 
 
+def rearranged(u, grid_size):
+    """mu-knots, sorted values and carried weights of |u| on the radius grid."""
+    radii, weights = _radius_grid(grid_size)
+    knots, sharp, w = _rearranged_knots(np.abs(u.value(radii)), weights)
+    return knots[1:-1], sharp[1:-1], w
+
+
 def test_rearrangement_idempotent_on_decreasing():
     u = poly_profile(1)
-    us = decreasing_rearrangement(u, grid_size=50_000)
-    r = np.linspace(0.02, 0.999, 400)
-    assert np.max(np.abs(us.value(r) - u.value(r))) < 1e-4
+    radii, _ = _radius_grid(50_000)
+    assert np.array_equal(rearranged(u, 50_000)[1], u.value(radii))
 
 
 def test_rearrangement_of_increasing_ramp():
     # u(r) = r has level sets |{u > lam}| = (pi^2/2)(1 - lam^4), so
-    # u#(rho) = (1 - rho^4)^{1/4}
+    # u#(mu) = (1 - mu)^{1/4}
     u = make_profile(lambda r: r, lambda r: np.ones_like(r), lambda r: np.zeros_like(r), "ramp")
-    us = decreasing_rearrangement(u, grid_size=50_000)
-    rho = np.linspace(0.05, 0.95, 200)
-    expected = (1.0 - rho**4) ** 0.25
-    assert np.max(np.abs(us.value(rho) - expected)) < 1e-4
+    mu, vals, _ = rearranged(u, 50_000)
+    inside = (mu >= 0.05**4) & (mu <= 0.95**4)
+    expected = (1.0 - mu[inside]) ** 0.25
+    assert np.max(np.abs(vals[inside] - expected)) < 1e-4
 
 
 def test_rearrangement_constant():
@@ -51,74 +58,43 @@ def test_rearrangement_constant():
         lambda r: np.zeros_like(r),
         "const",
     )
-    us = decreasing_rearrangement(u, grid_size=10_000)
-    rho = np.linspace(0.01, 0.99, 50)
-    assert np.allclose(us.value(rho), 0.7, atol=1e-12)
-
-
-def test_rearrangement_monotone_output():
-    u = corpus_profile("sinpoly")
-    us = decreasing_rearrangement(u, grid_size=50_000)
-    rho = np.linspace(0.01, 0.999, 500)
-    vals = us.value(rho)
-    assert np.all(np.diff(vals) <= 1e-14)
+    assert np.allclose(rearranged(u, 10_000)[1], 0.7, atol=1e-12)
 
 
 def measure_space_integral(profile, phi, n=1_000_000):
-    """integral_B phi(|profile|) dx via the 4-volume midpoint rule.
-
-    The rearranged interpolant has one kink per sample cell, which defeats
-    high-order adaptive quadrature; the dense measure-space rule is exact to
-    O(n^-2) there and works for any radial profile.
-    """
-    from henon4.profiles import OMEGA_3
-
+    """integral_B phi(|profile|) dx via the 4-volume midpoint rule."""
     mu = (np.arange(n) + 0.5) / n
     vals = np.abs(profile.value(mu**0.25))
     return OMEGA_3 / 4.0 * float(np.mean(phi(vals)))
 
 
+def slab_integral(u, phi, grid_size=100_000):
+    """integral_B phi(u#) dx summed over the measure slabs of the rearrangement."""
+    _, vals, w = rearranged(u, grid_size)
+    return OMEGA_3 / 4.0 * float(np.sum(w * phi(vals)))
+
+
 @pytest.mark.parametrize("name", ["poly2", "sinpoly", "ring:0.55:0.25"])
 def test_cavalieri_second_power(name):
     u = corpus_profile(name)
-    us = decreasing_rearrangement(u, grid_size=100_000)
     lhs = weighted_lp_norm_p(u, 2.0, 0.0)
-    rhs = measure_space_integral(us, lambda s: s * s)
+    rhs = slab_integral(u, lambda s: s * s)
     assert rhs == pytest.approx(lhs, rel=1e-6)
 
 
 def test_cavalieri_increasing_transform():
     # Cavalieri for a different continuous increasing Phi
     u = corpus_profile("sinpoly")
-    us = decreasing_rearrangement(u, grid_size=100_000)
     phi = lambda s: np.expm1(s)
     lhs = measure_space_integral(u, phi)
-    rhs = measure_space_integral(us, phi)
+    rhs = slab_integral(u, phi)
     assert rhs == pytest.approx(lhs, rel=1e-6)
 
 
-def test_talenti_solve_zero():
-    u = talenti_radial_solve(lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-    rho = np.linspace(0.05, 1.0, 50)
-    assert np.allclose(u.value(rho), 0.0, atol=1e-14)
-
-
-def test_talenti_solve_constant_8():
-    # -Delta(1 - rho^2) = 8 in R^4
-    u = talenti_radial_solve(lambda r: np.full_like(np.asarray(r, dtype=float), 8.0))
-    rho = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(u.value(rho) - (1.0 - rho**2))) < 1e-9
-
-
-def test_talenti_solve_linearity():
-    u = talenti_radial_solve(lambda r: np.full_like(np.asarray(r, dtype=float), 4.0))
-    rho = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(u.value(rho) - 0.5 * (1.0 - rho**2))) < 1e-9
-
-
-def test_comparison_equality_case():
-    # v = 1 - r^2 has f = -Delta v = 8 already rearranged: u = v# = v
-    rep = talenti_comparison_check(poly_profile(1), grid_size=50_000)
+@pytest.mark.parametrize("c", [1.0, 0.5], ids=["f8", "f4"])
+def test_comparison_equality_case(c):
+    # v = c (1 - r^2) has f = -Delta v = 8c already rearranged: u = v# = v
+    rep = talenti_comparison_check(poly_profile(1).scaled(c), grid_size=50_000)
     assert rep.holds
     assert abs(rep.min_gap) < 1e-9
 
@@ -183,12 +159,8 @@ def test_comparison_peak_memory():
 @pytest.mark.parametrize("grid_size", [0, -3, 15, 2.5, True, 16.0])
 @pytest.mark.parametrize(
     "entry",
-    [
-        lambda g: decreasing_rearrangement(poly_profile(1), g),
-        lambda g: talenti_radial_solve(np.ones_like, g),
-        lambda g: talenti_comparison_check(poly_profile(1), grid_size=g),
-    ],
-    ids=["decreasing_rearrangement", "talenti_radial_solve", "talenti_comparison_check"],
+    [lambda g: talenti_comparison_check(poly_profile(1), grid_size=g)],
+    ids=["talenti_comparison_check"],
 )
 def test_grid_size_rule(entry, grid_size):
     if type(grid_size) is int:
