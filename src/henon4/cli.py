@@ -226,7 +226,10 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 
     rel_tol = params.pop("rel_tol", None)
     max_subdiv = params.pop("max_subdiv", None)
-    out_dir = params.pop("out_dir", None) or os.environ.get("HENON4_OUT_DIR", "out")
+    out_dir = params.pop("out_dir", None)
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    out_dir = out_dir or os.environ.get("HENON4_OUT_DIR", "out")
     fmt = params.pop("format", "both")
     if fmt not in _FLAGS["format"]["choices"]:
         raise ConfigError(f"unknown format {fmt!r}")

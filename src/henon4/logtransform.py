@@ -10,7 +10,9 @@ radial profile on (0, 1] into a function on [0, infinity) with w(0) = 0, and
               exp( sigma w^2 / (4 OMEGA_3 gamma) - (alpha+4) t / gamma ) dt.
 
 With gamma = alpha + 4 and sigma at the sharp threshold the exponent reduces
-to w^2 - t.  A second exact identity comes from v(t) = u(1/sqrt(t)):
+to w^2 - t.  The package computes F only as `profiles.weighted_functional`.
+
+A second exact identity comes from v(t) = u(1/sqrt(t)):
 
     integral_B |Delta u|^2 dx = 8 OMEGA_3 int_1^inf |v''(t)|^2 t^3 dt.
 
@@ -41,7 +43,6 @@ __all__ = [
     "to_log_profile",
     "log_energy",
     "sqrt_transform_energy",
-    "weighted_exp_integral_log",
     "marshall_moser_integral",
     "PsiMember",
     "marshall_moser_family",
@@ -122,31 +123,6 @@ def sqrt_transform_energy(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC)
 
     bps = tuple(b**-2.0 for b in u.breakpoints if 0.0 < b < 1.0)
     return 8.0 * OMEGA_3 * integrate_halfline(integrand, 1.0, spec, bps).value
-
-
-def weighted_exp_integral_log(
-    wp: LogProfile,
-    alpha: float,
-    sigma: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """The weighted exponential functional evaluated in the log variable.
-
-    Returns (OMEGA_3/gamma) int_0^inf exp(sigma w^2/(4 OMEGA_3 gamma)
-    - (alpha+4) t/gamma) dt.  A super-threshold input, whose integrand grows
-    along t, raises Divergent from `integrate_halfline`'s block test; that is
-    meaningful output, not a failure of the quadrature.
-    """
-    g = wp.gamma
-    cw = sigma / (4.0 * OMEGA_3 * g)
-    ct = (alpha + 4.0) / g
-
-    def integrand(t):
-        tt = np.asarray(t, dtype=float)
-        ww = wp.w(tt)
-        return np.exp(cw * ww * ww - ct * tt)
-
-    return OMEGA_3 / g * integrate_halfline(integrand, 0.0, spec, wp.breakpoints).value
 
 
 # ---------------------------------------------------------------------------

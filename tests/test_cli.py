@@ -329,6 +329,16 @@ def test_rejected_inputs_exit_2_and_write_nothing(tmp_path, capsys, argv, config
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out_dir", [5, ["a"], False], ids=repr)
+def test_config_out_dir_not_a_string_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, out_dir):
+    # the flag would override the key, so the config file alone names out_dir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": out_dir}))
+    assert main(["threshold-scan", "--config", "cfg.json"]) == 2
+    assert "configuration error: out_dir must be a string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 _NON_INTEGER = [
     (["threshold-scan"], {"max_subdiv": 2.7}, "max_subdivisions"),
     (["symmetry-sweep"], {"seed": 1.5}, "seed"),

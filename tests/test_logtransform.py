@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from henon4.errors import Divergent, DomainError, PreconditionError
+from henon4.errors import DomainError, PreconditionError
 from henon4.logtransform import (
     LogProfile,
     log_energy,
@@ -13,19 +13,16 @@ from henon4.logtransform import (
     marshall_moser_integral,
     sqrt_transform_energy,
     to_log_profile,
-    weighted_exp_integral_log,
 )
 from henon4.profiles import (
     OMEGA_3,
     BoundaryKind,
-    FunctionalParams,
     corpus_profile,
     laplacian_l2_sq,
     poly_profile,
-    sigma_alpha,
     unit_energy,
-    weighted_functional,
 )
+from henon4.quadrature import QuadratureSpec, integrate, integrate_halfline
 
 TWO_PIECE_VALUE = 1.848872767005  # 1 + int_0^1 e^{t^2 - t} dt (Taylor series oracle)
 
@@ -106,49 +103,6 @@ def test_exact_identity_triple(name):
         assert abs(log_form - radial) <= 1e-8 * radial
 
 
-def test_weighted_exp_integral_matches_functional():
-    for name in ("poly2", "cos2"):
-        u = corpus_profile(name)
-        for alpha, sigma in ((0.0, 1.0), (0.0, 10.0), (3.0, 25.0)):
-            direct = weighted_functional(u, FunctionalParams(alpha, sigma, None))
-            via_log = weighted_exp_integral_log(
-                to_log_profile(u, alpha + 4.0), alpha, sigma
-            )
-            assert via_log == pytest.approx(direct, rel=1e-8)
-
-
-def test_weighted_exp_integral_measure_of_ball():
-    z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    wp = LogProfile(4.0, z, z, z, source="zero")
-    got = weighted_exp_integral_log(wp, 0.0, 1.0)
-    assert got == pytest.approx(OMEGA_3 / 4.0, rel=1e-10)
-
-
-def test_weighted_exp_integral_sqrt_t_divergent():
-    # w = sqrt(t) at threshold: integrand identically 1, tail never decays
-    w = lambda t: np.sqrt(np.asarray(t, dtype=float))
-    w1 = lambda t: 0.5 / np.sqrt(np.maximum(np.asarray(t, dtype=float), 1e-300))
-    w2 = lambda t: -0.25 * np.maximum(np.asarray(t, dtype=float), 1e-300) ** -1.5
-    alpha = 0.0
-    gamma = alpha + 4.0
-    sigma_alpha = 32.0 * math.pi**2
-    wp = LogProfile(gamma, w, w1, w2, source="sqrt(t)")
-    with pytest.raises(Divergent):
-        weighted_exp_integral_log(wp, alpha, sigma_alpha)
-
-
-@pytest.mark.parametrize("k", [1.05, 1.5])
-def test_weighted_exp_integral_super_threshold_divergent(k):
-    # w = k sqrt(t) at sigma_alpha: the integrand is exp((k^2 - 1) t); for
-    # k = 1.5 the first round overflows beyond t ~ 570
-    w = lambda t: k * np.sqrt(np.asarray(t, dtype=float))
-    alpha = 4.0
-    wp = LogProfile(alpha + 4.0, w, w, w, source=f"{k} sqrt(t)")
-    with pytest.raises(Divergent) as info:
-        weighted_exp_integral_log(wp, alpha, sigma_alpha(alpha))
-    assert str(info.value) == "tail blocks non-decreasing over 8 doublings (t up to 511)"
-
-
 def test_marshall_moser_zero_member():
     val = marshall_moser_integral(
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -192,6 +146,19 @@ def test_marshall_moser_family_size_and_admissibility():
     fam = marshall_moser_family()
     assert len(fam) >= 20
     assert all(m.l2_sq <= 1.0 + 1e-12 for m in fam)
+
+
+@pytest.mark.parametrize("member", marshall_moser_family(), ids=lambda m: m.name)
+def test_marshall_moser_family_closed_forms_match_psi(member):
+    # the lemma's hypothesis is about psi itself: its stored mass and
+    # cumulative must be what psi integrates to
+    spec = QuadratureSpec(rel_tol=1e-13)
+    bps = member.breakpoints
+    mass = integrate_halfline(lambda t: member.psi(t) ** 2, 0.0, spec, bps).value
+    assert mass == pytest.approx(member.l2_sq, rel=1e-12, abs=1e-15)
+    for t in (0.3, 1.7, 5.0, 13.0, 80.0):
+        partial = integrate(member.psi, 0.0, t, spec, [b for b in bps if b < t]).value
+        assert partial == pytest.approx(float(member.cumulative(t)), rel=1e-12, abs=1e-15)
 
 
 def test_marshall_moser_precondition():

@@ -173,6 +173,65 @@ def test_weighted_functional_is_accurate_to_rel_tol_when_small():
 
 
 _SIGMA = 32.0 * math.pi**2
+
+
+def _beta_series(c: float, q: float, alpha: float, sigma: float, m) -> float:
+    """F_m of u = c (1 - r^q): with t = r^q it is (OMEGA_3/q) sum_{k>m}
+    (sigma c^2)^k / k! * B((alpha+4)/q, 2k+1), from k = 0 when m is None.
+    B(a, n+1) = n! / prod_{j=0}^{n} (a+j) makes each term the last one times
+    a ratio, so the sum is safe in floats."""
+    a = (alpha + 4.0) / q
+    x = sigma * c * c
+    first = 0 if m is None else m + 1
+    term, total, k = 1.0 / a, 0.0, 0
+    while True:
+        if k >= first:
+            total += term
+            if term <= 2.0**-60 * total:
+                return OMEGA_3 / q * total
+        k += 1
+        term *= x / k * (2 * k) * (2 * k - 1) / ((a + 2 * k - 1) * (a + 2 * k))
+
+
+_ALPHA_SIGMA_GRID = [(0.0, 1.0), (0.0, 10.0), (3.0, 25.0)]
+_BETA_ALPHAS = [0.0, 4.0, 16.0, 64.0, 512.0, 4096.0, 131072.0, 2.0**20, 2.0**24]
+_BETA_CASES = [
+    pytest.param(1.0, 2.0, alpha, sigma, None, id=f"poly2-alpha{alpha:g}-sigma{sigma:g}")
+    for alpha, sigma in _ALPHA_SIGMA_GRID
+] + [
+    # c^2 = 1/E_q with E_q = OMEGA_3 q (q+2)^2 / 2, the energy of 1 - r^q
+    pytest.param(
+        1.0 / math.sqrt(OMEGA_3 * q * (q + 2.0) ** 2 / 2.0), q, alpha, _SIGMA, m,
+        id=f"unit-pow:{q:g}-m{m}-alpha{alpha:g}",
+    )
+    for q in (2.0, 6.0)
+    for m in (1, 2)
+    for alpha in _BETA_ALPHAS
+]
+
+
+@pytest.mark.parametrize("c, q, alpha, sigma, m", _BETA_CASES)
+def test_weighted_functional_matches_the_beta_series(c, q, alpha, sigma, m):
+    # poly2 is the one case with c = 1.  In r the boundary layer at r = 1
+    # costs digits past alpha = 4096: 5.97e-11 at q = 6, m = 2, alpha = 2^24,
+    # and more than rel_tol by alpha = 1e8
+    u = corpus_profile("poly2") if c == 1.0 else power_profile(q).scaled(c)
+    got = weighted_functional(u, FunctionalParams(alpha, sigma, m))
+    rel = 1e-13 if alpha <= 4096.0 else _RELATIVE.rel_tol
+    assert got == pytest.approx(_beta_series(c, q, alpha, sigma, m), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, sigma", _ALPHA_SIGMA_GRID)
+def test_weighted_functional_of_cos2_matches_mpmath(alpha, sigma):
+    mpmath = pytest.importorskip("mpmath")
+    got = weighted_functional(corpus_profile("cos2"), FunctionalParams(alpha, sigma, None))
+    with mpmath.workdps(30):
+        u = lambda r: (1 + mpmath.cos(mpmath.pi * r)) / 2
+        f = lambda r: r ** (alpha + 3) * mpmath.exp(sigma * u(r) ** 2)
+        exact = float(2 * mpmath.pi**2 * mpmath.quad(f, [0, 1]))
+    assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
 _WEIGHTED_INTEGRALS = {
     "F_1": lambda u, alpha: weighted_functional(u, FunctionalParams(alpha, _SIGMA, 1), _RELATIVE),
     "F_2": lambda u, alpha: weighted_functional(u, FunctionalParams(alpha, _SIGMA, 2), _RELATIVE),

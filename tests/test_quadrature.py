@@ -125,10 +125,12 @@ def test_halfline_growing_integrand_divergent():
 _DIVERGENT_MESSAGE = "tail blocks non-decreasing over 8 doublings (t up to 511)"
 
 
-@pytest.mark.parametrize("rate", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("rate", [0.01, 1.0, 100.0, 0.1025, 1.25])
 def test_halfline_exponential_growth_divergent(rate):
     # far blocks overflow in the first round (for rate 100 from t = 3 on);
-    # an overflowing block counts as growth
+    # an overflowing block counts as growth.  Rates 0.1025 and 1.25 are
+    # k^2 - 1 for k = 1.05 and 1.5: exp(w^2 - t) of the super-threshold
+    # log profile w = k sqrt(t)
     with pytest.raises(Divergent) as info:
         integrate_halfline(lambda t: np.exp(rate * t), 0.0)
     assert str(info.value) == _DIVERGENT_MESSAGE
