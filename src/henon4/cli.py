@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import DomainError, Henon4Error, as_index
+from .errors import DomainError, Henon4Error, as_float, as_index
 from .logtransform import log_energy, sqrt_transform_energy, to_log_profile
 from .moser import MoserParams, blowup_scan
 from .profiles import (
@@ -236,7 +234,7 @@ def build_config(argv: Sequence[str]) -> RunConfig:
     given = {}  # QuadratureSpec holds the defaults of what is not given
     try:
         if rel_tol is not None:
-            given["rel_tol"] = float(rel_tol)
+            given["rel_tol"] = as_float(rel_tol, "rel_tol")
         if max_subdiv is not None:
             given["max_subdivisions"] = max_subdiv
         quadrature = QuadratureSpec(**given)
@@ -258,11 +256,11 @@ def _resolve(command: str, p: dict) -> dict:
     default is written here once.  `run` maps what they raise to ConfigError.
     """
     # alpha, sigma and m pass the library's rules whatever the command uses
-    alpha = float(p.get("alpha", 0.0))
+    alpha = as_float(p.get("alpha", 0.0), "alpha")
     sigma = resolve_sigma(str(p["sigma"]), alpha) if "sigma" in p else 1.0
     FunctionalParams(alpha, sigma, p.get("m"))
     if command == "verify-identities":
-        alpha = float(p.get("alpha", 16.0))
+        alpha = as_float(p.get("alpha", 16.0), "alpha")
         profiles = [corpus_profile(name) for name in corpus_names()]
         return {
             "alpha": alpha,
@@ -276,7 +274,7 @@ def _resolve(command: str, p: dict) -> dict:
         grid = [FunctionalParams(a, resolve_sigma(token, a)) for a in alphas]
         return {"sigma_token": token, "grid": grid, "bounds": [series_upper_bound(q, 1.0) for q in grid]}
     if command == "moser-blowup":
-        beta = float(p.get("beta", 1.2))
+        beta = as_float(p.get("beta", 1.2), "beta")
         bc = BoundaryKind(p.get("bc", "navier"))
         eps = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
         return {
@@ -368,7 +366,7 @@ def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: 
     rows = []
     failures = 0
     profiles = [corpus_profile(name) for name in corpus_names()]
-    units = laplacian_l2_sq_batch(profiles, spec, lambda i, energy: scale_to_unit(profiles[i], energy))
+    units = [scale_to_unit(u, energy) for u, energy in zip(profiles, laplacian_l2_sq_batch(profiles, spec))]
     for params, bound in zip(grid, bounds):
         # one row's corpus in lockstep: a failing row still prints the rows before it
         worst = 0.0

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer-argument check
-that raises one."""
+"""Exception types shared across the package, and the integer- and
+float-argument checks that raise one."""
 
 import operator
 
@@ -49,3 +49,15 @@ def as_index(value, name: str) -> int:
         except TypeError:
             pass
     raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def as_float(value, name: str) -> float:
+    """`value` as a float, as float() takes it but without bool (a JSON
+    `true` is no number); anything float() refuses is a DomainError that
+    names the argument."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a number, got {value!r}")

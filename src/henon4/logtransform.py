@@ -102,7 +102,14 @@ def log_energy(wp: LogProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """int_0^inf (gamma/2 * w'' - w')^2 dt, integrated as gamma * int_0^inf
     f(gamma s) ds: a transformed profile varies on the scale t ~ gamma, and
     in s = t/gamma its tail decays within the half-line's first doublings
-    at every gamma."""
+    at every gamma.
+
+    In s the integrand does not depend on gamma: with r = e^{-s},
+    gamma (gamma/2 w'' - w')^2 = OMEGA_3 r^2 (r u'' + 3 u')^2, and the
+    breakpoints b/gamma are -log of the profile's.  Two gammas of one
+    profile differ only in the rounding of `to_log_profile`'s constants, so
+    an identity check over several gammas checks those constants, not
+    independent integrals."""
     g = wp.gamma
 
     def integrand(s):

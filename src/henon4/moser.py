@@ -254,31 +254,21 @@ def blowup_scan(
 
     params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
 
-    # Per epsilon, in order: the member, its integral, its value check (the
-    # batch's `then`).  The members before a failed construction are
-    # integrated in lockstep first, so that their failures come before it.
-    members, norm_sqs, rejected = [], [], None
+    # every member is built, and so checked, before the first integral
+    members, norm_sqs = [], []
     for eps in eps_list:
-        try:
-            mp = MoserParams(eps, bc)
-            if bc is BoundaryKind.NAVIER:
-                u, norm_sq = moser_navier(mp), navier_norm_sq_exact(eps)
-            else:
-                u, norm_sq = moser_dirichlet(mp), dirichlet_norm_sq_exact(eps)
-            members.append(scale_to_unit(u, norm_sq))
-        except Exception as exc:  # raised in its place, below
-            rejected = exc
-            break
+        mp = MoserParams(eps, bc)
+        if bc is BoundaryKind.NAVIER:
+            u, norm_sq = moser_navier(mp), navier_norm_sq_exact(eps)
+        else:
+            u, norm_sq = moser_dirichlet(mp), dirichlet_norm_sq_exact(eps)
+        members.append(scale_to_unit(u, norm_sq))
         norm_sqs.append(norm_sq)
 
-    def checked(i: int, val: float) -> float:
+    values = weighted_functional_batch([(u, params) for u in members], spec)
+    for eps, val in zip(eps_list, values):
         if not 0.0 < val < math.inf:
-            raise NonFinite(f"value = {val!r} at epsilon={eps_list[i]:g}: log_value needs its log")
-        return val
-
-    values = weighted_functional_batch([(u, params) for u in members], spec, checked)
-    if rejected is not None:
-        raise rejected
+            raise NonFinite(f"value = {val!r} at epsilon={eps:g}: log_value needs its log")
     log_values = [math.log(val) for val in values]
     lbes = [(alpha + 4.0) / 4.0 * ((beta - 1.0) * -math.log(eps) - 4.0) for eps in eps_list]
 

@@ -211,15 +211,10 @@ def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> fl
     return OMEGA_3 * res.value
 
 
-def laplacian_l2_sq_batch(
-    profiles: Sequence[RadialProfile],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    then: Optional[Callable] = None,
-) -> list:
-    """`laplacian_l2_sq` of each profile, bit for bit, in lockstep
-    (`integrate_batch`; `then(i, energy)` as there)."""
+def laplacian_l2_sq_batch(profiles: Sequence[RadialProfile], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
+    """`laplacian_l2_sq` of each profile, bit for bit, in lockstep (`integrate_batch`)."""
     integrands = [_laplacian_integrand(u) for u in profiles]
-    return _omega_batch(_each(integrands), [(0.0, 1.0, u.breakpoints) for u in profiles], spec, then)
+    return _omega_batch(_each(integrands), [(0.0, 1.0, u.breakpoints) for u in profiles], spec)
 
 
 def _each(integrands: Sequence[Callable]) -> Callable:
@@ -234,10 +229,9 @@ def _each(integrands: Sequence[Callable]) -> Callable:
     return f
 
 
-def _omega_batch(f: Callable, intervals: list, spec: QuadratureSpec, then=None) -> list:
-    """OMEGA_3 times each integral of `integrate_batch`, passed to `then`."""
-    then = then or (lambda i, value: value)
-    return integrate_batch(f, intervals, spec, lambda i, res: then(i, OMEGA_3 * res.value))
+def _omega_batch(f: Callable, intervals: list, spec: QuadratureSpec) -> list:
+    """OMEGA_3 times each integral of `integrate_batch`."""
+    return [OMEGA_3 * res.value for res in integrate_batch(f, intervals, spec)]
 
 
 # Deepest level of the ladder in `_weight_partition`; 1 - 2^-53 is the last
@@ -308,15 +302,11 @@ def weighted_functional(
     return OMEGA_3 * res.value
 
 
-def weighted_functional_batch(
-    problems: Sequence[tuple],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    then: Optional[Callable] = None,
-) -> list:
+def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
     """`weighted_functional` of each (profile, params) pair, bit for bit, in
-    lockstep (`integrate_batch`; `then(i, value)` as there).  Each round sums
-    the series of all problems of one m with one `exp_minus_taylor` call,
-    whose values do not depend on the other z values of the call."""
+    lockstep (`integrate_batch`).  Each round sums the series of all
+    problems of one m with one `exp_minus_taylor` call, whose values do not
+    depend on the other z values of the call."""
     problems = list(problems)
     terms = [_functional_terms(u, p.alpha, p.sigma) for u, p in problems]
 
@@ -335,7 +325,7 @@ def weighted_functional_batch(
         return out
 
     intervals = [(0.0, 1.0, _weight_partition(p.alpha, u.breakpoints)) for u, p in problems]
-    return _omega_batch(f, intervals, spec, then)
+    return _omega_batch(f, intervals, spec)
 
 
 def _lp_integrand(u: RadialProfile, pexp: float, alpha: float) -> Callable:
@@ -368,20 +358,11 @@ def weighted_lp_norm_p(
 
 def weighted_lp_norm_p_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
     """`weighted_lp_norm_p` of each (profile, pexp, alpha), bit for bit, in
-    lockstep (`integrate_batch`).  A rejected pexp or alpha fails its
-    problem in its place: the problems before it are integrated first."""
-    integrands, intervals, rejected = [], [], None
-    for u, pexp, alpha in problems:
-        try:
-            integrands.append(_lp_integrand(u, pexp, alpha))
-        except DomainError as exc:
-            rejected = exc
-            break
-        intervals.append((0.0, 1.0, _weight_partition(alpha, u.breakpoints)))
-    values = _omega_batch(_each(integrands), intervals, spec)
-    if rejected is not None:
-        raise rejected
-    return values
+    lockstep (`integrate_batch`).  Every pexp and alpha is checked before
+    the first integral."""
+    integrands = [_lp_integrand(u, pexp, alpha) for u, pexp, alpha in problems]
+    intervals = [(0.0, 1.0, _weight_partition(alpha, u.breakpoints)) for u, _, alpha in problems]
+    return _omega_batch(_each(integrands), intervals, spec)
 
 
 def embedding_bound(pexp: float, alpha: float, lap_norm: float) -> float:

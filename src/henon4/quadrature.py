@@ -39,6 +39,8 @@ raise during it, and if anything raises (a bad interval, a failed
 integral, the integrand, or a floating-point warning), the batch is
 computed again as the loop of `integrate` it stands for, which raises the
 loop's first failure and issues the loop's warnings in the loop's order.
+A batch returns its integrals and nothing else: a caller checks their values
+once it has them all, and checks its inputs before the batch starts.
 A silent batch returns the bits of the loop on two conditions, which the
 batch integrands of `profiles` keep:
   - every parameter of one problem's integrand is a scalar, as in its lone
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -208,46 +210,36 @@ def integrate(
     return res
 
 
-def integrate_batch(
-    f: Callable,
-    problems: Sequence[tuple],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    then: Optional[Callable] = None,
-) -> list:
+def integrate_batch(f: Callable, problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
     """Adaptive integrals of independent problems in lockstep, one GK15 round
     for all of them: what a loop of `integrate` would return, bit for bit.
 
     `problems[i]` is `(a, b)` or `(a, b, breakpoints)`.  The batch integrand
     `f(x, parts)` gets the joined abscissae of one round, and `parts` lists
     `(i, sl)` per problem, in input order: `x[sl]` are problem i's, and the
-    returned array holds f_i there.  `then(i, result)`, the loop's next step
-    after integral i, runs in input order once the integrals are done: what
-    it returns is problem i's outcome and what it raises is problem i's
-    failure.  Returns one outcome per problem, in input order (the
-    IntegralResult without `then`).
+    returned array holds f_i there.  Returns one IntegralResult per problem,
+    in input order, or raises the first failure of the loop.
 
     The lockstep run is kept only if it is silent: it runs with each numpy
     floating-point mode that is 'warn' set to 'raise' (other modes stay as
     the caller set them), and if anything in it raises, its results are
-    dropped and the batch is the loop `then(i, integrate(f_i, a, b, spec,
-    breakpoints))` over i, which raises the first failure and issues the
+    dropped and the batch is the loop `integrate(f_i, a, b, spec,
+    breakpoints)` over i, which raises the first failure and issues the
     warnings of the loop, in its order.
     """
     if not problems:
         return []
-    then = then or (lambda i, res: res)
     raising = {kind: "raise" for kind, mode in np.geterr().items() if mode == "warn"}
     try:
         with np.errstate(**raising):
             split = [(i, *_partition(*problem)) for i, problem in enumerate(problems)]
             states = [(los, his, *res) for (_, los, his), res in zip(split, _round(f, split))]
-            results = _refine(f, states, spec, _name_x)
+            return _refine(f, states, spec, _name_x)
     except Exception:
         return [
-            then(i, integrate(lambda x: f(x, ((i, slice(None)),)), a, b, spec, *bps))
+            integrate(lambda x: f(x, ((i, slice(None)),)), a, b, spec, *bps)
             for i, (a, b, *bps) in enumerate(problems)
         ]
-    return [then(i, res) for i, res in enumerate(results)]
 
 
 def _round(f: Callable, split: list) -> list:

@@ -472,11 +472,9 @@ def crossover_detect(
     check_sweep(p, alphas)
 
     rows = []
-    base = None
+    base = _paper_base(p, bump, spec)
     for a in alphas:
         bump_exact = translated_bump_value(a, p, bump, spec)
-        if base is None:  # integrated once per sweep, where the first alpha needed it
-            base = _paper_base(p, bump, spec)
         bump_bound = _paper_bound(a, base)
         radial_val, radial_prof = radial_max_search(a, p, spec)
         for name, v in (("bump_exact", bump_exact), ("radial_max", radial_val)):

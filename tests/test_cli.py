@@ -310,6 +310,10 @@ _REJECTED = [
     (["symmetry-sweep"], {"m": True}),
     (["moser-blowup"], {"m": 2.0}),
     (["verify-identities", "--alpha", "1e300"], None),
+    (["verify-identities"], {"alpha": True}),
+    (["threshold-scan"], {"alpha": False}),
+    (["threshold-scan"], {"rel_tol": True}),
+    (["moser-blowup"], {"beta": True}),
 ]
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,28 @@ MODULES = ("quadrature", "profiles", "logtransform", "moser", "rearrangement", "
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _unused_imports(path):
+    """The names a module imports and never references."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__` imports only to re-export
+    package = Path(importlib.import_module("henon4").__file__).parent
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    ]
+    assert unused == []

@@ -154,13 +154,15 @@ def test_blowup_scan_validation():
 
 
 def test_blowup_scan_rejects_its_first_epsilon_before_any_integral(monkeypatch):
-    # the members before the rejected one are none: an empty batch
+    # every member is built before the first integral, wherever the bad one is
     def kernel(f, los, his):
         raise AssertionError("_gk15_batch called")
 
     monkeypatch.setattr(quadrature, "_gk15_batch", kernel)
     with pytest.raises(DomainError, match=r"epsilon must lie in \(0, e\^-2\), got 0.5"):
         blowup_scan(0.0, 1.2, [0.5, 0.1])
+    with pytest.raises(DomainError, match=r"epsilon must lie in \(0, e\^-2\), got 0.0"):
+        blowup_scan(0.0, 1.2, [0.1, 0.0])
 
 
 def test_blowup_diverging_navier():
