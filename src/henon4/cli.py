@@ -5,8 +5,9 @@ Commands (one table, `_COMMANDS`, maps each to its report stem and body)
 
     verify-identities   energy identities, pointwise log bound margins,
                         weighted-norm embedding and series-bound properties
-                        over the built-in corpus; --alpha sets the third
-                        gamma = alpha + 4 of the energy-identity triple
+                        over the built-in corpus; --alpha sets the gamma =
+                        alpha + 4 of the log-form energy identity (refused
+                        above about 3.2e205)
     threshold-scan      per-alpha table: sharp threshold, series bound and
                         the largest corpus value of the functional
     moser-blowup        threshold-sharpness scan along an epsilon ladder
@@ -265,8 +266,9 @@ def _resolve(command: str, p: dict) -> dict:
         return {
             "alpha": alpha,
             "profiles": profiles,
-            # alpha sets the third gamma of the energy-identity triple
-            "log_profiles": [[to_log_profile(u, g) for g in (1.0, 4.0, alpha + 4.0)] for u in profiles],
+            # the log form at the paper's gamma = alpha + 4: in s = t/gamma its
+            # integrand is the same at every gamma, so one gamma checks it
+            "log_profiles": [to_log_profile(u, alpha + 4.0) for u in profiles],
         }
     if command == "threshold-scan":
         token = str(p.get("sigma", "0.9*sigma_alpha"))
@@ -313,12 +315,9 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
     energies = laplacian_l2_sq_batch(profiles, spec)
     units = [scale_to_unit(u, energy) for u, energy in zip(profiles, energies)]
 
-    for name, u, radial, triple in zip(names, profiles, energies, log_profiles):
-        sqrt_form = sqrt_transform_energy(u, spec)
-        worst = abs(sqrt_form - radial) / radial
-        for wp in triple:
-            log_form = log_energy(wp, spec)
-            worst = max(worst, abs(log_form - radial) / radial)
+    for name, u, radial, wp in zip(names, profiles, energies, log_profiles):
+        forms = (sqrt_transform_energy(u, spec), log_energy(wp, spec))
+        worst = max(abs(form - radial) / radial for form in forms)
         ok = worst <= 1e-8
         failures += not ok
         rows.append(("energy-identity", name, worst, ok))
@@ -374,10 +373,10 @@ def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: 
             worst = max(worst, val)
         ok = worst <= bound * (1.0 + 1e-8)
         failures += not ok
-        rows.append((params.alpha, params.sigma_alpha(), bound, worst))
+        rows.append((params.alpha, sigma_alpha(params.alpha), bound, worst))
         _print(
             f"[{'PASS' if ok else 'FAIL'}] alpha={params.alpha:g} "
-            f"sigma_alpha={params.sigma_alpha():.6g} bound={bound:.6g} max_corpus={worst:.6g}"
+            f"sigma_alpha={sigma_alpha(params.alpha):.6g} bound={bound:.6g} max_corpus={worst:.6g}"
         )
     report = TableReport(
         meta={"suite": "threshold-scan", "sigma": sigma_token},

@@ -52,10 +52,10 @@ def as_index(value, name: str) -> int:
 
 
 def as_float(value, name: str) -> float:
-    """`value` as a float, as float() takes it but without bool (a JSON
-    `true` is no number); anything float() refuses is a DomainError that
-    names the argument."""
-    if not isinstance(value, bool):
+    """`value` as a float, as float() takes it but without bool or str (a
+    JSON `true` or `"16"` is no number); anything else float() refuses is a
+    DomainError that names the argument."""
+    if not isinstance(value, (bool, str)):
         try:
             return float(value)
         except (TypeError, ValueError):

@@ -57,7 +57,6 @@ class LogProfile:
     w: Callable
     w1: Callable
     w2: Callable
-    source: str = ""
     breakpoints: tuple = ()
 
 
@@ -95,7 +94,7 @@ def to_log_profile(u: RadialProfile, gamma: float) -> LogProfile:
         return curv * r * (u.d1(r) + r * u.d2(r))
 
     bps = tuple(gamma * (-math.log(b)) for b in u.breakpoints if 0.0 < b < 1.0)
-    return LogProfile(gamma, w, w1, w2, source=u.description, breakpoints=bps)
+    return LogProfile(gamma, w, w1, w2, breakpoints=bps)
 
 
 def log_energy(wp: LogProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:

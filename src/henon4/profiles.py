@@ -118,9 +118,6 @@ class FunctionalParams:
         if self.m is not None and as_index(self.m, "m") < 0:
             raise DomainError("m must be a natural number when present")
 
-    def sigma_alpha(self) -> float:
-        return sigma_alpha(self.alpha)
-
 
 def sigma_alpha(alpha: float) -> float:
     """The sharp weighted threshold 32 pi^2 (1 + alpha/4)."""
@@ -397,7 +394,7 @@ def series_upper_bound(p: FunctionalParams, lap_norm: float) -> float:
     """
     if not lap_norm >= 0.0:
         raise DomainError(f"lap_norm must be >= 0, got {lap_norm!r}")
-    sa = p.sigma_alpha()
+    sa = sigma_alpha(p.alpha)
     if p.sigma >= sa:
         raise ThresholdError(f"sigma = {p.sigma:.6g} >= sigma_alpha = {sa:.6g}")
     if lap_norm > 1.0 + 1e-9:

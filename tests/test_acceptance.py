@@ -38,6 +38,7 @@ from henon4.profiles import (
     laplacian_l2_sq,
     pointwise_log_bound_margin,
     series_upper_bound,
+    sigma_alpha,
     unit_energy,
     weighted_functional,
     weighted_lp_norm_p,
@@ -127,7 +128,7 @@ def test_criterion_3_pointwise_embedding_series():
     for name in corpus_names():
         u = unit_energy(corpus_profile(name))
         for alpha in (0.0, 1.0, 4.0, 16.0):
-            sigma = 0.9 * FunctionalParams(alpha, 1.0, None).sigma_alpha()
+            sigma = 0.9 * sigma_alpha(alpha)
             for m in (None, 0, 1, 2):
                 params = FunctionalParams(alpha, sigma, m)
                 val = weighted_functional(u, params)
@@ -153,10 +154,7 @@ def test_criterion_4_threshold_sharpness():
             assert lv >= floor - 1.0
         bnd = blowup_scan(alpha, 0.8, navier_eps)
         assert bnd.verdict == "Bounded", f"alpha={alpha}"
-        cap = series_upper_bound(
-            FunctionalParams(alpha, 0.8 * FunctionalParams(alpha, 1.0).sigma_alpha(), None),
-            1.0,
-        )
+        cap = series_upper_bound(FunctionalParams(alpha, 0.8 * sigma_alpha(alpha), None), 1.0)
         assert all(v <= cap + 1e-8 for v in bnd.values)
 
     # Dirichlet members: the cap's energy excess decays only like log L / L,

@@ -276,7 +276,7 @@ def test_each_command_writes_its_documented_reports(tmp_path, argv, stem, fmt, g
 
 @pytest.mark.parametrize("alpha", ["508", "4092", "1e6"])
 def test_verify_identities_holds_at_large_alpha(tmp_path, alpha):
-    # the third gamma of the energy-identity triple is alpha + 4
+    # the log-form energy identity is checked at gamma = alpha + 4
     assert main(["verify-identities", "--alpha", alpha, "--out-dir", str(tmp_path)]) == 0
 
 
@@ -314,6 +314,10 @@ _REJECTED = [
     (["threshold-scan"], {"alpha": False}),
     (["threshold-scan"], {"rel_tol": True}),
     (["moser-blowup"], {"beta": True}),
+    (["verify-identities"], {"alpha": "16"}),
+    (["threshold-scan"], {"alpha": "16"}),
+    (["moser-blowup"], {"beta": "1.2"}),
+    (["threshold-scan"], {"rel_tol": "1e-8"}),
 ]
 
 
@@ -368,7 +372,9 @@ def test_non_integer_count_message_names_the_key(tmp_path, capsys, argv, config,
 def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):
     # 900 GK15 rounds when each integral ran alone; the lockstep blocks
     # evaluate the same intervals, so the node count stays exact (the
-    # log-bound margins reuse the energies and integrate nothing)
+    # log-bound margins reuse the energies and integrate nothing).  53
+    # rounds: the energy identity integrates one log form per profile, at
+    # gamma = alpha + 4
     rounds = []
     kernel = quadrature._gk15_batch
 
@@ -379,7 +385,7 @@ def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):
     monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
     assert main(["verify-identities", "--alpha", "16", "--out-dir", str(tmp_path)]) == 0
     assert len(rounds) <= 300
-    assert sum(rounds) == 81870
+    assert sum(rounds) == 64770
 
 
 @pytest.mark.parametrize(

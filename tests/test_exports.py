@@ -40,3 +40,25 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(path)
     ]
     assert unused == []
+
+
+def _dead_private_names(path):
+    """The module-level `_names` (functions, classes, constants) that the
+    module never loads."""
+    tree = ast.parse(path.read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(n for n in defined if n.startswith("_") and not n.startswith("__") and n not in loaded)
+
+
+def test_no_module_keeps_a_private_helper_it_never_uses():
+    # a deletion that leaves a private helper behind leaves dead code
+    package = Path(importlib.import_module("henon4").__file__).parent
+    dead = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py")) for name in _dead_private_names(path)]
+    assert dead == []

@@ -21,6 +21,7 @@ from henon4.profiles import (
     FunctionalParams,
     laplacian_l2_sq,
     series_upper_bound,
+    sigma_alpha,
 )
 from henon4.quadrature import QuadratureSpec
 
@@ -181,9 +182,7 @@ def test_blowup_bounded_navier():
     eps = [10.0 ** (-k) for k in range(2, 11)]
     ex = blowup_scan(0.0, 0.8, eps)
     assert ex.verdict == "Bounded"
-    bound = series_upper_bound(
-        FunctionalParams(0.0, 0.8 * FunctionalParams(0.0, 1.0).sigma_alpha(), None), 1.0
-    )
+    bound = series_upper_bound(FunctionalParams(0.0, 0.8 * sigma_alpha(0.0), None), 1.0)
     assert all(v <= bound + 1e-8 for v in ex.values)
 
 

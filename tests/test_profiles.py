@@ -25,6 +25,7 @@ from henon4.profiles import (
     ring_profile,
     scale_to_unit,
     series_upper_bound,
+    sigma_alpha,
     unit_energy,
     weighted_functional,
     weighted_functional_batch,
@@ -335,7 +336,7 @@ def test_series_upper_bound_examples():
     assert series_upper_bound(tiny, 1.0) == pytest.approx(OMEGA_3 / 4.0, rel=1e-10)
     # m = 0 bound equals the full bound minus the k = 0 term
     for alpha in (0.0, 3.0, 16.0):
-        p_full = FunctionalParams(alpha, 0.37 * FunctionalParams(alpha, 1.0).sigma_alpha(), None)
+        p_full = FunctionalParams(alpha, 0.37 * sigma_alpha(alpha), None)
         p_m0 = FunctionalParams(p_full.alpha, p_full.sigma, 0)
         lhs = series_upper_bound(p_m0, 1.0)
         rhs = series_upper_bound(p_full, 1.0) - OMEGA_3 / (4.0 + alpha)
@@ -343,7 +344,7 @@ def test_series_upper_bound_examples():
 
 
 def test_series_upper_bound_threshold_error():
-    p = FunctionalParams(2.0, FunctionalParams(2.0, 1.0).sigma_alpha(), None)
+    p = FunctionalParams(2.0, sigma_alpha(2.0), None)
     with pytest.raises(ThresholdError):
         series_upper_bound(p, 1.0)
     with pytest.raises(PreconditionError):
@@ -352,8 +353,7 @@ def test_series_upper_bound_threshold_error():
 
 def test_sigma_alpha_identity():
     for alpha in (0.0, 1.0, 4.0, 16.0, 512.0):
-        p = FunctionalParams(alpha, 1.0, None)
-        assert p.sigma_alpha() == pytest.approx(
+        assert sigma_alpha(alpha) == pytest.approx(
             (4.0 + alpha) * 4.0 * OMEGA_3, rel=1e-14
         )
 
