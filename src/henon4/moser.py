@@ -130,6 +130,14 @@ def moser_navier(mp: MoserParams) -> RadialProfile:
         outer = c / np.maximum(rr, 1e-150) ** 2
         return np.where(rr <= seam, inner, outer)
 
+    s_seam = -math.log(seam)
+
+    def value_s(s):
+        # u(e^-s): the outer branch is c s, exact near s = 0
+        ss = np.asarray(s, dtype=float)
+        inner = c * (L / 4.0 + (sqrt_eps - np.exp(-2.0 * ss)) / (2.0 * sqrt_eps))
+        return np.where(ss >= s_seam, inner, c * ss)
+
     return RadialProfile(
         value,
         d1,
@@ -137,6 +145,7 @@ def moser_navier(mp: MoserParams) -> RadialProfile:
         BoundaryKind.NAVIER,
         f"moser:{eps:g}:navier",
         breakpoints=(seam,),
+        value_s=value_s,
     )
 
 
@@ -175,8 +184,15 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
 
         return piece
 
+    def cap_s(s):
+        return c * (2.0 * a * s**2 - s**3) / a**2
+
+    def value_s(s):
+        ss = np.asarray(s, dtype=float)
+        return np.where(ss >= a, u.value_s(ss), cap_s(ss))
+
     return RadialProfile(
-        capped(u.value, lambda s, r: c * (2.0 * a * s**2 - s**3) / a**2),
+        capped(u.value, lambda s, r: cap_s(s)),
         capped(u.d1, lambda s, r: c * (3.0 * s**2 - 4.0 * a * s) / (r * a**2)),
         capped(
             u.d2,
@@ -185,6 +201,7 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
         BoundaryKind.DIRICHLET,
         f"moser:{eps:g}:dirichlet",
         breakpoints=(seam_in, seam_out),
+        value_s=value_s,
     )
 
 

@@ -21,6 +21,20 @@ and the truncated weighted functional is
     F_m(u) = OMEGA_3 * int_0^1 r^{alpha+3} g(u(r)) dr,
     g(s)   = exp(sigma s^2) - sum_{k=0}^{m} (sigma s^2)^k / k!   (m given)
            = exp(sigma s^2)                                      (m absent).
+
+F_m is integrated in one of two variables.  With s = -log r and
+tau = (alpha+4) s (the logarithmic substitution of `logtransform` with
+gamma = alpha+4),
+
+    F_m(u) = OMEGA_3/(alpha+4) * int_0^inf e^{-tau} g(u(e^{-tau/(alpha+4)})) dtau,
+
+whose weight puts the boundary layer at r = 1, of width 1/(alpha+4), at
+tau ~ 1 for every alpha; `RadialProfile.value_s` evaluates u(e^{-s}) in closed
+form, exact near s = 0.  Tau is used when the profile's energy E is known,
+sigma < sigma_alpha and x = sigma E / sigma_alpha <= 1/2: a u with u(1) = 0 obeys
+|u| <= sqrt(s E) / (2 sqrt(OMEGA_3)), so sigma u^2 <= x tau and the tail of
+the tau integral past T is at most e^{-T(1-x)}/(1-x).  Every other call is
+integrated in r on [0, 1] (`weighted_functional`).
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +86,14 @@ class BoundaryKind(Enum):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Closed-form radial function with two derivatives on (0, 1]."""
+    """Closed-form radial function with two derivatives on (0, 1].
+
+    `value_s(s)` is u(e^-s), exact near s = 0 where the constructors give a
+    closed form and `value(exp(-s))` otherwise.  `energy` is the
+    ||Delta u||_2^2 the profile is known to have: `scale_to_unit` sets it to
+    1, `scaled(c)` multiplies a known one by c^2, and the constructors leave
+    it None.
+    """
 
     value: Callable
     d1: Callable
@@ -80,21 +101,34 @@ class RadialProfile:
     boundary: BoundaryKind
     description: str
     breakpoints: tuple = ()
+    value_s: Optional[Callable] = None
+    energy: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.value_s is None:
+            value = self.value
+            object.__setattr__(self, "value_s", lambda s: value(np.exp(-np.asarray(s))))
 
     def __call__(self, r):
         return self.value(r)
 
     def scaled(self, c: float) -> "RadialProfile":
         c = float(c)
-        u = self
-        return RadialProfile(
-            value=lambda r: c * u.value(r),
-            d1=lambda r: c * u.d1(r),
-            d2=lambda r: c * u.d2(r),
-            boundary=u.boundary,
-            description=f"{c:.6g}*({u.description})",
-            breakpoints=u.breakpoints,
-        )
+        return _scaled(self, c, None if self.energy is None else c * c * self.energy)
+
+
+def _scaled(u: RadialProfile, c: float, energy: Optional[float]) -> RadialProfile:
+    """c u, whose energy is `energy`."""
+    return RadialProfile(
+        value=lambda r: c * u.value(r),
+        d1=lambda r: c * u.d1(r),
+        d2=lambda r: c * u.d2(r),
+        boundary=u.boundary,
+        description=f"{c:.6g}*({u.description})",
+        breakpoints=u.breakpoints,
+        value_s=lambda s: c * u.value_s(s),
+        energy=energy,
+    )
 
 
 def _check_alpha(alpha: float) -> None:
@@ -148,12 +182,12 @@ def exp_minus_taylor(z, m: Optional[int]):
     below 2^-56.  The dropped terms together then lie below half an ulp of the
     partial sum, and so does each of them: adding them would change no bit.
     For the same reason, when m <= 142 the result for z < 0.5 equals, bit for
-    bit, the fixed 40-term sum that this branch used when it stopped at
-    z = 0.5: both add the same terms in the same order up to the shorter
-    count, and the terms beyond it change nothing.  For m > 142 the first
-    term is formed as the running product prod_{k<=m+1} z/k, because z^(m+1)
-    or (m+1)! would overflow a double; a value that still overflows is inf or
-    nan, which the quadrature drivers report as NonFinite.
+    bit, the sum of a fixed 40 terms: both add the same terms in the same
+    order up to the shorter count, and the terms beyond it change nothing.
+    For m > 142 the first term is formed as the running product
+    prod_{k<=m+1} z/k, because z^(m+1) or (m+1)! would overflow a double; a
+    value that still overflows is inf or nan, which the quadrature drivers
+    report as NonFinite.
     """
     z = np.asarray(z, dtype=float)
     if m is None:
@@ -265,7 +299,7 @@ def _weight_partition(alpha: float, breakpoints: tuple) -> tuple:
 
 
 def _functional_terms(u: RadialProfile, alpha: float, sigma: float) -> Callable:
-    """F_m's integrand before its series: r -> (r^(alpha+3), sigma u(r)^2).
+    """F_m's integrand in r before its series: r -> (r^(alpha+3), sigma u(r)^2).
     Its parameters are scalars per problem, so that the batch form takes the
     same `pow` path as `weighted_functional`."""
 
@@ -277,6 +311,76 @@ def _functional_terms(u: RadialProfile, alpha: float, sigma: float) -> Callable:
     return terms
 
 
+def _tau_terms(u: RadialProfile, alpha: float, sigma: float) -> Callable:
+    """F_m's integrand in tau before its series: tau -> (e^-tau, sigma u^2)
+    with u = value_s(tau / (alpha+4))."""
+
+    def terms(t):
+        tt = np.asarray(t)
+        s = u.value_s(tt / (alpha + 4.0))
+        return np.exp(-tt), sigma * s * s
+
+    return terms
+
+
+# F_m in tau (module docstring): x = sigma E / sigma_alpha at most 1/2, a
+# first integral on [0, 200] seeded at geomspace(0.5, 200, 14) and the mapped
+# breakpoints, and at most one more integral for the tail.
+_TAU_MAX_SHARE = 0.5
+_TAU_END = 200.0
+
+
+def _tau_seeds(lo: float, hi: float) -> tuple:
+    return tuple((lo + np.geomspace(0.5, hi - lo, 14)).tolist())
+
+
+_TAU_FIRST_SEEDS = _tau_seeds(0.0, _TAU_END)
+
+
+class _Functional(NamedTuple):
+    """How F_m of one (profile, params) pair is integrated: F_m is `scale`
+    times the integral of weight * exp_minus_taylor(z, m), (weight, z) =
+    terms(abscissae), over `first` = (a, b, seeds), plus the tail interval
+    of `_tail` in tau.  `x` is sigma E / sigma_alpha in tau and None in r;
+    `breakpoints` are the profile's, mapped to tau."""
+
+    terms: Callable
+    m: Optional[int]
+    first: tuple
+    scale: float
+    x: Optional[float] = None
+    breakpoints: tuple = ()
+
+
+def _functional(u: RadialProfile, p: FunctionalParams) -> _Functional:
+    """The package's one rule for the variable of F_m: tau when the energy E
+    of `u` is known, sigma < sigma_alpha and x = sigma E / sigma_alpha <= 1/2,
+    r otherwise."""
+    sa = sigma_alpha(p.alpha)
+    x = None if u.energy is None or p.sigma >= sa else p.sigma * u.energy / sa
+    if x is None or x > _TAU_MAX_SHARE:
+        first = (0.0, 1.0, _weight_partition(p.alpha, u.breakpoints))
+        return _Functional(_functional_terms(u, p.alpha, p.sigma), p.m, first, OMEGA_3)
+    gamma = p.alpha + 4.0
+    bps = tuple(-gamma * math.log(b) for b in u.breakpoints if 0.0 < b < 1.0)
+    first = (0.0, _TAU_END, _TAU_FIRST_SEEDS + bps)
+    return _Functional(_tau_terms(u, p.alpha, p.sigma), p.m, first, OMEGA_3 / gamma, x, bps)
+
+
+def _tail(fn: _Functional, value: float, spec: QuadratureSpec) -> Optional[tuple]:
+    """The interval [T, T'] that a tau integral of `value` on [0, T] still
+    needs, or None: the tail past T' is at most e^(-T'(1-x))/(1-x) (see
+    `weighted_functional`), and T' makes that max(abs_tol, rel_tol |value| / 10)."""
+    if fn.x is None:
+        return None
+    tol = max(spec.abs_tol, 0.1 * spec.rel_tol * abs(value))
+    keep = 1.0 - fn.x
+    if math.exp(-_TAU_END * keep) / keep <= tol:
+        return None
+    end = -math.log(tol * keep) / keep
+    return (_TAU_END, end, _tau_seeds(_TAU_END, end) + fn.breakpoints)
+
+
 def weighted_functional(
     u: RadialProfile,
     p: FunctionalParams,
@@ -285,44 +389,72 @@ def weighted_functional(
     """F(u) or F_m(u): the weighted exponential functional of the profile.
 
     The weight r^(alpha+3) puts the mass of the integral into a layer of
-    width about 1/(alpha+4) at r = 1; the integral starts from the seed
-    points of `_weight_partition`, which resolve that layer in the first
-    GK15 round.  The seeded intervals count against `spec.max_subdivisions`.
-    """
-    terms = _functional_terms(u, p.alpha, p.sigma)
+    width about 1/(alpha+4) at r = 1.  Where the tail can be bounded the
+    integral is taken in tau = (alpha+4)(-log r),
 
-    def integrand(r):
-        weight, z = terms(r)
+        F_m(u) = OMEGA_3/(alpha+4) int_0^inf e^-tau g(u(e^(-tau/(alpha+4)))) dtau,
+
+    whose weight e^-tau puts that layer at tau ~ 1 for every alpha: when the
+    energy E of `u` is known, sigma < sigma_alpha and
+    x = sigma E / sigma_alpha <= 1/2.  Then
+    |u(r)| <= sqrt(-E log r) / (2 sqrt(OMEGA_3)), the pointwise bound of
+    `pointwise_log_bound_margin`, gives sigma u^2 <= x tau, and g(z) <= e^z
+    bounds the tail past T by e^(-T(1-x))/(1-x).  The integral on [0, 200]
+    starts from geomspace(0.5, 200, 14) and the profile's breakpoints mapped
+    to tau = -(alpha+4) log r_b, which resolve the layer in the first GK15
+    round; one more integral runs to the T' at which the tail bound is
+    rel_tol/10 of the value, only when the bound at 200 is larger.  Every
+    other call (x > 1/2, an unknown energy, sigma >= sigma_alpha) integrates
+    in r on [0, 1] from the seed points of `_weight_partition`, which resolve
+    the layer in r in the first round.  The seeded intervals count against
+    `spec.max_subdivisions`.
+    """
+    fn = _functional(u, p)
+
+    def integrand(x):
+        weight, z = fn.terms(x)
         return weight * exp_minus_taylor(z, p.m)
 
-    res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(p.alpha, u.breakpoints))
-    return OMEGA_3 * res.value
+    a, b, seeds = fn.first
+    value = integrate(integrand, a, b, spec, seeds).value
+    tail = _tail(fn, value, spec)
+    if tail is not None:
+        a, b, seeds = tail
+        value += integrate(integrand, a, b, spec, seeds).value
+    return fn.scale * value
 
 
 def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
     """`weighted_functional` of each (profile, params) pair, bit for bit, in
-    lockstep (`integrate_batch`).  Each round sums the series of all
-    problems of one m with one `exp_minus_taylor` call, whose values do not
-    depend on the other z values of the call."""
-    problems = list(problems)
-    terms = [_functional_terms(u, p.alpha, p.sigma) for u, p in problems]
+    lockstep (`integrate_batch`): one batch of every first integral, in tau
+    or in r, then one of the tails that tau needs.  Each round sums the
+    series of all problems of one m with one `exp_minus_taylor` call, whose
+    values do not depend on the other z values of the call."""
+    fns = [_functional(u, p) for u, p in problems]
 
-    def f(x, parts):
-        out = np.empty_like(x)
-        by_m: dict = {}
-        for i, sl in parts:
-            weight, z = terms[i](x[sl])
-            by_m.setdefault(problems[i][1].m, []).append((sl, weight, z))
-        for m, group in by_m.items():
-            g = exp_minus_taylor(np.concatenate([z for _, _, z in group]), m)
-            start = 0
-            for sl, weight, z in group:
-                out[sl] = weight * g[start : start + z.size]
-                start += z.size
-        return out
+    def run(index: Sequence[int], intervals: list) -> list:
+        def f(x, parts):
+            out = np.empty_like(x)
+            by_m: dict = {}
+            for k, sl in parts:
+                fn = fns[index[k]]
+                weight, z = fn.terms(x[sl])
+                by_m.setdefault(fn.m, []).append((sl, weight, z))
+            for m, group in by_m.items():
+                g = exp_minus_taylor(np.concatenate([z for _, _, z in group]), m)
+                start = 0
+                for sl, weight, z in group:
+                    out[sl] = weight * g[start : start + z.size]
+                    start += z.size
+            return out
 
-    intervals = [(0.0, 1.0, _weight_partition(p.alpha, u.breakpoints)) for u, p in problems]
-    return _omega_batch(f, intervals, spec)
+        return [res.value for res in integrate_batch(f, intervals, spec)]
+
+    values = run(range(len(fns)), [fn.first for fn in fns])
+    tails = {i: tail for i, (fn, value) in enumerate(zip(fns, values)) if (tail := _tail(fn, value, spec))}
+    for i, value in zip(tails, run(list(tails), list(tails.values()))):
+        values[i] += value
+    return [fn.scale * value for fn, value in zip(fns, values)]
 
 
 def _lp_integrand(u: RadialProfile, pexp: float, alpha: float) -> Callable:
@@ -428,7 +560,7 @@ def pointwise_log_bound_margin(u: RadialProfile, energy: float) -> float:
 
 def scale_to_unit(u: RadialProfile, energy: float) -> RadialProfile:
     """Scale a profile of the given energy ||Delta u||_2^2 onto the unit
-    energy sphere ||Delta u||_2 = 1.
+    energy sphere ||Delta u||_2 = 1; the result's `energy` is 1.
 
     The package's one normalisation rule: an energy that is not finite and
     positive raises DomainError.  Callers that already hold the energy (the
@@ -437,7 +569,7 @@ def scale_to_unit(u: RadialProfile, energy: float) -> RadialProfile:
     """
     if not (energy > 0.0 and math.isfinite(energy)):
         raise DomainError(f"cannot normalize {u.description} of energy {energy!r}")
-    return u.scaled(1.0 / math.sqrt(energy))
+    return _scaled(u, 1.0 / math.sqrt(energy), 1.0)
 
 
 def unit_energy(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> RadialProfile:
@@ -471,7 +603,10 @@ def poly_profile(j: int) -> RadialProfile:
             out = out + 4.0 * j * (j - 1) * rr**2 * (1.0 - rr**2) ** (j - 2)
         return out
 
-    return RadialProfile(value, d1, d2, bc, f"poly{2*j}")
+    def value_s(s):
+        return (-np.expm1(-2.0 * np.asarray(s))) ** j
+
+    return RadialProfile(value, d1, d2, bc, f"poly{2*j}", value_s=value_s)
 
 
 def power_profile(q: float) -> RadialProfile:
@@ -488,7 +623,10 @@ def power_profile(q: float) -> RadialProfile:
     def d2(r):
         return -q * (q - 1.0) * np.asarray(r) ** (q - 2.0)
 
-    return RadialProfile(value, d1, d2, BoundaryKind.NAVIER, f"pow:{q:.6g}")
+    def value_s(s):
+        return -np.expm1(-q * np.asarray(s))
+
+    return RadialProfile(value, d1, d2, BoundaryKind.NAVIER, f"pow:{q:.6g}", value_s=value_s)
 
 
 def ring_profile(rho0: float, h: float) -> RadialProfile:
@@ -516,8 +654,12 @@ def ring_profile(rho0: float, h: float) -> RadialProfile:
         ppp = p * (4.0 * z**2 - 2.0) / h**2
         return ppp * (1.0 - rr**2) + 2.0 * pp * (-2.0 * rr) + p * (-2.0)
 
+    def value_s(s):
+        ss = np.asarray(s)
+        return phi(np.exp(-ss)) * -np.expm1(-2.0 * ss)
+
     return RadialProfile(
-        value, d1, d2, BoundaryKind.NAVIER, f"ring:{rho0:.6g}:{h:.6g}"
+        value, d1, d2, BoundaryKind.NAVIER, f"ring:{rho0:.6g}:{h:.6g}", value_s=value_s
     )
 
 
@@ -533,7 +675,11 @@ def cos2_profile() -> RadialProfile:
     def d2(r):
         return -0.5 * math.pi**2 * np.cos(math.pi * np.asarray(r))
 
-    return RadialProfile(value, d1, d2, BoundaryKind.DIRICHLET, "cos2")
+    def value_s(s):
+        # cos^2(pi r / 2) = sin^2(pi (1 - r) / 2)
+        return np.sin(0.5 * math.pi * -np.expm1(-np.asarray(s))) ** 2
+
+    return RadialProfile(value, d1, d2, BoundaryKind.DIRICHLET, "cos2", value_s=value_s)
 
 
 def sinpoly_profile() -> RadialProfile:
@@ -559,7 +705,14 @@ def sinpoly_profile() -> RadialProfile:
             - 4.0 * math.pi * rr * c
         )
 
-    return RadialProfile(value, d1, d2, BoundaryKind.DIRICHLET, "sinpoly")
+    def value_s(s):
+        # sin(pi r^2) = sin(pi (1 - r^2)): the smaller of the two arguments
+        # is exact, 1 - r^2 near r = 1 and r^2 near r = 0
+        ss = np.asarray(s)
+        w = -np.expm1(-2.0 * ss)
+        return np.sin(math.pi * np.where(w <= 0.5, w, np.exp(-2.0 * ss))) * -np.expm1(-ss)
+
+    return RadialProfile(value, d1, d2, BoundaryKind.DIRICHLET, "sinpoly", value_s=value_s)
 
 
 _CORPUS = (

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from henon4 import quadrature
+from henon4 import profiles, quadrature
 from henon4.cli import (
     ConfigError,
     build_config,
@@ -388,14 +388,23 @@ def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):
     assert sum(rounds) == 64770
 
 
+_SWEEP_WORK = [
+    # (alphas, GK15 rounds and nodes with every candidate in r, the same in tau)
+    (None, 904, 137895, 686, 140970),
+    ("2048,8192,32768,131072", 454, 186435, 454, 92895),
+]
+
+
 @pytest.mark.parametrize(
-    "alphas, calls, nodes",
-    [(None, 904, 137895), ("2048,8192,32768,131072", 454, 186435)],
+    "alphas, r_calls, r_nodes, calls, nodes",
+    [pytest.param(*work, id="-".join(map(str, work[:3]))) for work in _SWEEP_WORK],
 )
-def test_symmetry_sweep_kernel_work_pinned(tmp_path, monkeypatch, alphas, calls, nodes):
-    # each candidate of the radial search is one scalar integral;
-    # ROADMAP item 11 (the lockstep sweep) is expected to move these counts,
-    # and the change that does must state the new ones here
+def test_symmetry_sweep_kernel_work_pinned(tmp_path, monkeypatch, alphas, r_calls, r_nodes, calls, nodes):
+    # each candidate of the radial search is one scalar integral, in tau at
+    # every large alpha one GK15 round of 210 nodes; with the tau rule off
+    # (no x qualifies) the same sweep runs in r.  ROADMAP item 11 (the
+    # lockstep sweep) is expected to move these counts, and the change that
+    # does must state the new ones here
     rounds = []
     kernel = quadrature._gk15_batch
 
@@ -409,6 +418,10 @@ def test_symmetry_sweep_kernel_work_pinned(tmp_path, monkeypatch, alphas, calls,
         argv += ["--alphas", alphas]
     assert main(argv) == 0
     assert (len(rounds), sum(rounds)) == (calls, nodes)
+    rounds.clear()
+    monkeypatch.setattr(profiles, "_TAU_MAX_SHARE", -1.0)
+    assert main(argv) == 0
+    assert (len(rounds), sum(rounds)) == (r_calls, r_nodes)
 
 
 def test_threshold_scan_raises_the_loops_first_failure(tmp_path, capsys):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from henon4 import quadrature
+from henon4 import profiles, quadrature
 from henon4.errors import DomainError, PreconditionError, ThresholdError
 from henon4.profiles import (
     OMEGA_3,
@@ -195,7 +195,7 @@ def _beta_series(c: float, q: float, alpha: float, sigma: float, m) -> float:
 
 
 _ALPHA_SIGMA_GRID = [(0.0, 1.0), (0.0, 10.0), (3.0, 25.0)]
-_BETA_ALPHAS = [0.0, 4.0, 16.0, 64.0, 512.0, 4096.0, 131072.0, 2.0**20, 2.0**24]
+_BETA_ALPHAS = [0.0, 4.0, 16.0, 64.0, 512.0, 4096.0, 131072.0, 2.0**20, 2.0**24, 1e8, 1e12, 1e20]
 _BETA_CASES = [
     pytest.param(1.0, 2.0, alpha, sigma, None, id=f"poly2-alpha{alpha:g}-sigma{sigma:g}")
     for alpha, sigma in _ALPHA_SIGMA_GRID
@@ -213,13 +213,113 @@ _BETA_CASES = [
 
 @pytest.mark.parametrize("c, q, alpha, sigma, m", _BETA_CASES)
 def test_weighted_functional_matches_the_beta_series(c, q, alpha, sigma, m):
-    # poly2 is the one case with c = 1.  In r the boundary layer at r = 1
-    # costs digits past alpha = 4096: 5.97e-11 at q = 6, m = 2, alpha = 2^24,
-    # and more than rel_tol by alpha = 1e8
-    u = corpus_profile("poly2") if c == 1.0 else power_profile(q).scaled(c)
+    # poly2 is the one case with c = 1 and an unknown energy, integrated in r.
+    # The unit pow:q cases from alpha = 4 on have x = 4/(alpha+4) <= 1/2 and
+    # are integrated in tau; in r they cost digits past alpha = 4096 (6.0e-11
+    # at alpha = 2^24, 8.7e-10 at 1e8, NonConvergence at 1e12, 0.0 at 1e20)
+    u = corpus_profile("poly2") if c == 1.0 else _unit_pow(q)
     got = weighted_functional(u, FunctionalParams(alpha, sigma, m))
-    rel = 1e-13 if alpha <= 4096.0 else _RELATIVE.rel_tol
-    assert got == pytest.approx(_beta_series(c, q, alpha, sigma, m), rel=rel, abs=0.0)
+    assert got == pytest.approx(_beta_series(c, q, alpha, sigma, m), rel=1e-13, abs=0.0)
+
+
+_VALUE_S_PROFILES = [
+    "poly2", "poly4", "poly6", "pow:3", "pow:1.2", "cos2", "sinpoly", "ring:0.55:0.25",
+    "moser:1e-4:navier", "moser:1e-4:dirichlet", "moser:1e-6:dirichlet",
+]
+
+
+@pytest.mark.parametrize("name", _VALUE_S_PROFILES)
+def test_value_s_is_the_value_at_exp_minus_s(name):
+    # s = 0.1 lies on the Dirichlet caps, 1 on the Moser log branches and 5 on
+    # their plateaus; the scaled profile carries the closed form
+    u = corpus_profile(name)
+    s = np.array([0.1, 1.0, 5.0])
+    want = u.value(np.exp(-s))
+    assert np.allclose(u.value_s(s), want, rtol=1e-14, atol=0.0)
+    assert np.allclose(u.scaled(3.0).value_s(s), 3.0 * want, rtol=1e-14, atol=0.0)
+
+
+def test_value_s_is_exact_near_the_boundary():
+    # unit pow:2 is c (1 - e^-2s) = c 2s (1 - s + ...): at s = 1e-12 value_s
+    # keeps every digit, while 1 - exp(-s)^2 keeps about 5
+    s = np.array([1e-12])
+    c = 1.0 / math.sqrt(OMEGA_3 * 16.0)
+    want = c * 2e-12 * (1.0 - 1e-12)
+    u = _unit_pow(2.0)
+    assert u.value_s(s)[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert abs(u.value(np.exp(-s))[0] / want - 1.0) > 1e-5
+
+
+def test_profile_energy_is_known_only_after_scale_to_unit():
+    u = power_profile(2.0)
+    assert u.energy is None and u.scaled(2.0).energy is None
+    unit = scale_to_unit(u, OMEGA_3 * 16.0)
+    assert unit.energy == 1.0
+    assert unit.scaled(3.0).energy == 9.0
+
+
+def test_a_unit_profile_at_x_one_half_is_integrated_in_tau(monkeypatch):
+    # x = sigma E / sigma_alpha = 1/2 exactly: the r partition is never built,
+    # and the first GK15 round is the 14 tau seed intervals
+    def partition(*args):
+        raise AssertionError("_weight_partition called")
+
+    batches = []
+    kernel = quadrature._gk15_batch
+
+    def counting_kernel(f, los, his):
+        batches.append(los.size)
+        return kernel(f, los, his)
+
+    monkeypatch.setattr(profiles, "_weight_partition", partition)
+    monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
+    p = FunctionalParams(64.0, 0.5 * sigma_alpha(64.0), 1)
+    got = weighted_functional(_unit_pow(2.0), p)
+    assert batches[0] == 14
+    assert weighted_functional_batch([(_unit_pow(2.0), p)]) == [got]
+    c = 1.0 / math.sqrt(OMEGA_3 * 16.0)
+    assert got == pytest.approx(_beta_series(c, 2.0, 64.0, p.sigma, 1), rel=1e-13, abs=0.0)
+
+
+# Calls that stay in r, and the bits of their r integrals: x just above 1/2,
+# an unknown energy (a raw profile whose x would be 0.06) and
+# sigma = sigma_alpha
+_R_PINS = [
+    ("unit", 64.0, math.nextafter(0.5 * sigma_alpha(64.0), math.inf), "0x1.3b62822b2c5bbp-13"),
+    ("raw", 64.0, 1.0, "0x1.099da2e27fe6fp-19"),
+    ("unit", 4.0, sigma_alpha(4.0), "0x1.71d23fadaa32dp-4"),
+]
+
+
+@pytest.mark.parametrize("kind, alpha, sigma, value", _R_PINS)
+def test_calls_outside_the_tau_rule_keep_the_r_bits(kind, alpha, sigma, value):
+    u = _unit_pow(2.0) if kind == "unit" else power_profile(2.0)
+    p = FunctionalParams(alpha, sigma, 1)
+    assert weighted_functional(u, p).hex() == value
+    assert weighted_functional_batch([(u, p)])[0].hex() == value
+
+
+def test_the_tail_past_200_gets_one_more_integral():
+    # at alpha = 1e20 F_2 of unit pow:2 is 7.7e-117 times OMEGA_3/(alpha+4):
+    # the bound e^-200 on the tail past tau = 200 is above rel_tol/10 of it,
+    # so [200, T'] is integrated too; at alpha = 64 it is not
+    ends = []
+    integrate_fn = profiles.integrate
+
+    def recording_integrate(f, a, b, *args):
+        ends.append(b)
+        return integrate_fn(f, a, b, *args)
+
+    u = _unit_pow(2.0)
+    c = 1.0 / math.sqrt(OMEGA_3 * 16.0)
+    for alpha, count in ((64.0, 1), (1e20, 2)):
+        ends.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(profiles, "integrate", recording_integrate)
+            got = weighted_functional(u, FunctionalParams(alpha, _SIGMA, 2))
+        assert len(ends) == count and ends[0] == 200.0
+        assert got == pytest.approx(_beta_series(c, 2.0, alpha, _SIGMA, 2), rel=1e-13, abs=0.0)
+    assert ends[1] > 200.0
 
 
 @pytest.mark.parametrize("alpha, sigma", _ALPHA_SIGMA_GRID)
@@ -243,9 +343,11 @@ _WEIGHTED_INTEGRALS = {
 @pytest.mark.parametrize("alpha", [64.0, 512.0, 2048.0, 131072.0])
 @pytest.mark.parametrize("integral", sorted(_WEIGHTED_INTEGRALS))
 def test_weighted_functional_resolves_the_boundary_layer_at_once(monkeypatch, integral, alpha):
-    # the weight's partition reaches the layer of width 1/(alpha+4), and its
-    # midpoints split the steep ladder intervals, so the first GK15 round
-    # meets rel_tol; bisecting from [0, 1] takes 17 rounds at alpha = 131072
+    # F_1 and F_2 of the unit profile are integrated in tau, where the layer
+    # is tau ~ 1 at every alpha.  lp2 is integrated in r: the weight's
+    # partition reaches the layer of width 1/(alpha+4), and its midpoints
+    # split the steep ladder intervals.  Either way the first GK15 round meets
+    # rel_tol; bisecting from [0, 1] takes 17 rounds at alpha = 131072
     batches = []
     kernel = quadrature._gk15_batch
 
@@ -552,6 +654,17 @@ def test_batch_forms_are_the_scalar_forms_bit_for_bit():
     grid = [FunctionalParams(a, s * 32.0 * math.pi**2, m) for a in (0.0, 3.5, 64.0) for s in (0.5, 0.9) for m in (None, 0, 1, 3)]
     problems = [(u, p) for u in units for p in grid]
     assert weighted_functional_batch(problems) == [weighted_functional(u, p) for u, p in problems]
+    # tau and r in one lockstep batch, with one tail integral past tau = 200:
+    # unit profiles at x <= 1/2 and x > 1/2, raw profiles of unknown energy
+    mixed = [
+        (units[0], FunctionalParams(16.0, _SIGMA, 1)),
+        (profiles[0], FunctionalParams(16.0, 1.0, 1)),
+        (_unit_pow(2.0), FunctionalParams(1e20, _SIGMA, 2)),
+        (units[9], FunctionalParams(4.0, 0.6 * sigma_alpha(4.0), 2)),
+        (units[12], FunctionalParams(64.0, _SIGMA, None)),
+        (profiles[7], FunctionalParams(4.0, 1.0, 0)),
+    ]
+    assert weighted_functional_batch(mixed) == [weighted_functional(u, p) for u, p in mixed]
     lps = [(u, pexp, a) for u in units for pexp in (1.0, 2.0, 6.0) for a in (0.0, 16.0)]
     assert weighted_lp_norm_p_batch(lps) == [weighted_lp_norm_p(*item) for item in lps]
 

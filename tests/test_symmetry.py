@@ -31,6 +31,7 @@ from henon4.symmetry import (
     translated_bump_paper_bound,
     translated_bump_value,
 )
+from test_profiles import _beta_series
 
 SIGMA = 32.0 * math.pi**2
 _TIGHT = QuadratureSpec(rel_tol=1e-15)
@@ -331,38 +332,60 @@ def test_radial_search_ring_winner_at_alpha_16():
     assert "(ring:" in prof.description
 
 
-# (sigma / pi^2, m, alpha, radial_max, profile id), exact: a change to the
-# search's starts, family order, boxes or line searches shows here
+# (sigma / pi^2, m, alpha, radial_max in r, profile id, radial_max in tau),
+# exact: a change to the search's starts, family order, boxes or line
+# searches, or to either variable's integral, shows here.  The search
+# integrates these candidates in tau; with the tau rule off it runs in r,
+# whose values differ by at most 3.8e-13 (alpha = 65536) and name the test.
 _SEARCH_PINS = [
-    (8, 1, 4.0, 0.0027891945738623527, "0.594971*(moser:0.111709:navier)"),
-    (8, 1, 12.0, 0.0001126432599725821, "0.0685526*(ring:0.586293:0.599901)"),
-    (8, 1, 16.0, 3.942152220335564e-05, "0.0661717*(ring:0.624472:0.599901)"),
-    (8, 1, 512.0, 6.235184859998389e-12, "0.0583666*(pow:1.92782)"),
-    (8, 1, 65536.0, 1.9581515470615444e-22, "0.0562908*(pow:1.99925)"),
-    (8, 3, 4.0, 1.5225037731999692e-05, "0.647459*(moser:0.0557382:navier)"),
-    (8, 3, 12.0, 7.678133120417003e-08, "0.594971*(moser:0.111709:navier)"),
-    (8, 3, 16.0, 1.2742674332539643e-08, "0.0731725*(ring:0.514162:0.599901)"),
-    (8, 3, 512.0, 1.1188576289622402e-20, "0.059982*(pow:1.87525)"),
-    (8, 3, 65536.0, 1.484581857284661e-39, "0.0562908*(pow:1.99925)"),
-    (32, 1, 4.0, 0.057571414001893986, "0.594971*(moser:0.111709:navier)"),
-    (32, 1, 12.0, 0.0019327695282038116, "0.0689778*(ring:0.579556:0.599901)"),
-    (32, 1, 16.0, 0.0006616792371291997, "0.066439*(ring:0.620141:0.599901)"),
-    (32, 1, 512.0, 9.97737489913205e-11, "0.0583666*(pow:1.92782)"),
-    (32, 1, 65536.0, 3.133042497172508e-21, "0.0562908*(pow:1.99925)"),
-    (32, 3, 4.0, 0.005322085302109276, "0.663742*(moser:0.0428554:navier)"),
-    (32, 3, 12.0, 2.222699166358994e-05, "0.594971*(moser:0.111709:navier)"),
-    (32, 3, 16.0, 3.504238164167133e-06, "0.073426*(ring:0.51027:0.599901)"),
-    (32, 3, 512.0, 2.8648179256017685e-18, "0.059982*(pow:1.87525)"),
-    (32, 3, 65536.0, 3.800529602398726e-37, "0.0562908*(pow:1.99925)"),
+    (8, 1, 4.0, 0.0027891945738623527, "0.594971*(moser:0.111709:navier)", 0.002789194573862353),
+    (8, 1, 12.0, 0.0001126432599725821, "0.0685526*(ring:0.586293:0.599901)", 0.0001126432599725821),
+    (8, 1, 16.0, 3.942152220335564e-05, "0.0661717*(ring:0.624472:0.599901)", 3.9421522203355645e-05),
+    (8, 1, 512.0, 6.235184859998389e-12, "0.0583666*(pow:1.92782)", 6.235184859998402e-12),
+    (8, 1, 65536.0, 1.9581515470615444e-22, "0.0562908*(pow:1.99925)", 1.9581515470615747e-22),
+    (8, 3, 4.0, 1.5225037731999692e-05, "0.647459*(moser:0.0557382:navier)", 1.5225037731999693e-05),
+    (8, 3, 12.0, 7.678133120417003e-08, "0.594971*(moser:0.111709:navier)", 7.678133120417e-08),
+    (8, 3, 16.0, 1.2742674332539643e-08, "0.0731725*(ring:0.514162:0.599901)", 1.2742674332539647e-08),
+    (8, 3, 512.0, 1.1188576289622402e-20, "0.059982*(pow:1.87525)", 1.1188576289622324e-20),
+    (8, 3, 65536.0, 1.484581857284661e-39, "0.0562908*(pow:1.99925)", 1.48458185728409e-39),
+    (32, 1, 4.0, 0.057571414001893986, "0.594971*(moser:0.111709:navier)", 0.05757141400189399),
+    (32, 1, 12.0, 0.0019327695282038116, "0.0689778*(ring:0.579556:0.599901)", 0.0019327695282038114),
+    (32, 1, 16.0, 0.0006616792371291997, "0.066439*(ring:0.620141:0.599901)", 0.0006616792371291997),
+    (32, 1, 512.0, 9.97737489913205e-11, "0.0583666*(pow:1.92782)", 9.977374899132072e-11),
+    (32, 1, 65536.0, 3.133042497172508e-21, "0.0562908*(pow:1.99925)", 3.1330424971725563e-21),
+    (32, 3, 4.0, 0.005322085302109276, "0.663742*(moser:0.0428554:navier)", 0.005322085302109276),
+    (32, 3, 12.0, 2.222699166358994e-05, "0.594971*(moser:0.111709:navier)", 2.2226991663589935e-05),
+    (32, 3, 16.0, 3.504238164167133e-06, "0.073426*(ring:0.51027:0.599901)", 3.5042381641671334e-06),
+    (32, 3, 512.0, 2.8648179256017685e-18, "0.059982*(pow:1.87525)", 2.864817925601751e-18),
+    (32, 3, 65536.0, 3.800529602398726e-37, "0.0562908*(pow:1.99925)", 3.800529602397265e-37),
 ]
 
 
-@pytest.mark.parametrize("sigma_pi2, m, alpha, value, profile_id", _SEARCH_PINS)
-def test_radial_search_pinned(sigma_pi2, m, alpha, value, profile_id):
+@pytest.mark.parametrize(
+    "sigma_pi2, m, alpha, r_value, profile_id, value",
+    [pytest.param(*pin, id="-".join(map(str, pin[:5]))) for pin in _SEARCH_PINS],
+)
+def test_radial_search_pinned(monkeypatch, sigma_pi2, m, alpha, r_value, profile_id, value):
     # every family wins somewhere on this grid, at two sigmas and two m
-    val, prof = radial_max_search(alpha, FunctionalParams(0.0, sigma_pi2 * math.pi**2, m))
+    p = FunctionalParams(0.0, sigma_pi2 * math.pi**2, m)
+    val, prof = radial_max_search(alpha, p)
     assert val == value
     assert prof.description == profile_id
+    monkeypatch.setattr(profiles, "_TAU_MAX_SHARE", -1.0)
+    val, prof = radial_max_search(alpha, p)
+    assert val == r_value
+    assert prof.description == profile_id
+
+
+@pytest.mark.parametrize("alpha", [1e12, 1e20])
+def test_radial_search_at_huge_alpha_finds_the_power_profile(alpha):
+    # in r these integrals fail or read 0.0, and the search would return 0.0
+    # with a ring; in tau its start pow:2 already holds the Beta series value
+    # F_1 of unit pow:2, the largest near r = 1
+    val, prof = radial_max_search(alpha, FunctionalParams(0.0, SIGMA, 1))
+    assert "(pow:" in prof.description
+    c = 1.0 / math.sqrt(OMEGA_3 * 16.0)
+    assert val >= (1.0 - 1e-12) * _beta_series(c, 2.0, alpha, SIGMA, 1)
 
 
 def test_radial_search_integrates_no_energy(monkeypatch):
