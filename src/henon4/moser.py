@@ -66,9 +66,7 @@ __all__ = [
     "MoserParams",
     "ThresholdExperiment",
     "moser_navier",
-    "navier_norm_sq_exact",
     "moser_dirichlet",
-    "dirichlet_norm_sq_exact",
     "blowup_scan",
     "DIVERGING_GROWTH_PER_DECADE",
     "BOUNDED_VARIATION",
@@ -103,7 +101,8 @@ class MoserParams:
 
 
 def moser_navier(mp: MoserParams) -> RadialProfile:
-    """The Navier-boundary concentrating profile for the given epsilon."""
+    """The Navier-boundary concentrating profile for the given epsilon, of
+    energy 1 + 4/|log eps|."""
     if mp.bc is not BoundaryKind.NAVIER:
         raise DomainError("moser_navier requires bc = NAVIER")
     eps = mp.epsilon
@@ -146,23 +145,13 @@ def moser_navier(mp: MoserParams) -> RadialProfile:
         f"moser:{eps:g}:navier",
         breakpoints=(seam,),
         value_s=value_s,
+        energy=1.0 + 4.0 / L,
     )
 
 
-def navier_norm_sq_exact(epsilon: float) -> float:
-    """Closed form of ||Delta u_eps||_2^2 = 1 + 4/|log eps|."""
-    return 1.0 + 4.0 / MoserParams(epsilon, BoundaryKind.NAVIER).log_eps()
-
-
-def dirichlet_norm_sq_exact(epsilon: float) -> float:
-    """Closed form of ||Delta u_{eps,0}||_2^2 (module docstring)."""
-    mp = MoserParams(epsilon, BoundaryKind.DIRICHLET)
-    a = -math.log1p(-mp.eta())
-    return 1.0 + (2.0 + 4.0 / a + 8.0 * a / 15.0) / mp.log_eps()
-
-
 def moser_dirichlet(mp: MoserParams) -> RadialProfile:
-    """The Dirichlet-boundary member: u_eps capped by a C^1 cubic near r = 1."""
+    """The Dirichlet-boundary member: u_eps capped by a C^1 cubic near r = 1,
+    of energy 1 + (2 + 4/a + 8a/15)/|log eps| (module docstring)."""
     if mp.bc is not BoundaryKind.DIRICHLET:
         raise DomainError("moser_dirichlet requires bc = DIRICHLET")
     eps = mp.epsilon
@@ -202,6 +191,7 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
         f"moser:{eps:g}:dirichlet",
         breakpoints=(seam_in, seam_out),
         value_s=value_s,
+        energy=1.0 + (2.0 + 4.0 / a + 8.0 * a / 15.0) / mp.log_eps(),
     )
 
 
@@ -255,8 +245,8 @@ def blowup_scan(
 ) -> ThresholdExperiment:
     """Evaluate F (or F_m) at sigma = beta * sigma_alpha along an eps scan.
 
-    Each member is normalized onto the unit energy sphere by its closed-form
-    energy (`navier_norm_sq_exact`, `dirichlet_norm_sq_exact`) before
+    Each member is normalized onto the unit energy sphere by the closed-form
+    energy its constructor sets, which the norm_sqs column records, before
     evaluation.  The lower_bound_exponent column records
     (alpha+4)/4 * ((beta-1) |log eps| - 4), the predicted log-scale floor of
     a diverging scan.  A value that underflows to 0 raises NonFinite.
@@ -272,17 +262,10 @@ def blowup_scan(
     params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
 
     # every member is built, and so checked, before the first integral
-    members, norm_sqs = [], []
-    for eps in eps_list:
-        mp = MoserParams(eps, bc)
-        if bc is BoundaryKind.NAVIER:
-            u, norm_sq = moser_navier(mp), navier_norm_sq_exact(eps)
-        else:
-            u, norm_sq = moser_dirichlet(mp), dirichlet_norm_sq_exact(eps)
-        members.append(scale_to_unit(u, norm_sq))
-        norm_sqs.append(norm_sq)
+    member = moser_navier if bc is BoundaryKind.NAVIER else moser_dirichlet
+    members = [member(MoserParams(eps, bc)) for eps in eps_list]
 
-    values = weighted_functional_batch([(u, params) for u in members], spec)
+    values = weighted_functional_batch([(scale_to_unit(u, u.energy), params) for u in members], spec)
     for eps, val in zip(eps_list, values):
         if not 0.0 < val < math.inf:
             raise NonFinite(f"value = {val!r} at epsilon={eps:g}: log_value needs its log")
@@ -292,7 +275,7 @@ def blowup_scan(
     verdict = _classify(eps_list, values, beta)
     return ThresholdExperiment(
         epsilons=tuple(eps_list),
-        norm_sqs=tuple(norm_sqs),
+        norm_sqs=tuple(u.energy for u in members),
         values=tuple(values),
         log_values=tuple(log_values),
         lower_bound_exponents=tuple(lbes),

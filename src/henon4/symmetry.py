@@ -23,15 +23,15 @@ obtained by bounding the weight below on the support ball, is also computed
 Radial side: a certified lower estimate of the radial supremum by coordinate
 ascent from one start per parametric family (boundary-adapted power profiles,
 concentrating extremal members, off-origin ring bumps), each candidate
-scaled onto the unit energy sphere by its exact energy: every family has a
-closed-form ||Delta u||_2^2, so a candidate costs one integral, the
-functional.  The bumps and the search families share one table, `_FAMILIES`,
-and one normaliser, `_unit`, so the sweep integrates no energy.  At
-sigma = 32 pi^2 the concentrating members win at small alpha (up to
-alpha = 4..12, growing with m), ring bumps from there to alpha = 16, and
-power profiles from alpha = 32 on.  Values decay like
-alpha^-5 (boundary-power class), consistent with the alpha^{-9/2} upper
-bound for the radial supremum.
+scaled onto the unit energy sphere by the exact energy its constructor
+sets, so a candidate costs one integral, the functional.  The bumps and the
+search families share one table, `_FAMILIES`, and one normaliser, `_unit`,
+so the sweep integrates no energy.  At sigma = 32 pi^2 the concentrating
+members win at small alpha (up to alpha = 4..12, growing with m), ring
+bumps from there to alpha = 16, and power profiles from alpha = 32 on.  On
+the default grid 16..512 the radial values fit slopes of about -4.8
+(m = 1) and -6.6 (m = 2) in log-log, steepening towards -(2m+3) as alpha
+grows.
 
 Crossover: the smallest grid alpha where the translated-bump value strictly
 exceeds kappa = 1.05 times the radial search value; the margin column is the
@@ -54,9 +54,8 @@ from .errors import (
     OptFailure,
     PreconditionError,
 )
-from .moser import MoserParams, moser_navier, navier_norm_sq_exact
+from .moser import MoserParams, moser_navier
 from .profiles import (
-    OMEGA_3,
     BoundaryKind,
     FunctionalParams,
     RadialProfile,
@@ -94,118 +93,33 @@ _SIGMA_MAX = sigma_alpha(0.0) * (1.0 + 1e-12)  # 32 pi^2, the bound of every sig
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p: list, q: list) -> list:
-    """Product of two polynomials given as coefficient lists, lowest first."""
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(p: list, q: list, c: float = 1.0) -> list:
-    """p + c q for coefficient lists, lowest first."""
-    out = list(p) + [0.0] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] += c * b
-    return out
-
-
-def _ring_energy(rho0: float, h: float) -> float:
-    """Closed form of ||Delta u||_2^2 for u = ring_profile(rho0, h), on the
-    search box of the `ring` family only.
-
-    With phi = exp(-(s/h)^2), s = r - rho0, and u = phi (1 - r^2),
-
-        r u'' + 3 u' = phi P,
-        P = r (1 - r^2) (4 s^2/h^4 - 2/h^2) - (3 - 7 r^2) 2 s/h^2 - 8 r,
-
-    a quintic in s, so ||Delta u||_2^2 = OMEGA_3 int_0^1 (r u'' + 3 u')^2 r dr
-    = OMEGA_3 int_0^1 r P^2 exp(-2 s^2/h^2) dr.  Put s = t w with
-    t = h/sqrt(2): the Gaussian becomes exp(-w^2), 4 s^2/h^4 - 2/h^2 =
-    2 (w^2 - 1)/h^2 and 2 s/h^2 = sqrt(2) w/h, and
-
-        ||Delta u||_2^2 = OMEGA_3 t sum_{k=0}^{11} c_k J_k,
-        J_k = int_a^b w^k exp(-w^2) dw,  a = -rho0/t,  b = (1 - rho0)/t,
-
-    where c_k are the coefficients of the degree-11 polynomial r P^2 in w
-    (r = rho0 + t w).  J_0 = sqrt(pi)/2 (erf b - erf a) adds two terms of
-    one sign (a <= 0 < b), J_1 = (exp(-a^2) - exp(-b^2))/2, and integration
-    by parts gives the upward recursion
-
-        J_k = (k-1)/2 J_{k-2} + (a^{k-1} exp(-a^2) - b^{k-1} exp(-b^2))/2.
-
-    On the box rho0 in [0, 0.97], h in [0.03, 0.6] the interval reaches
-    |w| > 2, and the sum agrees with 40-digit mpmath to 3e-15 relative or
-    better (an 8 x 8 grid over the box plus four interior points).  For a
-    wide Gaussian (h >> 1) the interval shrinks around 0, the J_k become
-    small differences of the boundary terms and the recursion loses digits
-    (7e-13 at h = 100), so other parameters are refused rather than given a
-    general formula.
-    """
-    (rho_lo, rho_hi), (h_lo, h_hi) = _FAMILIES["ring"].box
-    if not (rho_lo <= rho0 <= rho_hi and h_lo <= h <= h_hi):
-        raise DomainError(f"ring energy outside the search box: rho0={rho0!r}, h={h!r}")
-    t = h / math.sqrt(2.0)
-    r = [rho0, t]
-    r2 = _poly_mul(r, r)
-    a2, a1 = 2.0 / h**2, math.sqrt(2.0) / h
-    poly = _poly_mul(_poly_add(r, _poly_mul(r2, r), -1.0), [-a2, 0.0, a2])
-    poly = _poly_add(poly, _poly_mul(_poly_add([3.0], r2, -7.0), [0.0, -a1]))
-    poly = _poly_add(poly, r, -8.0)
-    coeffs = _poly_mul(r, _poly_mul(poly, poly))
-
-    a, b = -rho0 / t, (1.0 - rho0) / t
-    ea, eb = math.exp(-a * a), math.exp(-b * b)
-    moments = [0.5 * math.sqrt(math.pi) * (math.erf(b) - math.erf(a)), 0.5 * (ea - eb)]
-    pa = pb = 1.0  # a^(k-1) and b^(k-1)
-    for k in range(2, len(coeffs)):
-        pa *= a
-        pb *= b
-        moments.append(0.5 * (k - 1) * moments[k - 2] + 0.5 * (pa * ea - pb * eb))
-    return OMEGA_3 * t * sum(c * j for c, j in zip(coeffs, moments))
-
-
 class _Family(NamedTuple):
-    """Profile and closed-form ||Delta u||_2^2 as functions of the parameters,
-    their search box (one (lo, hi) each) and the search's start."""
+    """Profile as a function of the parameters, whose constructor sets its
+    closed-form energy; its search box (one (lo, hi) each) and the search's
+    start."""
 
     profile: Callable
-    energy: Callable
     box: tuple = ()
     start: tuple = ()
 
 
-# Energies: poly4 = (1 - r^2)^2 has Delta u = 24 r^2 - 16, hence 16 pi^2;
-# cos2 = cos^2(pi r / 2) gives pi^4 (pi^2 + 9) / 16; Delta (1 - r^q) =
-# -q (q+2) r^(q-2) gives pow OMEGA_3 q (q+2)^2 / 2; moser is
-# `navier_norm_sq_exact` of epsilon = 10^x; ring is `_ring_energy`.  The
-# search visits the families in table order.
+# The search visits the families in table order.
 _FAMILIES = {
-    "poly4": _Family(lambda: poly_profile(2), lambda: 16.0 * math.pi**2),
-    "cos2": _Family(cos2_profile, lambda: math.pi**4 * (math.pi**2 + 9.0) / 16.0),
-    "pow": _Family(
-        power_profile,
-        lambda q: OMEGA_3 * q * (q + 2.0) ** 2 / 2.0,
-        ((0.5, 12.0),), (2.0,),
-    ),
+    "poly4": _Family(lambda: poly_profile(2)),
+    "cos2": _Family(cos2_profile),
+    "pow": _Family(power_profile, ((0.5, 12.0),), (2.0,)),
     "moser": _Family(
         lambda x: moser_navier(MoserParams(10.0**x, BoundaryKind.NAVIER)),
-        lambda x: navier_norm_sq_exact(10.0**x),
         ((-12.0, -0.95),), (-2.0,),  # x = log10 epsilon
     ),
-    "ring": _Family(
-        ring_profile,
-        _ring_energy,
-        ((0.0, 0.97), (0.03, 0.6)), (0.3, 0.3),
-    ),
+    "ring": _Family(ring_profile, ((0.0, 0.97), (0.03, 0.6)), (0.3, 0.3)),
 }
 
 
 def _unit(name: str, params: Sequence[float] = ()) -> RadialProfile:
     """The family member at `params` on the unit energy sphere."""
-    family = _FAMILIES[name]
-    return scale_to_unit(family.profile(*params), family.energy(*params))
+    u = _FAMILIES[name].profile(*params)
+    return scale_to_unit(u, u.energy)
 
 
 @dataclass(frozen=True)
@@ -361,8 +275,8 @@ def radial_max_search(
     Every candidate is scalar-projected onto the unit energy sphere before
     the functional is evaluated, so any returned value is a true lower
     bound.  Each distinct candidate is evaluated once per call, and its
-    energy ||Delta u||_2^2 comes from the family's closed form (`_unit`), so
-    the functional is the only integral per candidate.  Nothing is kept
+    energy ||Delta u||_2^2 is the closed form its constructor sets (`_unit`),
+    so the functional is the only integral per candidate.  Nothing is kept
     between calls, and nothing random enters.  Returns (value, profile).
     """
     if p.sigma > _SIGMA_MAX:

@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from henon4 import profiles, quadrature
 from henon4.cli import (
+    _COMMANDS,
+    _FLAGS,
     ConfigError,
     build_config,
     main,
@@ -439,3 +443,13 @@ def test_threshold_scan_raises_the_loops_first_failure(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("[PASS] alpha=16 ")
     assert err == "numerical failure: integrand non-finite near x=0.015811388300841896\n"
+
+
+def test_readme_command_line_names_every_command_and_flag():
+    # the README's *Command line* section is the CLI's documentation: a
+    # command or flag renamed in cli and not there reads as drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    names = list(_COMMANDS) + ["--" + key.replace("_", "-") for key in _FLAGS] + ["--config"]
+    missing = [name for name in names if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", section)]
+    assert missing == []

@@ -10,10 +10,8 @@ from henon4.errors import DomainError
 from henon4.moser import (
     MoserParams,
     blowup_scan,
-    dirichlet_norm_sq_exact,
     moser_dirichlet,
     moser_navier,
-    navier_norm_sq_exact,
 )
 from henon4.profiles import (
     OMEGA_3,
@@ -77,17 +75,20 @@ def test_navier_vanishes_at_boundary():
     assert float(u.value(np.array([1.0]))[0]) == 0.0
 
 
+def _navier_energy(eps: float) -> float:
+    return moser_navier(MoserParams(eps, BoundaryKind.NAVIER)).energy
+
+
 def test_navier_norm_formula():
-    assert navier_norm_sq_exact(math.exp(-4.0)) == pytest.approx(2.0, rel=1e-14, abs=0.0)
-    assert navier_norm_sq_exact(math.exp(-100.0)) == pytest.approx(1.04, rel=1e-14, abs=0.0)
-    assert navier_norm_sq_exact(1e-300) == pytest.approx(1.0, abs=6e-3)
+    assert _navier_energy(math.exp(-4.0)) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    assert _navier_energy(math.exp(-100.0)) == pytest.approx(1.04, rel=1e-14, abs=0.0)
+    assert _navier_energy(1e-300) == pytest.approx(1.0, abs=6e-3)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
 def test_navier_norm_quadrature_matches_closed_form(eps):
     u = moser_navier(MoserParams(eps, BoundaryKind.NAVIER))
-    exact = navier_norm_sq_exact(eps)
-    assert abs(laplacian_l2_sq(u) - exact) <= 1e-6 * exact
+    assert abs(laplacian_l2_sq(u) - u.energy) <= 1e-6 * u.energy
 
 
 def test_dirichlet_seam_value_and_boundary():
@@ -137,12 +138,7 @@ def test_dirichlet_norm_closed_form_matches_quadrature(eps):
     # normalises by the closed form
     u = moser_dirichlet(MoserParams(eps, BoundaryKind.DIRICHLET))
     quad = laplacian_l2_sq(u, QuadratureSpec(rel_tol=1e-13))
-    assert dirichlet_norm_sq_exact(eps) == pytest.approx(quad, rel=4e-16, abs=0.0)
-
-
-def test_dirichlet_norm_closed_form_refuses_what_the_member_refuses():
-    with pytest.raises(DomainError):
-        dirichlet_norm_sq_exact(1e-3)
+    assert u.energy == pytest.approx(quad, rel=4e-16, abs=0.0)
 
 
 def test_blowup_scan_validation():

@@ -108,6 +108,7 @@ def test_lp_norm_examples():
 
 # Values at large alpha fall to 1e-23; the spec asks for rel_tol alone.
 _RELATIVE = quadrature.QuadratureSpec(rel_tol=1e-10)
+_TIGHT = quadrature.QuadratureSpec(rel_tol=1e-15)
 
 
 def _unit_pow(q: float):
@@ -213,7 +214,8 @@ _BETA_CASES = [
 
 @pytest.mark.parametrize("c, q, alpha, sigma, m", _BETA_CASES)
 def test_weighted_functional_matches_the_beta_series(c, q, alpha, sigma, m):
-    # poly2 is the one case with c = 1 and an unknown energy, integrated in r.
+    # poly2 is the one case with c = 1; its x = sigma E / sigma_alpha >= 1
+    # keeps it in r.
     # The unit pow:q cases from alpha = 4 on have x = 4/(alpha+4) <= 1/2 and
     # are integrated in tau; in r they cost digits past alpha = 4096 (6.0e-11
     # at alpha = 2^24, 8.7e-10 at 1e8, NonConvergence at 1e12, 0.0 at 1e20)
@@ -250,12 +252,43 @@ def test_value_s_is_exact_near_the_boundary():
     assert abs(u.value(np.exp(-s))[0] / want - 1.0) > 1e-5
 
 
-def test_profile_energy_is_known_only_after_scale_to_unit():
+def test_profile_energy_is_set_by_closed_forms_and_scale_to_unit():
+    # a constructor with a closed form sets the energy, scaled(c) carries
+    # it, scale_to_unit makes it 1; sinpoly's stays unknown until then
     u = power_profile(2.0)
-    assert u.energy is None and u.scaled(2.0).energy is None
-    unit = scale_to_unit(u, OMEGA_3 * 16.0)
+    assert u.energy == OMEGA_3 * 16.0 and u.scaled(2.0).energy == 4.0 * u.energy
+    unit = scale_to_unit(u, u.energy)
     assert unit.energy == 1.0
     assert unit.scaled(3.0).energy == 9.0
+    v = corpus_profile("sinpoly")
+    assert v.energy is None and v.scaled(2.0).energy is None
+    assert scale_to_unit(v, 4.0).energy == 1.0
+
+
+def _energy_cases() -> list:
+    from henon4.moser import MoserParams, moser_dirichlet
+    from henon4.symmetry import _FAMILIES
+
+    def grid(lo, hi, n):
+        return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+    pow_, moser, ring = (_FAMILIES[name] for name in ("pow", "moser", "ring"))
+    cases = [corpus_profile(name) for name in corpus_names() if name != "sinpoly"]
+    cases += [pow_.profile(q) for q in grid(*pow_.box[0], 7)]
+    cases += [moser.profile(x) for x in grid(*moser.box[0], 7)]
+    (rho_box, h_box) = ring.box
+    cases += [ring.profile(rho0, h) for rho0 in grid(*rho_box, 5) for h in grid(*h_box, 5)]
+    cases += [moser_dirichlet(MoserParams(eps, BoundaryKind.DIRICHLET)) for eps in (1e-12, 1e-62)]
+    # the bumps' energies poly4 = 16 pi^2 and cos2 hold to the last bits
+    rel = {"poly4": 1e-15, "cos2": 1e-15}
+    return [pytest.param(u, rel.get(u.description, 1e-13), id=u.description) for u in cases]
+
+
+@pytest.mark.parametrize("u, rel", _energy_cases())
+def test_constructor_energy_matches_quadrature(u, rel):
+    # the corpus, the search families over their boxes and Dirichlet Moser
+    # members: each closed-form energy is the integrated one
+    assert u.energy == pytest.approx(laplacian_l2_sq(u, _TIGHT), rel=rel, abs=0.0)
 
 
 def test_a_unit_profile_at_x_one_half_is_integrated_in_tau(monkeypatch):
@@ -282,18 +315,17 @@ def test_a_unit_profile_at_x_one_half_is_integrated_in_tau(monkeypatch):
 
 
 # Calls that stay in r, and the bits of their r integrals: x just above 1/2,
-# an unknown energy (a raw profile whose x would be 0.06) and
-# sigma = sigma_alpha
+# an unknown energy (sinpoly, whose x would be 0.05) and sigma = sigma_alpha
 _R_PINS = [
     ("unit", 64.0, math.nextafter(0.5 * sigma_alpha(64.0), math.inf), "0x1.3b62822b2c5bbp-13"),
-    ("raw", 64.0, 1.0, "0x1.099da2e27fe6fp-19"),
+    ("raw", 64.0, 1.0, "0x1.da4b21f477204p-28"),
     ("unit", 4.0, sigma_alpha(4.0), "0x1.71d23fadaa32dp-4"),
 ]
 
 
 @pytest.mark.parametrize("kind, alpha, sigma, value", _R_PINS)
 def test_calls_outside_the_tau_rule_keep_the_r_bits(kind, alpha, sigma, value):
-    u = _unit_pow(2.0) if kind == "unit" else power_profile(2.0)
+    u = _unit_pow(2.0) if kind == "unit" else corpus_profile("sinpoly")
     p = FunctionalParams(alpha, sigma, 1)
     assert weighted_functional(u, p).hex() == value
     assert weighted_functional_batch([(u, p)])[0].hex() == value
@@ -627,6 +659,11 @@ def test_scale_to_unit_rejects_an_energy_that_is_not_finite_and_positive():
     for energy in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             scale_to_unit(poly_profile(1), energy)
+    # an energy that is no number, such as the None of an unknown energy,
+    # is a DomainError that names the profile, not a TypeError
+    for energy in (None, "1", [1.0]):
+        with pytest.raises(DomainError, match="cannot normalize poly2 of energy"):
+            scale_to_unit(poly_profile(1), energy)
     assert scale_to_unit(poly_profile(1), 4.0).value(np.array([0.0]))[0] == 0.5
 
 
@@ -642,6 +679,14 @@ def test_functional_params_validation():
 def test_power_profile_rejects_bad_exponent():
     with pytest.raises(DomainError):
         power_profile(0.0)
+
+
+def test_poly_profile_takes_an_integer_j():
+    # the closed-form energy holds for integers j >= 1; at j = 1.5 it would
+    # divide by zero, and below that be negative
+    for j in (0, 1.5, 1.2, True):
+        with pytest.raises(DomainError):
+            poly_profile(j)
 
 
 def test_batch_forms_are_the_scalar_forms_bit_for_bit():

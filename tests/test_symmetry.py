@@ -15,6 +15,8 @@ from henon4.profiles import (
     cos2_profile,
     exp_minus_taylor,
     laplacian_l2_sq,
+    ring_profile,
+    scale_to_unit,
     unit_energy,
     weighted_functional,
 )
@@ -176,13 +178,6 @@ def test_bump_value_is_one_integral(monkeypatch):
         monkeypatch.setattr(module, "integrate", counting_integrate)
     translated_bump_value(64.0, FunctionalParams(0.0, SIGMA, 1))
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("kind", ["poly4", "cos2"])
-def test_bump_energy_matches_quadrature(kind):
-    family = _FAMILIES[kind]
-    exact = family.energy()
-    assert exact == pytest.approx(laplacian_l2_sq(family.profile(), _TIGHT), rel=1e-15, abs=0.0)
 
 
 def test_bump_kinds_are_the_families_without_a_search_box():
@@ -412,23 +407,6 @@ def test_radial_search_integrates_no_energy(monkeypatch):
     assert energies == []
 
 
-def _grid(lo, hi, n=5):
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
-@pytest.mark.parametrize("name", ["pow", "moser", "ring"])
-def test_family_energy_matches_quadrature(name):
-    family = _FAMILIES[name]
-    bounds = family.box
-    points = [[x] for x in _grid(*bounds[0], 7)]
-    if name == "ring":
-        points = [[rho0, h] for rho0 in _grid(*bounds[0]) for h in _grid(*bounds[1])]
-    for params in points:
-        exact = family.energy(*params)
-        quad = laplacian_l2_sq(family.profile(*params), _TIGHT)
-        assert exact == pytest.approx(quad, rel=1e-13, abs=0.0), params
-
-
 def _mp_ring_energy(mpmath, rho0: float, h: float) -> float:
     """||Delta u||_2^2 of ring_profile(rho0, h) by 40-digit quadrature of
     OMEGA_3 int_0^1 (r u'' + 3 u')^2 r dr, with u'' and u' in closed form."""
@@ -448,17 +426,27 @@ def _mp_ring_energy(mpmath, rho0: float, h: float) -> float:
         return float(2 * mpmath.pi**2 * mpmath.quad(f, pts))
 
 
-@pytest.mark.parametrize("rho0, h", [(0.0, 0.03), (0.0, 0.6), (0.97, 0.03), (0.97, 0.6), (0.62, 0.6)])
+@pytest.mark.parametrize(
+    "rho0, h",
+    [
+        (0.0, 0.03), (0.0, 0.6), (0.97, 0.03), (0.97, 0.6), (0.62, 0.6),
+        (0.0, 0.005), (0.0, 2.0), (0.999, 0.005), (0.999, 2.0),
+    ],
+)
 def test_ring_energy_matches_mpmath(rho0, h):
-    # the four corners of the search box and the alpha = 16 winner
+    # the four corners of the search box, the alpha = 16 winner and the four
+    # corners of the domain on which ring_profile sets its closed-form energy
     mpmath = pytest.importorskip("mpmath")
     exact = _mp_ring_energy(mpmath, rho0, h)
-    assert symmetry._ring_energy(rho0, h) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert ring_profile(rho0, h).energy == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
-def test_ring_energy_refuses_parameters_outside_the_search_box():
-    with pytest.raises(DomainError, match="search box"):
-        symmetry._ring_energy(0.5, 100.0)
+@pytest.mark.parametrize("rho0, h", [(0.5, 100.0), (0.5, 2.5), (0.5, 0.004), (0.9995, 0.3)])
+def test_ring_energy_is_unknown_outside_its_domain(rho0, h):
+    u = ring_profile(rho0, h)
+    assert u.energy is None
+    with pytest.raises(DomainError, match="of energy None"):
+        scale_to_unit(u, u.energy)
 
 
 def test_radial_search_m_ordering():
