@@ -34,7 +34,9 @@ form, exact near s = 0.  Tau is used when the profile's energy E is known,
 sigma < sigma_alpha and x = sigma E / sigma_alpha <= 1/2: a u with u(1) = 0 obeys
 |u| <= sqrt(s E) / (2 sqrt(OMEGA_3)), so sigma u^2 <= x tau and the tail of
 the tau integral past T is at most e^{-T(1-x)}/(1-x).  Every other call is
-integrated in r on [0, 1] (`weighted_functional`).
+integrated in r on [0, 1] (`weighted_functional`).  To rank many profiles,
+`functional_scorer` evaluates the tau integral's first GK15 round as a fixed
+rule, and leaves to the adaptive integral what that round cannot vouch for.
 
 Every constructor with a closed-form energy sets `RadialProfile.energy`;
 `sinpoly_profile` and the sampled-data profiles of `rearrangement` leave it
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -52,7 +55,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ThresholdError, as_index
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, integrate_batch
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, gk15_rule, integrate, integrate_batch
 
 __all__ = [
     "OMEGA_3",
@@ -64,6 +67,7 @@ __all__ = [
     "laplacian_l2_sq_batch",
     "weighted_functional",
     "weighted_functional_batch",
+    "functional_scorer",
     "weighted_lp_norm_p",
     "weighted_lp_norm_p_batch",
     "embedding_bound",
@@ -304,29 +308,15 @@ def _weight_partition(alpha: float, breakpoints: tuple) -> tuple:
     return tuple(breakpoints) + ladder + mids
 
 
-def _functional_terms(u: RadialProfile, alpha: float, sigma: float) -> Callable:
-    """F_m's integrand in r before its series: r -> (r^(alpha+3), sigma u(r)^2).
-    Its parameters are scalars per problem, so that the batch form takes the
-    same `pow` path as `weighted_functional`."""
+def _z(value: Callable, sigma: float) -> Callable:
+    """F_m's series argument x -> sigma value(x)^2, for a profile evaluated
+    by `value` at the abscissa x."""
 
-    def terms(r):
-        rr = np.asarray(r)
-        s = u.value(rr)
-        return rr ** (alpha + 3.0), sigma * s * s
+    def z(x):
+        s = value(np.asarray(x))
+        return sigma * s * s
 
-    return terms
-
-
-def _tau_terms(u: RadialProfile, alpha: float, sigma: float) -> Callable:
-    """F_m's integrand in tau before its series: tau -> (e^-tau, sigma u^2)
-    with u = value_s(tau / (alpha+4))."""
-
-    def terms(t):
-        tt = np.asarray(t)
-        s = u.value_s(tt / (alpha + 4.0))
-        return np.exp(-tt), sigma * s * s
-
-    return terms
+    return z
 
 
 # F_m in tau (module docstring): x = sigma E / sigma_alpha at most 1/2, a
@@ -345,12 +335,16 @@ _TAU_FIRST_SEEDS = _tau_seeds(0.0, _TAU_END)
 
 class _Functional(NamedTuple):
     """How F_m of one (profile, params) pair is integrated: F_m is `scale`
-    times the integral of weight * exp_minus_taylor(z, m), (weight, z) =
-    terms(abscissae), over `first` = (a, b, seeds), plus the tail interval
-    of `_tail` in tau.  `x` is sigma E / sigma_alpha in tau and None in r;
-    `breakpoints` are the profile's, mapped to tau."""
+    times the integral of weight(x) * exp_minus_taylor(z(x), m) over
+    `first` = (a, b, seeds), plus the tail interval of `_tail` in tau.  In r
+    the weight is r^(alpha+3) and z = sigma u(r)^2; in tau they are e^-tau
+    and sigma value_s(tau/(alpha+4))^2.  The parameters are scalars per
+    problem, so that the batch form takes the same `pow` path as
+    `weighted_functional`.  `x` is sigma E / sigma_alpha in tau and None in
+    r; `breakpoints` are the profile's, mapped to tau."""
 
-    terms: Callable
+    weight: Callable
+    z: Callable
     m: Optional[int]
     first: tuple
     scale: float
@@ -366,11 +360,13 @@ def _functional(u: RadialProfile, p: FunctionalParams) -> _Functional:
     x = None if u.energy is None or p.sigma >= sa else p.sigma * u.energy / sa
     if x is None or x > _TAU_MAX_SHARE:
         first = (0.0, 1.0, _weight_partition(p.alpha, u.breakpoints))
-        return _Functional(_functional_terms(u, p.alpha, p.sigma), p.m, first, OMEGA_3)
+        weight = lambda r: np.asarray(r) ** (p.alpha + 3.0)
+        return _Functional(weight, _z(u.value, p.sigma), p.m, first, OMEGA_3)
     gamma = p.alpha + 4.0
     bps = tuple(-gamma * math.log(b) for b in u.breakpoints if 0.0 < b < 1.0)
     first = (0.0, _TAU_END, _TAU_FIRST_SEEDS + bps)
-    return _Functional(_tau_terms(u, p.alpha, p.sigma), p.m, first, OMEGA_3 / gamma, x, bps)
+    z = _z(lambda t: u.value_s(t / gamma), p.sigma)
+    return _Functional(lambda t: np.exp(-np.asarray(t)), z, p.m, first, OMEGA_3 / gamma, x, bps)
 
 
 def _tail(fn: _Functional, value: float, spec: QuadratureSpec) -> Optional[tuple]:
@@ -418,8 +414,8 @@ def weighted_functional(
     fn = _functional(u, p)
 
     def integrand(x):
-        weight, z = fn.terms(x)
-        return weight * exp_minus_taylor(z, p.m)
+        z = fn.z(x)
+        return fn.weight(x) * exp_minus_taylor(z, p.m)
 
     a, b, seeds = fn.first
     value = integrate(integrand, a, b, spec, seeds).value
@@ -428,6 +424,42 @@ def weighted_functional(
         a, b, seeds = tail
         value += integrate(integrand, a, b, spec, seeds).value
     return fn.scale * value
+
+
+def functional_scorer(p: FunctionalParams, spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
+    """F_m at `p` on a fixed rule, for ranking many profiles: a function
+    u -> F_m(u), or None where the caller must integrate.
+
+    The rule is the first GK15 round of `weighted_functional`'s integral in
+    tau (`gk15_rule` on `_functional`'s first interval), with e^-tau in its
+    weights, so a score is two dot products with g_m(sigma u^2) at the
+    round's abscissae: the K15 value K and the G7 value G.  The score is
+    OMEGA_3/(alpha+4) K when `_functional` picks tau, K is a normal float
+    (a subnormal or 0 is a layer the round missed), |K - G| <= rel_tol K and
+    `_tail` asks for no tail interval; it is None otherwise.  At one p only
+    the mapped breakpoints move the rule, and the function keeps one rule
+    per set of them.
+    """
+    rules: dict = {}
+
+    def score(u: RadialProfile) -> Optional[float]:
+        fn = _functional(u, p)
+        if fn.x is None:
+            return None
+        rule = rules.get(fn.breakpoints)
+        if rule is None:
+            x, wk, wg = gk15_rule(*fn.first)
+            weight = fn.weight(x)
+            rule = rules[fn.breakpoints] = (x, weight * wk, weight * wg)
+        x, wk, wg = rule
+        # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
+        g = exp_minus_taylor(fn.z(x), p.m)
+        kronrod, gauss = float(g @ wk), float(g @ wg)
+        if not (sys.float_info.min <= kronrod < math.inf and abs(kronrod - gauss) <= spec.rel_tol * kronrod):
+            return None
+        return None if _tail(fn, kronrod, spec) else fn.scale * kronrod
+
+    return score
 
 
 def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
@@ -444,8 +476,8 @@ def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = 
             by_m: dict = {}
             for k, sl in parts:
                 fn = fns[index[k]]
-                weight, z = fn.terms(x[sl])
-                by_m.setdefault(fn.m, []).append((sl, weight, z))
+                z = fn.z(x[sl])
+                by_m.setdefault(fn.m, []).append((sl, fn.weight(x[sl]), z))
             for m, group in by_m.items():
                 g = exp_minus_taylor(np.concatenate([z for _, _, z in group]), m)
                 start = 0

@@ -67,6 +67,7 @@ __all__ = [
     "integrate",
     "integrate_halfline",
     "integrate_batch",
+    "gk15_rule",
     "DEFAULT_SPEC",
 ]
 
@@ -151,6 +152,14 @@ _WG[9:15:2] = _WG_HALF[2::-1]
 _MAX_BATCH = 64
 
 
+def _gk15_nodes(los: np.ndarray, his: np.ndarray):
+    """(half widths, abscissae) of the GK15 rule on the intervals (los, his),
+    one row of 15 abscissae per interval: the kernel's and `gk15_rule`'s."""
+    half = 0.5 * (his - los)
+    mid = 0.5 * (his + los)
+    return half, mid[:, None] + half[:, None] * _XGK[None, :]
+
+
 def _gk15_batch(f: Callable, los: np.ndarray, his: np.ndarray):
     """Evaluate the G7/K15 pair on a batch of intervals.
 
@@ -159,9 +168,7 @@ def _gk15_batch(f: Callable, los: np.ndarray, his: np.ndarray):
     non-finite integrand value makes its interval's value non-finite; the
     drivers report it.
     """
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    xs = mid[:, None] + half[:, None] * _XGK[None, :]
+    half, xs = _gk15_nodes(los, his)
     fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         resk = (fx * _WGK[None, :]).sum(axis=1) * half
@@ -187,6 +194,16 @@ def _partition(a: float, b: float, breakpoints: Sequence[float] = ()):
         raise DomainError(f"need finite a < b, got [{a}, {b}]")
     edges = _clean_breakpoints(a, b, breakpoints)
     return np.array(edges[:-1]), np.array(edges[1:])
+
+
+def gk15_rule(a: float, b: float, breakpoints: Sequence[float] = ()):
+    """The first round of `integrate(f, a, b, spec, breakpoints)` as a fixed
+    rule: (x, wk, wg), the abscissae that round evaluates, bit for bit, and
+    their K15 and G7 weights (0 on the Kronrod-only nodes).  Up to rounding,
+    f(x) @ wk is the round's value and f(x) @ wg the sum of its intervals'
+    G7 values."""
+    half, xs = _gk15_nodes(*_partition(a, b, breakpoints))
+    return xs.ravel(), (half[:, None] * _WGK).ravel(), (half[:, None] * _WG).ravel()
 
 
 def _name_x(x: float) -> str:

@@ -24,7 +24,11 @@ Radial side: a certified lower estimate of the radial supremum by coordinate
 ascent from one start per parametric family (boundary-adapted power profiles,
 concentrating extremal members, off-origin ring bumps), each candidate
 scaled onto the unit energy sphere by the exact energy its constructor
-sets, so a candidate costs one integral, the functional.  The bumps and the
+sets.  The ascent ranks the candidates by `functional_scorer`: F_m on the
+fixed rule of the first GK15 round of its tau integral, two dot products
+per candidate, checked by its G7 sum.  A candidate the rule cannot score
+is integrated, and so is each family's final point: the families are
+compared, and the sweep reports, on adaptive integrals.  The bumps and the
 search families share one table, `_FAMILIES`, and one normaliser, `_unit`,
 so the sweep integrates no energy.  At sigma = 32 pi^2 the concentrating
 members win at small alpha (up to alpha = 4..12, growing with m), ring
@@ -61,6 +65,7 @@ from .profiles import (
     RadialProfile,
     cos2_profile,
     exp_minus_taylor,
+    functional_scorer,
     poly_profile,
     power_profile,
     ring_profile,
@@ -274,31 +279,42 @@ def radial_max_search(
     start each; every golden-section line spans the family's whole box.
     Every candidate is scalar-projected onto the unit energy sphere before
     the functional is evaluated, so any returned value is a true lower
-    bound.  Each distinct candidate is evaluated once per call, and its
-    energy ||Delta u||_2^2 is the closed form its constructor sets (`_unit`),
-    so the functional is the only integral per candidate.  Nothing is kept
-    between calls, and nothing random enters.  Returns (value, profile).
+    bound.  Each distinct candidate is evaluated once per call: its energy
+    ||Delta u||_2^2 is the closed form its constructor sets (`_unit`), and
+    its F_m the score of `functional_scorer`, or the adaptive integral
+    (`objective`) where the scorer returns None.  Each family's final point
+    is then integrated, unless its value already was, and the families are
+    compared on those integrals, so the returned value is an adaptive
+    integral at `spec`.  Nothing is kept between calls, and nothing random
+    enters.  Returns (value, profile).
     """
     if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
     if p.m is None or p.m < 1:
         raise PreconditionError("radial search targets truncated functionals, m >= 1")
     params_alpha = FunctionalParams(alpha, p.sigma, p.m)
+    score = functional_scorer(params_alpha, spec)
 
-    def objective(family: str, params) -> float:
+    def objective(u: RadialProfile) -> float:
         try:
-            val = weighted_functional(_unit(family, params), params_alpha, spec)
+            val = weighted_functional(u, params_alpha, spec)
         except Henon4Error:
             return -math.inf
         return val if math.isfinite(val) else -math.inf
 
-    seen = {}  # (family, params) -> objective value, for this call only
+    seen = {}  # (family, params) -> (value, adaptive?), for this call only
 
     def lookup(family: str, params) -> float:
         key = (family, tuple(params))
         if key not in seen:
-            seen[key] = objective(family, params)
-        return seen[key]
+            try:
+                u = _unit(family, params)
+            except Henon4Error:
+                seen[key] = (-math.inf, True)
+                return -math.inf
+            val = score(u)
+            seen[key] = (objective(u), True) if val is None else (val, False)
+        return seen[key][0]
 
     best_val = -math.inf
     best_family = None
@@ -320,6 +336,9 @@ def radial_max_search(
                 if fx > val:
                     params[dim] = x
                     val = fx
+        val, adaptive = seen[(family, tuple(params))]
+        if not adaptive:
+            val = objective(_unit(family, params))
         if val > best_val:
             best_val = val
             best_family = family

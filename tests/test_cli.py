@@ -394,8 +394,8 @@ def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):
 
 _SWEEP_WORK = [
     # (alphas, GK15 rounds and nodes with every candidate in r, the same in tau)
-    (None, 904, 137895, 686, 140970),
-    ("2048,8192,32768,131072", 454, 186435, 454, 92895),
+    (None, 904, 137895, 48, 5970),
+    ("2048,8192,32768,131072", 454, 186435, 26, 3015),
 ]
 
 
@@ -404,11 +404,13 @@ _SWEEP_WORK = [
     [pytest.param(*work, id="-".join(map(str, work[:3]))) for work in _SWEEP_WORK],
 )
 def test_symmetry_sweep_kernel_work_pinned(tmp_path, monkeypatch, alphas, r_calls, r_nodes, calls, nodes):
-    # each candidate of the radial search is one scalar integral, in tau at
-    # every large alpha one GK15 round of 210 nodes; with the tau rule off
-    # (no x qualifies) the same sweep runs in r.  ROADMAP item 11 (the
-    # lockstep sweep) is expected to move these counts, and the change that
-    # does must state the new ones here
+    # in tau the radial search scores its candidates on a fixed rule, which
+    # makes no GK15 round: the kernel integrates each family's final point,
+    # the fallbacks (ring candidates at alpha = 16 and 32) and the bumps.
+    # With the tau rule off (no x qualifies) every candidate falls back and
+    # is one scalar integral in r.  ROADMAP item 2 (the basis search) is
+    # expected to move these counts, and the change that does must state the
+    # new ones here
     rounds = []
     kernel = quadrature._gk15_batch
 

@@ -292,6 +292,27 @@ def test_gk15_rows_do_not_depend_on_the_batch():
     assert np.array_equal(part[0], vals[10:43]) and np.array_equal(part[1], errs[10:43])
 
 
+def test_gk15_rule_is_the_first_round_of_integrate():
+    # the fixed rule evaluates the abscissae of integrate's first round, bit
+    # for bit (one helper builds both), and its K15 weights sum that round
+    seeds = tuple(np.geomspace(0.5, 200.0, 14).tolist()) + (37.25, 1e-3)
+    f = lambda x: np.exp(-x) * (1.0 + np.sin(x)) ** 2
+    rounds = []
+
+    def recording(x):
+        rounds.append(x.copy())
+        return f(x)
+
+    integrate(recording, 0.0, 200.0, DEFAULT_SPEC, seeds)
+    x, wk, wg = quadrature.gk15_rule(0.0, 200.0, seeds)
+    assert x.tobytes() == rounds[0].tobytes()
+    vals, _ = quadrature._gk15_batch(f, *quadrature._partition(0.0, 200.0, seeds))
+    assert f(x) @ wk == pytest.approx(vals.sum(), rel=1e-15, abs=0.0)
+    # G7 is exact for degree 13 on each interval
+    assert x**13 @ wg == pytest.approx(200.0**14 / 14.0, rel=1e-14, abs=0.0)
+    assert np.count_nonzero(wg) == 7 * x.size // 15
+
+
 def test_batch_drops_the_warnings_of_problems_after_a_failure():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be raised here, before the NonFinite

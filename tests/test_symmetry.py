@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -296,10 +298,15 @@ def test_radial_search_deterministic():
 
 
 def test_radial_search_evaluates_each_point_once(monkeypatch):
+    # each distinct candidate is scored once on the fixed tau rule; the
+    # adaptive integral runs only for each family's final point (pow, moser
+    # and ring: 3), as no candidate at alpha = 64 falls back
     calls = []
     points = []
+    scored = []
     functional = symmetry.weighted_functional
     unit = symmetry._unit
+    scorer = symmetry.functional_scorer
 
     def counting_functional(*args):
         calls.append(None)
@@ -309,12 +316,21 @@ def test_radial_search_evaluates_each_point_once(monkeypatch):
         points.append((family, tuple(params)))
         return unit(family, params)
 
+    def counting_scorer(*args):
+        score = scorer(*args)
+
+        def counting_score(u):
+            scored.append(None)
+            return score(u)
+
+        return counting_score
+
     monkeypatch.setattr(symmetry, "weighted_functional", counting_functional)
     monkeypatch.setattr(symmetry, "_unit", recording_unit)
+    monkeypatch.setattr(symmetry, "functional_scorer", counting_scorer)
     val, prof = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1))
-    # the last _unit call builds the returned profile, not a candidate
-    distinct = set(points[:-1])
-    assert len(calls) == len(distinct) == 110
+    assert len(scored) == len(set(points)) == 110
+    assert len(calls) == 3
     assert val == pytest.approx(2.039217769283519e-06, rel=1e-12, abs=0.0)
     assert "(pow:" in prof.description
 
@@ -330,8 +346,10 @@ def test_radial_search_ring_winner_at_alpha_16():
 # (sigma / pi^2, m, alpha, radial_max in r, profile id, radial_max in tau),
 # exact: a change to the search's starts, family order, boxes or line
 # searches, or to either variable's integral, shows here.  The search
-# integrates these candidates in tau; with the tau rule off it runs in r,
-# whose values differ by at most 3.8e-13 (alpha = 65536) and name the test.
+# scores these candidates on the fixed tau rule; with the scorer falling
+# back on every candidate it integrates each in tau and lands on the same
+# points, and with the tau rule off it runs in r, whose values differ by at
+# most 3.8e-13 (alpha = 65536) and name the test.
 _SEARCH_PINS = [
     (8, 1, 4.0, 0.0027891945738623527, "0.594971*(moser:0.111709:navier)", 0.002789194573862353),
     (8, 1, 12.0, 0.0001126432599725821, "0.0685526*(ring:0.586293:0.599901)", 0.0001126432599725821),
@@ -366,6 +384,11 @@ def test_radial_search_pinned(monkeypatch, sigma_pi2, m, alpha, r_value, profile
     val, prof = radial_max_search(alpha, p)
     assert val == value
     assert prof.description == profile_id
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "functional_scorer", lambda p, spec: lambda u: None)
+        val, prof = radial_max_search(alpha, p)
+    assert val == value
+    assert prof.description == profile_id
     monkeypatch.setattr(profiles, "_TAU_MAX_SHARE", -1.0)
     val, prof = radial_max_search(alpha, p)
     assert val == r_value
@@ -385,8 +408,9 @@ def test_radial_search_at_huge_alpha_finds_the_power_profile(alpha):
 
 def test_radial_search_integrates_no_energy(monkeypatch):
     # every integral of a search is a candidate's functional: the energies
-    # are closed forms, so one call integrates once per distinct candidate
-    # (110, as in test_radial_search_evaluates_each_point_once)
+    # are closed forms, and the fixed rule scores the candidates, so one call
+    # integrates once per family's final point (3, as in
+    # test_radial_search_evaluates_each_point_once)
     integrals = []
     energies = []
     integrate_fn = profiles.integrate
@@ -403,8 +427,92 @@ def test_radial_search_integrates_no_energy(monkeypatch):
     monkeypatch.setattr(profiles, "integrate", counting_integrate)
     monkeypatch.setattr(profiles, "laplacian_l2_sq", counting_energy)
     radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1))
-    assert len(integrals) == 110
+    assert len(integrals) == 3
     assert energies == []
+
+
+def _code_named(code, name: str):
+    return next(const for const in code.co_consts if getattr(const, "co_name", None) == name)
+
+
+@pytest.mark.parametrize(
+    "alpha, m, integrals",
+    [
+        (64.0, 1, 3),  # every candidate scored on the fixed rule
+        (16.0, 2, 25),  # 22 ring candidates fail |K - G| <= rel_tol K
+        (0.0, 1, 110),  # sigma = sigma_0: every candidate in r
+    ],
+)
+def test_radial_search_objective_is_its_only_integral(monkeypatch, alpha, m, integrals):
+    # henonbench/selfcheck.py counts the calls of the nested `objective` of
+    # radial_max_search and requires them to equal the search's
+    # weighted_functional calls: a fixed-rule score must not call it
+    objective = _code_named(radial_max_search.__code__, "objective")
+    objective_calls = []
+    functional_calls = []
+    functional = symmetry.weighted_functional
+
+    def counting_functional(*args):
+        functional_calls.append(None)
+        return functional(*args)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is objective:
+            objective_calls.append(None)
+
+    monkeypatch.setattr(symmetry, "weighted_functional", counting_functional)
+    sys.setprofile(hook)
+    try:
+        radial_max_search(alpha, FunctionalParams(0.0, SIGMA, m))
+    finally:
+        sys.setprofile(None)
+    assert len(objective_calls) == len(functional_calls) == integrals
+
+
+# the search boxes on a grid of 7 points per parameter, endpoints included
+_BOX_POINTS = [
+    (family, params)
+    for family in ("pow", "moser", "ring")
+    for params in itertools.product(*(np.linspace(lo, hi, 7).tolist() for lo, hi in _FAMILIES[family].box))
+]
+
+
+def test_functional_score_within_rel_tol_of_the_integral():
+    # every score the fixed rule counts is within rel_tol of the adaptive
+    # integral, on the search boxes at both sigmas, m = 1..3 and the alphas
+    # of both sweep grids (the worst gap is 6.7e-16)
+    counted = 0
+    worst = 0.0
+    for alpha in (4.0, 12.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 2048.0, 8192.0, 32768.0, 131072.0):
+        for sigma in (SIGMA / 4.0, SIGMA):
+            for m in (1, 2, 3):
+                p = FunctionalParams(alpha, sigma, m)
+                score = profiles.functional_scorer(p, DEFAULT_SPEC)
+                for family, params in _BOX_POINTS:
+                    u = symmetry._unit(family, params)
+                    value = score(u)
+                    if value is not None:
+                        counted += 1
+                        worst = max(worst, abs(value / weighted_functional(u, p) - 1.0))
+    assert counted == 3074  # of 4536 points
+    assert worst <= DEFAULT_SPEC.rel_tol
+
+
+@pytest.mark.parametrize(
+    "family, params, alpha, sigma",
+    [
+        # a ring at the origin: the round's nodes miss its layer, and K is
+        # subnormal or 0 against an adaptive 1.2e-149
+        ("ring", (0.0, 0.03), 128.0, SIGMA / 4.0),
+        ("pow", (2.0,), 1e20, SIGMA),  # the tail bound asks for [200, T']
+        ("pow", (2.0,), 0.0, SIGMA),  # sigma = sigma_0: F_1 is integrated in r
+    ],
+)
+def test_functional_scorer_falls_back(family, params, alpha, sigma):
+    u = symmetry._unit(family, params)
+    p = FunctionalParams(alpha, sigma, 1)
+    assert profiles.functional_scorer(p, DEFAULT_SPEC)(u) is None
+    assert weighted_functional(u, p) >= sys.float_info.min
 
 
 def _mp_ring_energy(mpmath, rho0: float, h: float) -> float:
