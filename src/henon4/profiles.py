@@ -41,6 +41,10 @@ rule, and leaves to the adaptive integral what that round cannot vouch for.
 Every constructor with a closed-form energy sets `RadialProfile.energy`;
 `sinpoly_profile` and the sampled-data profiles of `rearrangement` leave it
 None, so F_m of them is integrated in r.
+
+Each integral is written once, as the `*_batch` form that `integrate_batch`
+runs in lockstep; each scalar form is its batch of one, which
+`integrate_batch` runs as one call of `integrate`.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ThresholdError, as_index
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gk15_rule, integrate, integrate_batch
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, gk15_rule, integrate_batch
 
 __all__ = [
     "OMEGA_3",
@@ -247,13 +251,13 @@ def _laplacian_integrand(u: RadialProfile) -> Callable:
 
 
 def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """integral_B |Delta u|^2 dx for a radial profile."""
-    res = integrate(_laplacian_integrand(u), 0.0, 1.0, spec, u.breakpoints)
-    return OMEGA_3 * res.value
+    """integral_B |Delta u|^2 dx for a radial profile: the batch of one."""
+    return laplacian_l2_sq_batch([u], spec)[0]
 
 
 def laplacian_l2_sq_batch(profiles: Sequence[RadialProfile], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
-    """`laplacian_l2_sq` of each profile, bit for bit, in lockstep (`integrate_batch`)."""
+    """`laplacian_l2_sq` of each profile in lockstep (`integrate_batch`),
+    bit for bit the loop of `integrate` over the profiles."""
     integrands = [_laplacian_integrand(u) for u in profiles]
     return _omega_batch(_each(integrands), [(0.0, 1.0, u.breakpoints) for u in profiles], spec)
 
@@ -339,9 +343,9 @@ class _Functional(NamedTuple):
     `first` = (a, b, seeds), plus the tail interval of `_tail` in tau.  In r
     the weight is r^(alpha+3) and z = sigma u(r)^2; in tau they are e^-tau
     and sigma value_s(tau/(alpha+4))^2.  The parameters are scalars per
-    problem, so that the batch form takes the same `pow` path as
-    `weighted_functional`.  `x` is sigma E / sigma_alpha in tau and None in
-    r; `breakpoints` are the profile's, mapped to tau."""
+    problem, so that a batch takes the same `pow` path as a lone integral.
+    `x` is sigma E / sigma_alpha in tau and None in r; `breakpoints` are the
+    profile's, mapped to tau."""
 
     weight: Callable
     z: Callable
@@ -409,21 +413,9 @@ def weighted_functional(
     other call (x > 1/2, an unknown energy, sigma >= sigma_alpha) integrates
     in r on [0, 1] from the seed points of `_weight_partition`, which resolve
     the layer in r in the first round.  The seeded intervals count against
-    `spec.max_subdivisions`.
+    `spec.max_subdivisions`.  It is `weighted_functional_batch` of one pair.
     """
-    fn = _functional(u, p)
-
-    def integrand(x):
-        z = fn.z(x)
-        return fn.weight(x) * exp_minus_taylor(z, p.m)
-
-    a, b, seeds = fn.first
-    value = integrate(integrand, a, b, spec, seeds).value
-    tail = _tail(fn, value, spec)
-    if tail is not None:
-        a, b, seeds = tail
-        value += integrate(integrand, a, b, spec, seeds).value
-    return fn.scale * value
+    return weighted_functional_batch([(u, p)], spec)[0]
 
 
 def functional_scorer(p: FunctionalParams, spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
@@ -463,11 +455,12 @@ def functional_scorer(p: FunctionalParams, spec: QuadratureSpec = DEFAULT_SPEC) 
 
 
 def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
-    """`weighted_functional` of each (profile, params) pair, bit for bit, in
-    lockstep (`integrate_batch`): one batch of every first integral, in tau
-    or in r, then one of the tails that tau needs.  Each round sums the
-    series of all problems of one m with one `exp_minus_taylor` call, whose
-    values do not depend on the other z values of the call."""
+    """`weighted_functional` of each (profile, params) pair in lockstep
+    (`integrate_batch`), bit for bit the loop of `integrate` over their
+    integrals: one batch of every first integral, in tau or in r, then one
+    of the tails that tau needs.  Each round sums the series of all problems
+    of one m with one `exp_minus_taylor` call, whose values do not depend on
+    the other z values of the call."""
     fns = [_functional(u, p) for u, p in problems]
 
     def run(index: Sequence[int], intervals: list) -> list:
@@ -516,17 +509,15 @@ def weighted_lp_norm_p(
     """integral_B |x|^alpha |u|^p dx (the p-th power of the weighted norm).
 
     As in `weighted_functional`, the integral starts from the seed points of
-    `_weight_partition`.
+    `_weight_partition`.  It is `weighted_lp_norm_p_batch` of one problem.
     """
-    integrand = _lp_integrand(u, pexp, alpha)
-    res = integrate(integrand, 0.0, 1.0, spec, _weight_partition(alpha, u.breakpoints))
-    return OMEGA_3 * res.value
+    return weighted_lp_norm_p_batch([(u, pexp, alpha)], spec)[0]
 
 
 def weighted_lp_norm_p_batch(problems: Sequence[tuple], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
-    """`weighted_lp_norm_p` of each (profile, pexp, alpha), bit for bit, in
-    lockstep (`integrate_batch`).  Every pexp and alpha is checked before
-    the first integral."""
+    """`weighted_lp_norm_p` of each (profile, pexp, alpha) in lockstep
+    (`integrate_batch`), bit for bit the loop of `integrate` over the
+    problems.  Every pexp and alpha is checked before the first integral."""
     integrands = [_lp_integrand(u, pexp, alpha) for u, pexp, alpha in problems]
     intervals = [(0.0, 1.0, _weight_partition(alpha, u.breakpoints)) for u, _, alpha in problems]
     return _omega_batch(_each(integrands), intervals, spec)

@@ -29,16 +29,17 @@ test: monotone growth over 8 consecutive doublings raises Divergent.  The
 same bisection loop as on a finite interval then refines that partition.
 
 That loop, `_refine`, advances a list of independent problems in lockstep;
-`integrate` and `integrate_halfline` are batches of one, and
-`integrate_batch` runs many.  Each problem keeps its own partition, error
-test, split order and subdivision count, and each round makes one
+`integrate` and `integrate_halfline` run it on one problem, and
+`integrate_batch` on two or more.  Each problem keeps its own partition,
+error test, split order and subdivision count, and each round makes one
 `_gk15_batch` call over the new intervals of every live problem, so a round
 costs about the numpy call overhead of one problem's round.  A batch keeps
 its lockstep results only when the run was silent: numpy's 'warn' modes
 raise during it, and if anything raises (a bad interval, a failed
 integral, the integrand, or a floating-point warning), the batch is
 computed again as the loop of `integrate` it stands for, which raises the
-loop's first failure and issues the loop's warnings in the loop's order.
+loop's first failure and issues the loop's warnings in the loop's order;
+a batch of fewer than two is that loop, so a lone integral is `integrate`.
 A batch returns its integrals and nothing else: a caller checks their values
 once it has them all, and checks its inputs before the batch starts.
 A silent batch returns the bits of the loop on two conditions, which the
@@ -237,26 +238,26 @@ def integrate_batch(f: Callable, problems: Sequence[tuple], spec: QuadratureSpec
     returned array holds f_i there.  Returns one IntegralResult per problem,
     in input order, or raises the first failure of the loop.
 
-    The lockstep run is kept only if it is silent: it runs with each numpy
-    floating-point mode that is 'warn' set to 'raise' (other modes stay as
-    the caller set them), and if anything in it raises, its results are
-    dropped and the batch is the loop `integrate(f_i, a, b, spec,
+    Two or more problems run in lockstep, kept only if the run is silent:
+    it runs with each numpy floating-point mode that is 'warn' set to
+    'raise' (other modes stay as the caller set them).  Fewer problems, or a
+    lockstep run that raised, are the loop `integrate(f_i, a, b, spec,
     breakpoints)` over i, which raises the first failure and issues the
     warnings of the loop, in its order.
     """
-    if not problems:
-        return []
-    raising = {kind: "raise" for kind, mode in np.geterr().items() if mode == "warn"}
-    try:
-        with np.errstate(**raising):
-            split = [(i, *_partition(*problem)) for i, problem in enumerate(problems)]
-            states = [(los, his, *res) for (_, los, his), res in zip(split, _round(f, split))]
-            return _refine(f, states, spec, _name_x)
-    except Exception:
-        return [
-            integrate(lambda x: f(x, ((i, slice(None)),)), a, b, spec, *bps)
-            for i, (a, b, *bps) in enumerate(problems)
-        ]
+    if len(problems) > 1:
+        raising = {kind: "raise" for kind, mode in np.geterr().items() if mode == "warn"}
+        try:
+            with np.errstate(**raising):
+                split = [(i, *_partition(*problem)) for i, problem in enumerate(problems)]
+                states = [(los, his, *res) for (_, los, his), res in zip(split, _round(f, split))]
+                return _refine(f, states, spec, _name_x)
+        except Exception:
+            pass
+    return [
+        integrate(lambda x: f(x, ((i, slice(None)),)), a, b, spec, *bps)
+        for i, (a, b, *bps) in enumerate(problems)
+    ]
 
 
 def _round(f: Callable, split: list) -> list:

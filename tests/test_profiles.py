@@ -336,7 +336,7 @@ def test_the_tail_past_200_gets_one_more_integral():
     # the bound e^-200 on the tail past tau = 200 is above rel_tol/10 of it,
     # so [200, T'] is integrated too; at alpha = 64 it is not
     ends = []
-    integrate_fn = profiles.integrate
+    integrate_fn = quadrature.integrate
 
     def recording_integrate(f, a, b, *args):
         ends.append(b)
@@ -347,7 +347,7 @@ def test_the_tail_past_200_gets_one_more_integral():
     for alpha, count in ((64.0, 1), (1e20, 2)):
         ends.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(profiles, "integrate", recording_integrate)
+            mp.setattr(quadrature, "integrate", recording_integrate)
             got = weighted_functional(u, FunctionalParams(alpha, _SIGMA, 2))
         assert len(ends) == count and ends[0] == 200.0
         assert got == pytest.approx(_beta_series(c, 2.0, alpha, _SIGMA, 2), rel=1e-13, abs=0.0)
