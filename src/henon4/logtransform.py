@@ -162,6 +162,9 @@ def marshall_moser_integral(
     `cumulative` is the closed form of int_0^t psi and `l2_sq` the mass
     int_0^inf psi^2, which must be <= 1 (PreconditionError otherwise).  The
     half-line integral takes max(1, support_hint) as one more breakpoint.
+    `psi` itself is not read: only `cumulative` enters the integral, and
+    `test_marshall_moser_family_closed_forms_match_psi` checks that the two
+    agree on every family member.
     """
     if l2_sq > 1.0 + 1e-9:
         raise PreconditionError(f"||psi||_2^2 = {l2_sq:.12g} exceeds 1")

@@ -9,7 +9,7 @@ sorted value k occupies the measure slab between consecutive cumulative
 weights and is placed at the slab's midpoint, its mu-knot.  Integral
 functionals of the rearrangement, summed over the slabs, then agree with
 those of the field up to the O(M^-2) midpoint sampling error, because the
-sort is a weighted permutation.
+sort is a weighted permutation.  Each call builds its own grid.
 
 The radial Poisson solve
 
@@ -23,6 +23,11 @@ mu^{3/2} antiderivatives): no quadrature error, but each cell integral is a
 difference anti(x1) - anti(x0) of values typically 1e5-1e6 times larger (the
 quadratic is expanded about y = 0), so float64 u is off by up to ~5e-8 at the
 v#-knots against the same chain computed in extended precision.
+
+The oracle's other integrals come from `profiles` and `quadrature`:
+||Delta v||^2 is `laplacian_l2_sq`, the squares of v and u are one
+`weighted_lp_norm_p_batch`, and the solve's cross-check is one
+`integrate_batch`.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ from .profiles import (
     OMEGA_3,
     BoundaryKind,
     RadialProfile,
-    weighted_lp_norm_p,
+    laplacian_l2_sq,
+    weighted_lp_norm_p_batch,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_batch
 
 __all__ = [
     "talenti_comparison_check",
@@ -48,25 +54,16 @@ __all__ = [
 ]
 
 _DEFAULT_GRID = 100_000
-_GRIDS: dict = {}  # size -> (radii, weights): the grid of the last size used
 _BLOCK = 8192  # points per block in the passes over the samples: bounds their temporaries
 
 
 def _radius_grid(grid_size: int):
-    """Cell centers and shell-volume weights (read-only) of the radius grid."""
+    """Cell centers and shell-volume weights of the radius grid; each call builds them."""
     grid_size = as_index(grid_size, "grid_size")
     if grid_size < 16:
         raise PreconditionError("grid_size too small for a meaningful rearrangement")
-    grid = _GRIDS.get(grid_size)  # checked first: as keys, 16.0 and True equal ints
-    if grid is None:
-        edges = np.linspace(0.0, 1.0, grid_size + 1)
-        radii = 0.5 * (edges[:-1] + edges[1:])
-        weights = edges[1:] ** 4 - edges[:-1] ** 4
-        radii.flags.writeable = weights.flags.writeable = False
-        grid = radii, weights
-        _GRIDS.clear()
-        _GRIDS[grid_size] = grid
-    return grid
+    edges = np.linspace(0.0, 1.0, grid_size + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), edges[1:] ** 4 - edges[:-1] ** 4
 
 
 def _blocks(n: int):
@@ -198,14 +195,10 @@ def _residual_guard(u: RadialProfile, chain: "_SolveChain", f_mu, f_sup: float) 
         raise NonFinite(
             f"poisson residual {worst:.3e} exceeds 1e-6 * sup|f| = {1e-6 * f_sup:.3e}"
         )
-    for lo in (0.25, 0.7):
-        ref = integrate(
-            lambda s: chain.inner_cumulative(np.asarray(s) ** 4) / np.asarray(s) ** 3,
-            lo,
-            1.0,
-            DEFAULT_SPEC,
-        ).value
-        got = float(u.value(np.array([lo]))[0])
+    los = (0.25, 0.7)
+    g = lambda s, parts: chain.inner_cumulative(s**4) / s**3
+    for lo, cross in zip(los, integrate_batch(g, [(lo, 1.0) for lo in los], DEFAULT_SPEC)):
+        ref, got = cross.value, float(u.value(np.array([lo]))[0])
         # the chain's own rounding puts u up to ~5e-8 off (module docstring);
         # the adaptive reference agrees with an extended-precision chain to
         # ~1e-10, so the guard is loose enough for the chain, not the reference
@@ -232,7 +225,8 @@ def talenti_comparison_check(
     Builds f = -Delta v from the closed-form derivatives, rearranges |f|,
     solves -Delta u = f# and checks u >= v# - 1e-8 at the rearrangement
     knots, rearrangement invariance of ||.||_2 to 1e-8 relative, and the
-    induced integral comparison of squares.
+    induced integral comparison of squares.  ||f||_2 is the square root of
+    `laplacian_l2_sq(v)`; ||f#||_2 is the exact sum over the slabs.
     """
 
     def f(r):
@@ -260,14 +254,11 @@ def talenti_comparison_check(
         for lo, hi in _blocks(v_mu.size)
     ]))
 
-    f_l2 = math.sqrt(OMEGA_3 * integrate(
-        lambda r: f(r) ** 2 * np.asarray(r, dtype=float) ** 3, 0.0, 1.0, spec, v.breakpoints
-    ).value)
+    f_l2 = math.sqrt(laplacian_l2_sq(v, spec))
     # both norms vanish when Delta v = 0, and then so does their difference
     l2_rel = abs(fs_l2 - f_l2) / f_l2 if f_l2 or fs_l2 else 0.0
 
-    v_sq = weighted_lp_norm_p(v, 2.0, 0.0, spec)
-    u_sq = weighted_lp_norm_p(u, 2.0, 0.0, spec)
+    v_sq, u_sq = weighted_lp_norm_p_batch([(v, 2.0, 0.0), (u, 2.0, 0.0)], spec)
 
     return ComparisonReport(
         holds=(min_gap >= -1e-8) and (l2_rel <= 1e-8),
