@@ -36,7 +36,8 @@ sigma < sigma_alpha and x = sigma E / sigma_alpha <= 1/2: a u with u(1) = 0 obey
 the tau integral past T is at most e^{-T(1-x)}/(1-x).  Every other call is
 integrated in r on [0, 1] (`weighted_functional`).  To rank many profiles,
 `functional_scorer` evaluates the tau integral's first GK15 round as a fixed
-rule, and leaves to the adaptive integral what that round cannot vouch for.
+rule, on a whole batch of (profile, params) pairs with one series call per m,
+and leaves to the adaptive integral what that round cannot vouch for.
 
 Every constructor with a closed-form energy sets `RadialProfile.energy`;
 `sinpoly_profile` and the sampled-data profiles of `rearrangement` leave it
@@ -44,7 +45,11 @@ None, so F_m of them is integrated in r.
 
 Each integral is written once, as the `*_batch` form that `integrate_batch`
 runs in lockstep; each scalar form is its batch of one, which
-`integrate_batch` runs as one call of `integrate`.
+`integrate_batch` runs as one call of `integrate`.  Both batch forms of F_m,
+`weighted_functional_batch` and `functional_scorer`, rest on one property of
+`exp_minus_taylor`: its value at a z does not depend on the other z values
+of the call, so one call over the joined z values of many problems gives
+each the bits of its own call.
 """
 
 from __future__ import annotations
@@ -418,9 +423,10 @@ def weighted_functional(
     return weighted_functional_batch([(u, p)], spec)[0]
 
 
-def functional_scorer(p: FunctionalParams, spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
-    """F_m at `p` on a fixed rule, for ranking many profiles: a function
-    u -> F_m(u), or None where the caller must integrate.
+def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
+    """F_m on a fixed rule, for ranking many profiles: a function that
+    takes a batch of (profile, params) pairs and gives each pair's F_m, or
+    None where the caller must integrate.
 
     The rule is the first GK15 round of `weighted_functional`'s integral in
     tau (`gk15_rule` on `_functional`'s first interval), with e^-tau in its
@@ -428,28 +434,42 @@ def functional_scorer(p: FunctionalParams, spec: QuadratureSpec = DEFAULT_SPEC) 
     round's abscissae: the K15 value K and the G7 value G.  The score is
     OMEGA_3/(alpha+4) K when `_functional` picks tau, K is a normal float
     (a subnormal or 0 is a layer the round missed), |K - G| <= rel_tol K and
-    `_tail` asks for no tail interval; it is None otherwise.  At one p only
-    the mapped breakpoints move the rule, and the function keeps one rule
-    per set of them.
+    `_tail` asks for no tail interval; it is None otherwise.  Only the
+    mapped breakpoints move the rule, and the function keeps one rule per
+    set of them.  A batch sums the series of all its pairs of one m with one
+    `exp_minus_taylor` call, whose values do not depend on the other z
+    values of the call, and takes K and G of each pair from its own slice:
+    every score is bit for bit its batch of one.
     """
     rules: dict = {}
 
-    def score(u: RadialProfile) -> Optional[float]:
-        fn = _functional(u, p)
-        if fn.x is None:
-            return None
-        rule = rules.get(fn.breakpoints)
-        if rule is None:
+    def rule(fn: _Functional) -> tuple:
+        if fn.breakpoints not in rules:
             x, wk, wg = gk15_rule(*fn.first)
             weight = fn.weight(x)
-            rule = rules[fn.breakpoints] = (x, weight * wk, weight * wg)
-        x, wk, wg = rule
-        # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
-        g = exp_minus_taylor(fn.z(x), p.m)
-        kronrod, gauss = float(g @ wk), float(g @ wg)
-        if not (sys.float_info.min <= kronrod < math.inf and abs(kronrod - gauss) <= spec.rel_tol * kronrod):
-            return None
-        return None if _tail(fn, kronrod, spec) else fn.scale * kronrod
+            rules[fn.breakpoints] = (x, weight * wk, weight * wg)
+        return rules[fn.breakpoints]
+
+    def score(problems: Sequence[tuple]) -> list:
+        fns = [_functional(u, p) for u, p in problems]
+        out: list = [None] * len(fns)
+        by_m: dict = {}
+        for i, fn in enumerate(fns):
+            if fn.x is not None:
+                x, wk, wg = rule(fn)
+                # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
+                by_m.setdefault(fn.m, []).append((i, fn.z(x), wk, wg))
+        for m, group in by_m.items():
+            g = exp_minus_taylor(np.concatenate([z for _, z, _, _ in group]), m)
+            start = 0
+            for i, z, wk, wg in group:
+                gi = g[start : start + z.size]
+                start += z.size
+                kronrod, gauss = float(gi @ wk), float(gi @ wg)
+                ok = sys.float_info.min <= kronrod < math.inf and abs(kronrod - gauss) <= spec.rel_tol * kronrod
+                if ok and not _tail(fns[i], kronrod, spec):
+                    out[i] = fns[i].scale * kronrod
+        return out
 
     return score
 

@@ -26,8 +26,12 @@ concentrating extremal members, off-origin ring bumps), each candidate
 scaled onto the unit energy sphere by the exact energy its constructor
 sets.  The ascent ranks the candidates by `functional_scorer`: F_m on the
 fixed rule of the first GK15 round of its tau integral, two dot products
-per candidate, checked by its G7 sum.  A candidate the rule cannot score
-is integrated, and so is each family's final point: the families are
+per candidate, checked by its G7 sum.  One search call takes the whole
+grid: the ascents are generators, every (alpha, family) ascent runs in
+lockstep, and each round's candidates are scored in one scorer call,
+whose series is one `exp_minus_taylor` call per m; each alpha's result is
+bit for bit its search alone.  A candidate the rule cannot score is
+integrated, and so is each family's final point: the families are
 compared, and the sweep reports, on adaptive integrals.  The bumps and the
 search families share one table, `_FAMILIES`, and one normaliser, `_unit`,
 so the sweep integrates no energy.  At sigma = 32 pi^2 the concentrating
@@ -108,7 +112,7 @@ class _Family(NamedTuple):
     start: tuple = ()
 
 
-# The search visits the families in table order.
+# The search compares its families in table order (ties go to the first).
 _FAMILIES = {
     "poly4": _Family(lambda: poly_profile(2)),
     "cos2": _Family(cos2_profile),
@@ -246,21 +250,25 @@ _SWEEPS = 2  # coordinate-ascent passes per family
 _GOLDEN_ITERS = 16
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int):
+def _golden_max(point: Callable, lo: float, hi: float, iters: int):
+    """Golden-section ascent on [lo, hi] as a generator: it yields the
+    candidate point(x) of each probe x, is sent that candidate's value, and
+    returns the best (x, value)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc = yield point(c)
+    fd = yield point(d)
     best_x, best_f = (c, fc) if fc >= fd else (d, fd)
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+            fc = yield point(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = fn(d)
+            fd = yield point(d)
         if fc >= best_f:
             best_x, best_f = c, fc
         if fd >= best_f:
@@ -268,85 +276,111 @@ def _golden_max(fn, lo: float, hi: float, iters: int):
     return best_x, best_f
 
 
+def _ascent(family: str):
+    """Coordinate ascent over the family's box from its start, each line a
+    golden section over the whole box, as a generator: it yields each
+    candidate (family, params), is sent its value, and returns the final
+    params."""
+    entry = _FAMILIES[family]
+    params = entry.start
+    val = yield family, params
+    for _ in range(_SWEEPS):
+        for dim, (lo, hi) in enumerate(entry.box):
+
+            def point(x):
+                return family, params[:dim] + (x,) + params[dim + 1 :]
+
+            x, fx = yield from _golden_max(point, lo, hi, _GOLDEN_ITERS)
+            if fx > val:
+                _, params = point(x)
+                val = fx
+    return params
+
+
 def radial_max_search(
-    alpha: float,
+    alphas: Sequence[float],
     p: FunctionalParams,
     spec: QuadratureSpec = DEFAULT_SPEC,
-):
-    """Certified lower estimate of the radial supremum of F_m.
+) -> list:
+    """Certified lower estimate of the radial supremum of F_m at each alpha
+    of the grid; returns one (value, profile) per alpha, in grid order.
 
-    Coordinate ascent over the parametric families in table order, from one
-    start each; every golden-section line spans the family's whole box.
-    Every candidate is scalar-projected onto the unit energy sphere before
-    the functional is evaluated, so any returned value is a true lower
-    bound.  Each distinct candidate is evaluated once per call: its energy
-    ||Delta u||_2^2 is the closed form its constructor sets (`_unit`), and
-    its F_m the score of `functional_scorer`, or the adaptive integral
-    (`objective`) where the scorer returns None.  Each family's final point
-    is then integrated, unless its value already was, and the families are
-    compared on those integrals, so the returned value is an adaptive
-    integral at `spec`.  Nothing is kept between calls, and nothing random
-    enters.  Returns (value, profile).
+    At each alpha, coordinate ascent over the parametric families from one
+    start each (`_ascent`).  Every candidate is scalar-projected onto the
+    unit energy sphere before the functional is evaluated, so any returned
+    value is a true lower bound.  Every (alpha, family) ascent runs in
+    lockstep: each is advanced until it waits on a candidate that its
+    alpha's memo does not hold, and then every waiting candidate is scored
+    in one call of `functional_scorer`, or integrated (`objective`) where
+    the scorer returns None.  Each distinct candidate is built once per
+    call, with the closed-form energy its constructor sets (`_unit`), and
+    evaluated once per alpha.  Each family's final point is then
+    integrated, unless its value already was, and the families are compared
+    in table order on those integrals, so each returned value is an
+    adaptive integral at `spec`.  An ascent is sent the values it would be
+    sent alone, so each alpha's result is bit for bit its search alone.
+    Nothing is kept between calls, and nothing random enters.  Raises
+    OptFailure at the first alpha where every family fails.
     """
     if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
     if p.m is None or p.m < 1:
         raise PreconditionError("radial search targets truncated functionals, m >= 1")
-    params_alpha = FunctionalParams(alpha, p.sigma, p.m)
-    score = functional_scorer(params_alpha, spec)
+    grid = [FunctionalParams(a, p.sigma, p.m) for a in alphas]
+    families = [family for family, entry in _FAMILIES.items() if entry.box]
+    score = functional_scorer(spec)
 
-    def objective(u: RadialProfile) -> float:
+    def objective(u: RadialProfile, params_alpha: FunctionalParams) -> float:
         try:
             val = weighted_functional(u, params_alpha, spec)
         except Henon4Error:
             return -math.inf
         return val if math.isfinite(val) else -math.inf
 
-    seen = {}  # (family, params) -> (value, adaptive?), for this call only
-
-    def lookup(family: str, params) -> float:
-        key = (family, tuple(params))
-        if key not in seen:
+    units = {}  # (family, params) -> unit profile, None where it cannot be built
+    seen = [{} for _ in grid]  # per alpha: (family, params) -> (value, adaptive?)
+    ascents = {(i, family): _ascent(family) for i in range(len(grid)) for family in families}
+    waiting = {slot: next(ascent) for slot, ascent in ascents.items()}
+    finals = {}  # (alpha index, family) -> final params
+    while waiting:
+        for slot, key in list(waiting.items()):
+            memo = seen[slot[0]]
             try:
-                u = _unit(family, params)
-            except Henon4Error:
-                seen[key] = (-math.inf, True)
-                return -math.inf
-            val = score(u)
-            seen[key] = (objective(u), True) if val is None else (val, False)
-        return seen[key][0]
+                while key in memo:
+                    key = ascents[slot].send(memo[key][0])
+                waiting[slot] = key
+            except StopIteration as stop:
+                finals[slot] = stop.value
+                del waiting[slot]
+        batch = []
+        for (i, _), key in waiting.items():
+            if key not in units:
+                try:
+                    units[key] = _unit(*key)
+                except Henon4Error:
+                    units[key] = None
+            if units[key] is None:
+                seen[i][key] = (-math.inf, True)
+            else:
+                batch.append((i, key))
+        scores = score([(units[key], grid[i]) for i, key in batch])
+        for (i, key), val in zip(batch, scores):
+            seen[i][key] = (objective(units[key], grid[i]), True) if val is None else (val, False)
 
-    best_val = -math.inf
-    best_family = None
-    best_params = None
-    for family, entry in _FAMILIES.items():
-        if not entry.box:
-            continue  # a bump, not a search family
-        params = list(entry.start)
-        val = lookup(family, params)
-        for _ in range(_SWEEPS):
-            for dim, (lo, hi) in enumerate(entry.box):
-
-                def line(x, dim=dim):
-                    trial = list(params)
-                    trial[dim] = x
-                    return lookup(family, trial)
-
-                x, fx = _golden_max(line, lo, hi, _GOLDEN_ITERS)
-                if fx > val:
-                    params[dim] = x
-                    val = fx
-        val, adaptive = seen[(family, tuple(params))]
-        if not adaptive:
-            val = objective(_unit(family, params))
-        if val > best_val:
-            best_val = val
-            best_family = family
-            best_params = params
-
-    if not math.isfinite(best_val):
-        raise OptFailure("all radial search starts failed")
-    return best_val, _unit(best_family, best_params)
+    results = []
+    for i, params_alpha in enumerate(grid):
+        best_val, best_key = -math.inf, None
+        for family in families:
+            key = (family, finals[i, family])
+            val, adaptive = seen[i][key]
+            if not adaptive:
+                val = objective(units[key], params_alpha)
+            if val > best_val:
+                best_val, best_key = val, key
+        if not math.isfinite(best_val):
+            raise OptFailure("all radial search starts failed")
+        results.append((best_val, units[best_key]))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +438,18 @@ def crossover_detect(
     alphas = [float(a) for a in alphas]
     check_sweep(p, alphas)
 
+    try:
+        radial = radial_max_search(alphas, p, spec)
+    except OptFailure:
+        # some alpha failed: search alpha by alpha below, so that the sweep
+        # raises the first failure in grid order, as a loop over the grid does
+        radial = None
     rows = []
     base = _paper_base(p, bump, spec)
-    for a in alphas:
+    for i, a in enumerate(alphas):
         bump_exact = translated_bump_value(a, p, bump, spec)
         bump_bound = _paper_bound(a, base)
-        radial_val, radial_prof = radial_max_search(a, p, spec)
+        radial_val, radial_prof = radial[i] if radial is not None else radial_max_search([a], p, spec)[0]
         for name, v in (("bump_exact", bump_exact), ("radial_max", radial_val)):
             # a subnormal carries fewer than 53 bits and cannot meet rel_tol
             if not sys.float_info.min <= v < math.inf:

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from henon4 import profiles, quadrature
@@ -428,6 +430,28 @@ def test_symmetry_sweep_kernel_work_pinned(tmp_path, monkeypatch, alphas, r_call
     monkeypatch.setattr(profiles, "_TAU_MAX_SHARE", -1.0)
     assert main(argv) == 0
     assert (len(rounds), sum(rounds)) == (r_calls, r_nodes)
+
+
+@pytest.mark.parametrize("alphas, calls, points", [(None, 120, 145815), ("2048,8192,32768,131072", 98, 95415)])
+def test_symmetry_sweep_series_calls_pinned(tmp_path, monkeypatch, alphas, calls, points):
+    # the radial search runs every (alpha, family) ascent in lockstep and
+    # scores each round's candidates with one exp_minus_taylor call; scoring
+    # each candidate alone would make 708 and 466 calls on the same points
+    seen = []
+    series = profiles.exp_minus_taylor
+
+    def counting_series(z, m):
+        seen.append(np.size(z))
+        return series(z, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "henon4" and getattr(module, "exp_minus_taylor", None) is series:
+            monkeypatch.setattr(module, "exp_minus_taylor", counting_series)
+    argv = ["symmetry-sweep", "--m", "1", "--out-dir", str(tmp_path)]
+    if alphas is not None:
+        argv += ["--alphas", alphas]
+    assert main(argv) == 0
+    assert (len(seen), sum(seen)) == (calls, points)
 
 
 def test_threshold_scan_raises_the_loops_first_failure(tmp_path, capsys):

@@ -598,6 +598,30 @@ def test_exp_minus_taylor_bit_identical_below_half():
             assert np.array_equal(exp_minus_taylor(np.array([z]), m), want[small == z])
 
 
+def test_exp_minus_taylor_of_joined_arrays_is_each_call_alone():
+    # weighted_functional_batch and functional_scorer sum the series of many
+    # problems in one call: its value at each z must not depend on the other
+    # z values, in either branch and on both sides of the pow form's m <= 142
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def joins(draw):
+        m = draw(st.sampled_from((0, 1, 2, 7, 142, 143, 200)))
+        z = st.one_of(st.just(0.0), st.just(float(m + 1)), st.floats(min_value=0.0, max_value=3.0 * (m + 1)))
+        return m, draw(st.lists(z, min_size=1, max_size=20)), draw(st.lists(z, min_size=1, max_size=20))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(joins())
+    def check(join):
+        m, a, b = join
+        joined = exp_minus_taylor(np.array(a + b), m)
+        alone = np.concatenate([exp_minus_taylor(np.array(a), m), exp_minus_taylor(np.array(b), m)])
+        assert joined.tobytes() == alone.tobytes()
+
+    check()
+
+
 def test_truncated_functional_positive_and_decreasing_to_m_20():
     sigma = 0.9 * 32.0 * math.pi**2
     for name in ("poly2", "cos2"):

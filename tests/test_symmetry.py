@@ -9,7 +9,7 @@ import pytest
 
 from henon4 import profiles, quadrature, symmetry
 from henon4.cli import main
-from henon4.errors import DomainError, NonConvergence, NonFinite, PreconditionError
+from henon4.errors import DomainError, NonConvergence, NonFinite, OptFailure, PreconditionError
 from henon4.moser import MoserParams, moser_navier
 from henon4.profiles import (
     OMEGA_3,
@@ -272,7 +272,7 @@ def test_radial_search_beats_fixed_moser_candidate():
     u = moser_navier(MoserParams(1e-4, BoundaryKind.NAVIER))
     v = u.scaled(1.0 / math.sqrt(laplacian_l2_sq(u)))
     candidate = weighted_functional(v, p)
-    val, prof = radial_max_search(0.0, p)
+    val, prof = radial_max_search([0.0], p)[0]
     assert math.isfinite(val)
     assert val >= candidate * (1.0 - 1e-9)
 
@@ -281,13 +281,13 @@ def test_radial_search_beats_fixed_moser_candidate():
 def test_radial_search_moser_family_wins_at_small_alpha(m):
     # alpha = 4 is inside the range check_sweep accepts; there a concentrating
     # member beats every power and ring profile, so the family is needed
-    _, prof = radial_max_search(4.0, FunctionalParams(0.0, SIGMA, m))
+    _, prof = radial_max_search([4.0], FunctionalParams(0.0, SIGMA, m))[0]
     assert "moser:" in prof.description
 
 
 def test_radial_search_profile_certified():
     p = FunctionalParams(0.0, SIGMA, 1)
-    val, prof = radial_max_search(32.0, p)
+    val, prof = radial_max_search([32.0], p)[0]
     assert laplacian_l2_sq(prof) == pytest.approx(1.0, rel=1e-8)
     got = weighted_functional(prof, FunctionalParams(32.0, SIGMA, 1))
     assert got == pytest.approx(val, rel=1e-7)
@@ -295,8 +295,8 @@ def test_radial_search_profile_certified():
 
 def test_radial_search_deterministic():
     p = FunctionalParams(0.0, SIGMA, 1)
-    v1, _ = radial_max_search(64.0, p)
-    v2, _ = radial_max_search(64.0, p)
+    v1, _ = radial_max_search([64.0], p)[0]
+    v2, _ = radial_max_search([64.0], p)[0]
     assert v1 == v2
 
 
@@ -322,26 +322,48 @@ def test_radial_search_evaluates_each_point_once(monkeypatch):
     def counting_scorer(*args):
         score = scorer(*args)
 
-        def counting_score(u):
-            scored.append(None)
-            return score(u)
+        def counting_score(problems):
+            scored.extend(problems)
+            return score(problems)
 
         return counting_score
 
     monkeypatch.setattr(symmetry, "weighted_functional", counting_functional)
     monkeypatch.setattr(symmetry, "_unit", recording_unit)
     monkeypatch.setattr(symmetry, "functional_scorer", counting_scorer)
-    val, prof = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1))
+    val, prof = radial_max_search([64.0], FunctionalParams(0.0, SIGMA, 1))[0]
     assert len(scored) == len(set(points)) == 110
     assert len(calls) == 3
     assert val == pytest.approx(2.039217769283519e-06, rel=1e-12, abs=0.0)
     assert "(pow:" in prof.description
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [16.0, 32.0, 64.0, 128.0, 256.0, 512.0],
+        [2048.0, 8192.0, 32768.0, 131072.0],
+        # ring candidates fall back on the G7 check at 16 and 32, and pow
+        # candidates on the tail at 1e20
+        [16.0, 32.0, 64.0, 1e20],
+    ],
+    ids=["default", "large", "fallbacks"],
+)
+def test_radial_search_grid_is_each_alpha_alone(grid, m):
+    # the lockstep sends each (alpha, family) ascent the values its search
+    # alone would: a grid's results are bit for bit the lone searches'
+    p = FunctionalParams(0.0, SIGMA, m)
+    together = radial_max_search(grid, p)
+    alone = [radial_max_search([alpha], p)[0] for alpha in grid]
+    assert [val for val, _ in together] == [val for val, _ in alone]
+    assert [prof.description for _, prof in together] == [prof.description for _, prof in alone]
+
+
 def test_radial_search_ring_winner_at_alpha_16():
     # the one grid alpha where a ring wins: pins the order of the families
     # and the ring family's start and box
-    val, prof = radial_max_search(16.0, FunctionalParams(0.0, SIGMA, 1))
+    val, prof = radial_max_search([16.0], FunctionalParams(0.0, SIGMA, 1))[0]
     assert val == pytest.approx(0.0006616792371291995, rel=1e-12, abs=0.0)
     assert "(ring:" in prof.description
 
@@ -384,16 +406,16 @@ _SEARCH_PINS = [
 def test_radial_search_pinned(monkeypatch, sigma_pi2, m, alpha, r_value, profile_id, value):
     # every family wins somewhere on this grid, at two sigmas and two m
     p = FunctionalParams(0.0, sigma_pi2 * math.pi**2, m)
-    val, prof = radial_max_search(alpha, p)
+    val, prof = radial_max_search([alpha], p)[0]
     assert val == value
     assert prof.description == profile_id
     with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "functional_scorer", lambda p, spec: lambda u: None)
-        val, prof = radial_max_search(alpha, p)
+        patch.setattr(symmetry, "functional_scorer", lambda spec: lambda problems: [None] * len(problems))
+        val, prof = radial_max_search([alpha], p)[0]
     assert val == value
     assert prof.description == profile_id
     monkeypatch.setattr(profiles, "_TAU_MAX_SHARE", -1.0)
-    val, prof = radial_max_search(alpha, p)
+    val, prof = radial_max_search([alpha], p)[0]
     assert val == r_value
     assert prof.description == profile_id
 
@@ -403,7 +425,7 @@ def test_radial_search_at_huge_alpha_finds_the_power_profile(alpha):
     # in r these integrals fail or read 0.0, and the search would return 0.0
     # with a ring; in tau its start pow:2 already holds the Beta series value
     # F_1 of unit pow:2, the largest near r = 1
-    val, prof = radial_max_search(alpha, FunctionalParams(0.0, SIGMA, 1))
+    val, prof = radial_max_search([alpha], FunctionalParams(0.0, SIGMA, 1))[0]
     assert "(pow:" in prof.description
     c = 1.0 / math.sqrt(OMEGA_3 * 16.0)
     assert val >= (1.0 - 1e-12) * _beta_series(c, 2.0, alpha, SIGMA, 1)
@@ -429,7 +451,7 @@ def test_radial_search_integrates_no_energy(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate", counting_integrate)
     monkeypatch.setattr(profiles, "laplacian_l2_sq", counting_energy)
-    radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1))
+    radial_max_search([64.0], FunctionalParams(0.0, SIGMA, 1))
     assert len(integrals) == 3
     assert energies == []
 
@@ -466,7 +488,7 @@ def test_radial_search_objective_is_its_only_integral(monkeypatch, alpha, m, int
     monkeypatch.setattr(symmetry, "weighted_functional", counting_functional)
     sys.setprofile(hook)
     try:
-        radial_max_search(alpha, FunctionalParams(0.0, SIGMA, m))
+        radial_max_search([alpha], FunctionalParams(0.0, SIGMA, m))
     finally:
         sys.setprofile(None)
     assert len(objective_calls) == len(functional_calls) == integrals
@@ -530,15 +552,36 @@ def test_functional_score_within_rel_tol_of_the_integral():
         for sigma in (SIGMA / 4.0, SIGMA):
             for m in (1, 2, 3):
                 p = FunctionalParams(alpha, sigma, m)
-                score = profiles.functional_scorer(p, DEFAULT_SPEC)
+                score = profiles.functional_scorer(DEFAULT_SPEC)
                 for family, params in _BOX_POINTS:
                     u = symmetry._unit(family, params)
-                    value = score(u)
+                    value = score([(u, p)])[0]
                     if value is not None:
                         counted += 1
                         worst = max(worst, abs(value / weighted_functional(u, p) - 1.0))
     assert counted == 3074  # of 4536 points
     assert worst <= DEFAULT_SPEC.rel_tol
+
+
+def test_functional_scorer_batch_is_each_problem_alone():
+    # one mixed batch: every search family (moser's seam is a breakpoint, so
+    # it takes its own rule) at both m and at both ends of the sweep grids,
+    # and one member of each fallback of test_functional_scorer_falls_back;
+    # each score is bit for bit that of a fresh scorer's batch of one
+    problems = [
+        (symmetry._unit(family, params), FunctionalParams(alpha, SIGMA, m))
+        for family, params in (("pow", (1.7,)), ("ring", (0.62, 0.6)), ("moser", (-3.0,)))
+        for alpha in (16.0, 131072.0)
+        for m in (1, 2)
+    ] + [
+        (symmetry._unit("ring", (0.0, 0.03)), FunctionalParams(128.0, SIGMA / 4.0, 1)),  # G7 check
+        (symmetry._unit("pow", (2.0,)), FunctionalParams(1e20, SIGMA, 1)),  # tail
+        (symmetry._unit("pow", (2.0,)), FunctionalParams(0.0, SIGMA, 1)),  # in r
+    ]
+    scores = profiles.functional_scorer(DEFAULT_SPEC)(problems)
+    assert scores == [profiles.functional_scorer(DEFAULT_SPEC)([problem])[0] for problem in problems]
+    assert None not in scores[:-3]
+    assert scores[-3:] == [None, None, None]
 
 
 @pytest.mark.parametrize(
@@ -554,7 +597,7 @@ def test_functional_score_within_rel_tol_of_the_integral():
 def test_functional_scorer_falls_back(family, params, alpha, sigma):
     u = symmetry._unit(family, params)
     p = FunctionalParams(alpha, sigma, 1)
-    assert profiles.functional_scorer(p, DEFAULT_SPEC)(u) is None
+    assert profiles.functional_scorer(DEFAULT_SPEC)([(u, p)]) == [None]
     assert weighted_functional(u, p) >= sys.float_info.min
 
 
@@ -601,18 +644,18 @@ def test_ring_energy_is_unknown_outside_its_domain(rho0, h):
 
 
 def test_radial_search_m_ordering():
-    v1, _ = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 1))
-    v2, _ = radial_max_search(64.0, FunctionalParams(0.0, SIGMA, 2))
+    v1, _ = radial_max_search([64.0], FunctionalParams(0.0, SIGMA, 1))[0]
+    v2, _ = radial_max_search([64.0], FunctionalParams(0.0, SIGMA, 2))[0]
     assert v2 <= v1
 
 
 def test_radial_search_validation():
     with pytest.raises(PreconditionError):
-        radial_max_search(16.0, FunctionalParams(0.0, SIGMA, None))
+        radial_max_search([16.0], FunctionalParams(0.0, SIGMA, None))
     with pytest.raises(PreconditionError):
-        radial_max_search(16.0, FunctionalParams(0.0, SIGMA, 0))
+        radial_max_search([16.0], FunctionalParams(0.0, SIGMA, 0))
     with pytest.raises(PreconditionError):
-        radial_max_search(16.0, FunctionalParams(0.0, 2.0 * SIGMA, 1))
+        radial_max_search([16.0], FunctionalParams(0.0, 2.0 * SIGMA, 1))
 
 
 def test_fit_loglog_slope_exact_power():
@@ -636,7 +679,7 @@ def test_crossover_detect_validation():
 def test_crossover_detect_names_an_underflowed_value(monkeypatch):
     # at m = 171 the radial value underflows to 0.0 from alpha = 256 on; its
     # log would enter the slopes, so the sweep fails and names it instead
-    monkeypatch.setattr(symmetry, "radial_max_search", lambda a, p, spec: (0.0, None))
+    monkeypatch.setattr(symmetry, "radial_max_search", lambda alphas, p, spec: [(0.0, None)] * len(alphas))
     with pytest.raises(NonFinite, match="radial_max = 0.0 at alpha=16"):
         crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
 
@@ -645,8 +688,26 @@ def test_crossover_detect_names_a_subnormal_value(monkeypatch):
     # at alpha = 1e77 the bump value is 1.2e-309, a subnormal with fewer than
     # 53 bits that cannot meet rel_tol; the sweep names it as it names 0.0
     monkeypatch.setattr(symmetry, "translated_bump_value", lambda a, p, bump, spec: 1.2e-309)
-    monkeypatch.setattr(symmetry, "radial_max_search", lambda a, p, spec: (1e-6, None))
+    monkeypatch.setattr(symmetry, "radial_max_search", lambda alphas, p, spec: [(1e-6, None)] * len(alphas))
     with pytest.raises(NonFinite, match="bump_exact = 1.2e-309 at alpha=16"):
+        crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
+
+
+def test_crossover_detect_keeps_the_grid_order_of_failures(monkeypatch):
+    # the grid search fails at alpha = 64, after the subnormal bump value at
+    # alpha = 32: the sweep still names the failure a loop over the grid
+    # meets first
+    def search(alphas, p, spec):
+        if max(alphas) >= 64.0:
+            raise OptFailure("all radial search starts failed")
+        return [(1e-6, bump_profile(BumpSpec()))] * len(alphas)
+
+    monkeypatch.setattr(symmetry, "translated_bump_value", lambda a, p, bump, spec: 1.2e-309 if a == 32.0 else 1e-3)
+    monkeypatch.setattr(symmetry, "radial_max_search", search)
+    with pytest.raises(NonFinite, match="bump_exact = 1.2e-309 at alpha=32"):
+        crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
+    monkeypatch.setattr(symmetry, "translated_bump_value", lambda a, p, bump, spec: 1e-3)
+    with pytest.raises(OptFailure, match="all radial search starts failed"):
         crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
 
 
