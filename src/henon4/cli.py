@@ -426,8 +426,7 @@ def _moser_blowup(
 def _talenti_check(spec: QuadratureSpec, count: int, seed: int, profiles: list):
     rows = []
     failures = 0
-    for v in profiles:
-        rep = talenti_comparison_check(v, spec)
+    for v, rep in zip(profiles, talenti_comparison_check(profiles, spec)):
         ok = rep.holds and rep.v_sq_integral <= rep.u_sq_integral + 1e-8
         failures += not ok
         rows.append(

@@ -9,7 +9,10 @@ sorted value k occupies the measure slab between consecutive cumulative
 weights and is placed at the slab's midpoint, its mu-knot.  Integral
 functionals of the rearrangement, summed over the slabs, then agree with
 those of the field up to the O(M^-2) midpoint sampling error, because the
-sort is a weighted permutation.  Each call builds its own grid.
+sort is a weighted permutation.  A call checks a sequence of profiles: it
+builds one grid and allocates its M-sample arrays (samples, sorted values
+with their carried weights, mu-knots, the solve's per-cell arrays) once, and
+each profile refills them in place; nothing outlives the call.
 
 The radial Poisson solve
 
@@ -25,15 +28,17 @@ quadratic is expanded about y = 0), so float64 u is off by up to ~5e-8 at the
 v#-knots against the same chain computed in extended precision.
 
 The oracle's other integrals come from `profiles` and `quadrature`:
-||Delta v||^2 is `laplacian_l2_sq`, the squares of v and u are one
-`weighted_lp_norm_p_batch`, and the solve's cross-check is one
-`integrate_batch`.
+||Delta v||^2 of every profile is one `laplacian_l2_sq_batch` and the square
+of every v one `weighted_lp_norm_p_batch`; the square of u and the solve's
+cross-check (one `integrate_batch`) are integrated profile by profile, while
+the arrays that u reads hold that profile's solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +47,8 @@ from .profiles import (
     OMEGA_3,
     BoundaryKind,
     RadialProfile,
-    laplacian_l2_sq,
+    laplacian_l2_sq_batch,
+    weighted_lp_norm_p,
     weighted_lp_norm_p_batch,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_batch
@@ -70,39 +76,63 @@ def _blocks(n: int):
     return [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
 
-def _rearranged_knots(values: np.ndarray, weights: np.ndarray):
-    """Sort samples descending with their measure weights; return the
-    mu-positions (slab midpoints) padded with mu = 0 and 1, the values padded
-    with their end values, and the carried weights of the quantile function."""
-    order = np.argsort(-values, kind="stable")
-    sharp = np.empty(values.size + 2)
-    np.take(values, order, out=sharp[1:-1])
+def _sample(g, radii: np.ndarray, out: np.ndarray) -> None:
+    """out = -|g(radii)|, evaluated in `_BLOCK` pieces: the ascending sort key
+    of the decreasing rearrangement of |g|."""
+    for lo, hi in _blocks(radii.size):
+        np.abs(g(radii[lo:hi]), out=out[lo:hi])
+    np.negative(out, out=out)
+
+
+def _rearrange(samples: np.ndarray, weights: np.ndarray, knots: np.ndarray, sharp: np.ndarray) -> None:
+    """Sort the samples of `_sample` stably, carrying their measure weights:
+    `sharp` gets the values descending, padded with their end values, and
+    knots[1:-1] the carried weights, which `_midpoints` turns into mu-knots.
+    `samples` is free afterwards."""
+    order = np.argsort(samples, kind="stable")
+    vals = sharp[1:-1]
+    # the indices are in range; mode "raise" would write through a copy of `out`
+    np.take(samples, order, out=vals, mode="clip")
+    np.negative(vals, out=vals)
     sharp[0], sharp[-1] = sharp[1], sharp[-2]
-    w = weights[order]
-    del order
-    knots = np.empty_like(sharp)  # knots[:-1] first holds the cumulative weights
+    np.take(weights, order, out=knots[1:-1], mode="clip")
+
+
+def _midpoints(knots: np.ndarray) -> None:
+    """Carried weights in knots[1:-1] -> the slab midpoints, padded with mu = 0 and 1."""
+    n = knots.size - 2
     knots[0] = 0.0
-    np.cumsum(w, out=knots[1:-1])
+    np.cumsum(knots[1:-1], out=knots[1:-1])
     knots[-2] = 1.0  # rounding guard; weights sum to 1 exactly in real terms
-    np.multiply(0.5, knots[:-2] + knots[1:-1], out=knots[1:-1])
+    # right to left, so each block still reads the cumulative weight left of it
+    for lo, hi in reversed(_blocks(n)):
+        np.multiply(0.5, knots[lo:hi] + knots[lo + 1 : hi + 1], out=knots[lo + 1 : hi + 1])
     knots[-1] = 1.0
-    return knots, sharp, w
 
 
 class _SolveChain:
     """Closed-form integration chain for -Delta u = f against a mu-interpolant.
 
     `knots` are the mu-knots padded with 0 and 1 and `f_knots` the values
-    padded with their end values; both are kept, not copied.  Per cell it
-    stores the slope, the inner cumulative at the left knot and the suffix of
-    whole-cell outer integrals; the quadratic's coefficients are recomputed
-    from these wherever they are needed.  Evaluations cost O(log M) per point.
+    padded with their end values; both are the caller's arrays, kept, not
+    copied, and `fit` integrates against their current contents.  Per cell it
+    stores the slope, the inner cumulative at the left knot, the outer
+    antiderivative at the right knot and the suffix of whole-cell outer
+    integrals, in arrays allocated once and refilled by each `fit`; the
+    quadratic's coefficients are recomputed from these wherever they are
+    needed.  Evaluations cost O(log M) per point.
     """
 
     def __init__(self, knots: np.ndarray, f_knots: np.ndarray) -> None:
         self.knots, self.f_knots = knots, f_knots
         n = knots.size - 1
-        self.slope, self.cum, self.suffix = np.empty(n), np.zeros(n + 1), np.zeros(n + 1)
+        self.slope, self.right = np.empty(n), np.empty(n)
+        self.cum, self.suffix = np.empty(n + 1), np.empty(n + 1)
+
+    def fit(self) -> None:
+        knots, f_knots = self.knots, self.f_knots
+        n = self.slope.size
+        self.cum[0] = self.suffix[n] = 0.0
         for lo, hi in _blocks(n):
             x0, x1 = knots[lo:hi], knots[lo + 1 : hi + 1]
             f0, f1 = f_knots[lo:hi], f_knots[lo + 1 : hi + 1]
@@ -115,7 +145,8 @@ class _SolveChain:
             np.cumsum(cell, out=self.cum[lo + 1 : hi + 1])
             # whole-cell integrals of G(y) y^{-3/2}
             coeffs = self._coeffs(slice(lo, hi))
-            self.suffix[lo:hi] = self._anti(x1, coeffs) - self._anti(x0, coeffs)
+            self.right[lo:hi] = self._anti(x1, coeffs)
+            self.suffix[lo:hi] = self.right[lo:hi] - self._anti(x0, coeffs)
         for lo, hi in reversed(_blocks(n)):  # suffix sums, accumulated leftward
             part = self.suffix[lo:hi][::-1]
             if hi < n:
@@ -150,12 +181,16 @@ class _SolveChain:
         x = np.asarray(x, dtype=float)
         idx = self._locate(x)
         coeffs = self._coeffs(idx)
-        partial = self._anti(self.knots[idx + 1], coeffs) - self._anti(x, coeffs)
+        partial = self.right[idx] - self._anti(x, coeffs)
         return 0.25 * (partial + self.suffix[idx + 1])
 
 
-def _solve_from_samples(knots: np.ndarray, f_knots: np.ndarray) -> RadialProfile:
-    chain = _SolveChain(knots, f_knots)
+def _solve(chain: _SolveChain) -> RadialProfile:
+    """u solving -Delta u = f on the chain's current knots, checked by
+    `_residual_guard`; u reads the chain's arrays, so it holds until they are
+    refilled."""
+    chain.fit()
+    knots, f_knots = chain.knots, chain.f_knots
     f_mu = lambda mu: np.interp(mu, knots, f_knots)  # end values held outside the knots
 
     def value(r):
@@ -173,7 +208,7 @@ def _solve_from_samples(knots: np.ndarray, f_knots: np.ndarray) -> RadialProfile
         return -f_mu(rr**4) + 3.0 * chain.inner_cumulative(rr**4) / rsafe**4
 
     u = RadialProfile(value, d1, d2, BoundaryKind.NAVIER, "poisson-solution")
-    _residual_guard(u, chain, f_mu, float(np.max(np.abs(f_knots))))
+    _residual_guard(u, chain, f_mu, float(f_knots[0]))  # |f| descending: sup|f| leads
     return u
 
 
@@ -218,55 +253,61 @@ class ComparisonReport:
 
 
 def talenti_comparison_check(
-    v: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC, grid_size: int = _DEFAULT_GRID
-) -> ComparisonReport:
-    """Comparison oracle: the symmetrized problem dominates pointwise.
+    vs: Sequence[RadialProfile], spec: QuadratureSpec = DEFAULT_SPEC, grid_size: int = _DEFAULT_GRID
+) -> list:
+    """Comparison oracle on each profile v: the symmetrized problem dominates
+    pointwise.  One `ComparisonReport` per profile, in order.
 
     Builds f = -Delta v from the closed-form derivatives, rearranges |f|,
     solves -Delta u = f# and checks u >= v# - 1e-8 at the rearrangement
     knots, rearrangement invariance of ||.||_2 to 1e-8 relative, and the
     induced integral comparison of squares.  ||f||_2 is the square root of
-    `laplacian_l2_sq(v)`; ||f#||_2 is the exact sum over the slabs.
+    `laplacian_l2_sq_batch`; ||f#||_2 is the exact sum over the slabs.  The
+    call builds one radius grid and one set of sample arrays, which each
+    profile refills.
     """
-
-    def f(r):
-        rr = np.asarray(r, dtype=float)
-        rsafe = np.maximum(rr, 1e-150)
-        return -(v.d2(rr) + 3.0 * v.d1(rr) / rsafe)
-
     radii, weights = _radius_grid(grid_size)
-    f_abs = np.abs(np.asarray(f(radii), dtype=float))
-    if not np.all(np.isfinite(f_abs)):
-        raise NonFinite("Delta v not finite on the sample grid")
-    f_mu, f_sharp, f_w = _rearranged_knots(f_abs, weights)
-    # integral_B (f#)^2 for the step rearrangement: exact measure-space sum
-    f_vals = f_sharp[1:-1]
-    fs_l2 = math.sqrt((OMEGA_3 / 4.0) * float(np.sum(f_vals * f_vals * f_w)))
-    del f_abs, f_w
-    v_samples = np.abs(np.asarray(v.value(radii), dtype=float))
-    v_knots, v_vals = _rearranged_knots(v_samples, weights)[:2]
-    del v_samples
-    v_mu, v_sharp = v_knots[1:-1], v_vals[1:-1]
+    n = radii.size
+    f_knots, f_sharp, v_knots, v_sharp = (np.empty(n + 2) for _ in range(4))
+    chain = _SolveChain(f_knots, f_sharp)
+    samples = chain.slope[:-1]  # free until `_solve` fits the chain
+    f_vals, v_mu, v_vals = f_sharp[1:-1], v_knots[1:-1], v_sharp[1:-1]
+    f_l2_sqs = laplacian_l2_sq_batch(vs, spec)
+    v_sqs = weighted_lp_norm_p_batch([(v, 2.0, 0.0) for v in vs], spec)
+    reports = []
+    for v, f_l2_sq, v_sq in zip(vs, f_l2_sqs, v_sqs):
+        # Delta v = -f; only |f| is sampled
+        _sample(lambda r: v.d2(r) + 3.0 * v.d1(r) / np.maximum(r, 1e-150), radii, samples)
+        if not np.all(np.isfinite(samples)):
+            raise NonFinite("Delta v not finite on the sample grid")
+        _rearrange(samples, weights, f_knots, f_sharp)
+        # integral_B (f#)^2 for the step rearrangement: exact measure-space
+        # sum over the carried weights, which f_knots holds until `_midpoints`
+        np.multiply(f_vals, f_vals, out=samples)
+        np.multiply(samples, f_knots[1:-1], out=samples)
+        fs_l2 = math.sqrt((OMEGA_3 / 4.0) * float(np.sum(samples)))
+        _midpoints(f_knots)
+        _sample(v.value, radii, samples)
+        _rearrange(samples, weights, v_knots, v_sharp)
+        _midpoints(v_knots)
 
-    u = _solve_from_samples(f_mu, f_sharp)
-    min_gap = float(np.min([
-        np.min(u.value(v_mu[lo:hi] ** 0.25) - v_sharp[lo:hi])
-        for lo, hi in _blocks(v_mu.size)
-    ]))
+        u = _solve(chain)
+        min_gap = float(np.min([
+            np.min(u.value(v_mu[lo:hi] ** 0.25) - v_vals[lo:hi]) for lo, hi in _blocks(n)
+        ]))
 
-    f_l2 = math.sqrt(laplacian_l2_sq(v, spec))
-    # both norms vanish when Delta v = 0, and then so does their difference
-    l2_rel = abs(fs_l2 - f_l2) / f_l2 if f_l2 or fs_l2 else 0.0
+        f_l2 = math.sqrt(f_l2_sq)
+        # both norms vanish when Delta v = 0, and then so does their difference
+        l2_rel = abs(fs_l2 - f_l2) / f_l2 if f_l2 or fs_l2 else 0.0
 
-    v_sq, u_sq = weighted_lp_norm_p_batch([(v, 2.0, 0.0), (u, 2.0, 0.0)], spec)
-
-    return ComparisonReport(
-        holds=(min_gap >= -1e-8) and (l2_rel <= 1e-8),
-        min_gap=min_gap,
-        l2_rel_err=l2_rel,
-        v_sq_integral=v_sq,
-        u_sq_integral=u_sq,
-    )
+        reports.append(ComparisonReport(
+            holds=(min_gap >= -1e-8) and (l2_rel <= 1e-8),
+            min_gap=min_gap,
+            l2_rel_err=l2_rel,
+            v_sq_integral=v_sq,
+            u_sq_integral=weighted_lp_norm_p(u, 2.0, 0.0, spec),
+        ))
+    return reports
 
 
 def seeded_comparison_profiles(count: int = 10, seed: int = 20240807) -> list:

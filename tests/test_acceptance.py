@@ -174,8 +174,8 @@ def test_criterion_4_threshold_sharpness():
 def test_criterion_5_talenti_oracle():
     worst_gap = math.inf
     worst_l2 = 0.0
-    for v in seeded_comparison_profiles(10):
-        rep = talenti_comparison_check(v)
+    profiles = seeded_comparison_profiles(10)
+    for v, rep in zip(profiles, talenti_comparison_check(profiles)):
         worst_gap = min(worst_gap, rep.min_gap)
         worst_l2 = max(worst_l2, rep.l2_rel_err)
         assert rep.min_gap >= -1e-8, v.description

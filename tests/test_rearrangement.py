@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,8 +18,10 @@ from henon4.profiles import (
 )
 from henon4.rearrangement import (
     ComparisonReport,
+    _midpoints,
     _radius_grid,
-    _rearranged_knots,
+    _rearrange,
+    _sample,
     seeded_comparison_profiles,
     talenti_comparison_check,
 )
@@ -28,10 +32,18 @@ def make_profile(value, d1, d2, desc) -> RadialProfile:
     return RadialProfile(wrap(value), wrap(d1), wrap(d2), BoundaryKind.NAVIER, desc)
 
 
+def zero_profile() -> RadialProfile:
+    return make_profile(np.zeros_like, np.zeros_like, np.zeros_like, "zero")
+
+
 def rearranged(u, grid_size):
     """mu-knots, sorted values and carried weights of |u| on the radius grid."""
     radii, weights = _radius_grid(grid_size)
-    knots, sharp, w = _rearranged_knots(np.abs(u.value(radii)), weights)
+    samples, knots, sharp = np.empty(grid_size), np.empty(grid_size + 2), np.empty(grid_size + 2)
+    _sample(u.value, radii, samples)
+    _rearrange(samples, weights, knots, sharp)
+    w = knots[1:-1].copy()
+    _midpoints(knots)
     return knots[1:-1], sharp[1:-1], w
 
 
@@ -94,29 +106,28 @@ def test_cavalieri_increasing_transform():
 @pytest.mark.parametrize("c", [1.0, 0.5], ids=["f8", "f4"])
 def test_comparison_equality_case(c):
     # v = c (1 - r^2) has f = -Delta v = 8c already rearranged: u = v# = v
-    rep = talenti_comparison_check(poly_profile(1).scaled(c), grid_size=50_000)
+    (rep,) = talenti_comparison_check([poly_profile(1).scaled(c)], grid_size=50_000)
     assert rep.holds
     assert abs(rep.min_gap) < 1e-9
 
 
 def test_comparison_poly4():
-    rep = talenti_comparison_check(poly_profile(2), grid_size=100_000)
+    (rep,) = talenti_comparison_check([poly_profile(2)], grid_size=100_000)
     assert rep.holds
     assert rep.min_gap >= -1e-8
     assert rep.l2_rel_err <= 1e-8
 
 
 def test_comparison_seeded_family():
-    for v in seeded_comparison_profiles(10):
-        rep = talenti_comparison_check(v, grid_size=100_000)
+    profiles = seeded_comparison_profiles(10)
+    for v, rep in zip(profiles, talenti_comparison_check(profiles, grid_size=100_000)):
         assert rep.holds, f"{v.description}: gap={rep.min_gap:.3e} l2={rep.l2_rel_err:.3e}"
         assert rep.v_sq_integral <= rep.u_sq_integral + 1e-8
 
 
 def test_comparison_zero_profile():
     # Delta v = 0: ||f|| and ||f#|| both vanish, and so does their relative gap
-    zero = make_profile(np.zeros_like, np.zeros_like, np.zeros_like, "zero")
-    rep = talenti_comparison_check(zero)
+    (rep,) = talenti_comparison_check([zero_profile()])
     assert rep.holds
     assert rep.min_gap == 0.0
     assert rep.l2_rel_err == 0.0
@@ -139,28 +150,76 @@ def test_comparison_zero_profile():
     ],
 )
 def test_comparison_bits_pinned(seed, k, expected):
-    assert talenti_comparison_check(seeded_comparison_profiles(10, seed)[k]) == expected
+    (rep,) = talenti_comparison_check([seeded_comparison_profiles(10, seed)[k]])
+    assert rep == expected
 
 
 def test_comparison_peak_memory():
     # numpy reports its data allocations to tracemalloc; the second call is
     # measured, and it builds its own radius grid inside the measurement
     v = seeded_comparison_profiles(1)[0]
-    talenti_comparison_check(v)
+    talenti_comparison_check([v])
     tracemalloc.start()
     try:
-        talenti_comparison_check(v)
+        talenti_comparison_check([v])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, f"one check at M = 100,000 peaked at {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_batch_is_each_profile_alone(seed):
+    # the call's arrays are refilled for each profile: a batch reads no
+    # value left over from the profile before
+    profiles = seeded_comparison_profiles(10, seed)
+    assert talenti_comparison_check(profiles) == [
+        talenti_comparison_check([v])[0] for v in profiles
+    ]
+
+
+def test_mixed_batch_ends_on_the_zero_profile():
+    profiles = [seeded_comparison_profiles(1, 3)[0], poly_profile(2), zero_profile()]
+    reports = talenti_comparison_check(profiles)
+    assert reports == [talenti_comparison_check([v])[0] for v in profiles]
+    assert reports[-1].min_gap == 0.0
+    assert reports[-1].l2_rel_err == 0.0
+
+
+def test_empty_batch():
+    assert talenti_comparison_check([]) == []
+
+
+def test_concurrent_batches_match_serial():
+    seeds = (2, 7)
+    serial = {s: talenti_comparison_check(seeded_comparison_profiles(10, s)) for s in seeds}
+    results = {}
+
+    def work(s):
+        results[s] = talenti_comparison_check(seeded_comparison_profiles(10, s))
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
 @pytest.mark.parametrize("grid_size", [0, -3, 15, 2.5, True, 16.0])
 @pytest.mark.parametrize(
     "entry",
-    [lambda g: talenti_comparison_check(poly_profile(1), grid_size=g)],
-    ids=["talenti_comparison_check"],
+    [
+        lambda g: talenti_comparison_check([poly_profile(1)], grid_size=g),
+        lambda g: talenti_comparison_check([], grid_size=g),
+    ],
+    ids=["talenti_comparison_check", "empty_batch"],
 )
 def test_grid_size_rule(entry, grid_size):
     if type(grid_size) is int:
