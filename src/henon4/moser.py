@@ -157,11 +157,11 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
     eps = mp.epsilon
     eta = mp.eta()
     u = moser_navier(MoserParams(eps, BoundaryKind.NAVIER))
+    # the plateau ends before the cap starts: MoserParams keeps eta < 1/2, so
+    # |log eps| > e^2 and seam_in = eps^{1/4} < e^{-e^2/4} ~ 0.158 < 1/2 < seam_out
     seam_in = u.breakpoints[0]
     seam_out = 1.0 - eta
-    if seam_in >= seam_out:
-        raise DomainError("epsilon too large: plateau and boundary cap overlap")
-    a = -math.log1p(-eta)  # |log(1 - eta)|
+    a =-math.log1p(-eta)  # |log(1 - eta)|
     c = 1.0 / math.sqrt(OMEGA_3 * mp.log_eps())
 
     def capped(below, cap):

@@ -61,6 +61,9 @@ __all__ = [
 
 _DEFAULT_GRID = 100_000
 _BLOCK = 8192  # points per block in the passes over the samples: bounds their temporaries
+# the cross-check's integrand has a kink at every knot: at rel_tol 1e-10 it
+# ran out of subdivisions on correct solves of 16,389 to 50,000 knots
+_CROSS_CHECK_SPEC = QuadratureSpec(rel_tol=1e-8)
 
 
 def _radius_grid(grid_size: int):
@@ -232,11 +235,10 @@ def _residual_guard(u: RadialProfile, chain: "_SolveChain", f_mu, f_sup: float) 
         )
     los = (0.25, 0.7)
     g = lambda s, parts: chain.inner_cumulative(s**4) / s**3
-    for lo, cross in zip(los, integrate_batch(g, [(lo, 1.0) for lo in los], DEFAULT_SPEC)):
+    for lo, cross in zip(los, integrate_batch(g, [(lo, 1.0) for lo in los], _CROSS_CHECK_SPEC)):
         ref, got = cross.value, float(u.value(np.array([lo]))[0])
         # the chain's own rounding puts u up to ~5e-8 off (module docstring);
-        # the adaptive reference agrees with an extended-precision chain to
-        # ~1e-10, so the guard is loose enough for the chain, not the reference
+        # the reference, at rel_tol 1e-8, stays 100x inside the 1e-6 guard
         if abs(got - ref) > 1e-6 * max(abs(ref), f_sup):
             raise NonFinite(
                 f"poisson solve cross-check at rho={lo}: {got!r} vs quadrature {ref!r}"
@@ -261,7 +263,8 @@ def talenti_comparison_check(
     Builds f = -Delta v from the closed-form derivatives, rearranges |f|,
     solves -Delta u = f# and checks u >= v# - 1e-8 at the rearrangement
     knots, rearrangement invariance of ||.||_2 to 1e-8 relative, and the
-    induced integral comparison of squares.  ||f||_2 is the square root of
+    induced integral comparison of squares, int v^2 <= int u^2 + 1e-8;
+    `holds` is all three.  ||f||_2 is the square root of
     `laplacian_l2_sq_batch`; ||f#||_2 is the exact sum over the slabs.  The
     call builds one radius grid and one set of sample arrays, which each
     profile refills.
@@ -300,12 +303,13 @@ def talenti_comparison_check(
         # both norms vanish when Delta v = 0, and then so does their difference
         l2_rel = abs(fs_l2 - f_l2) / f_l2 if f_l2 or fs_l2 else 0.0
 
+        u_sq = weighted_lp_norm_p(u, 2.0, 0.0, spec)
         reports.append(ComparisonReport(
-            holds=(min_gap >= -1e-8) and (l2_rel <= 1e-8),
+            holds=(min_gap >= -1e-8) and (l2_rel <= 1e-8) and (v_sq <= u_sq + 1e-8),
             min_gap=min_gap,
             l2_rel_err=l2_rel,
             v_sq_integral=v_sq,
-            u_sq_integral=weighted_lp_norm_p(u, 2.0, 0.0, spec),
+            u_sq_integral=u_sq,
         ))
     return reports
 

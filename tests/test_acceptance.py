@@ -132,7 +132,7 @@ def test_criterion_3_pointwise_embedding_series():
             for m in (None, 0, 1, 2):
                 params = FunctionalParams(alpha, sigma, m)
                 val = weighted_functional(u, params)
-                bound = series_upper_bound(params, 1.0)
+                bound = series_upper_bound(params)
                 worst_series = max(worst_series, val / bound)
                 assert val <= bound * (1.0 + 1e-8), (name, alpha, m)
 
@@ -154,7 +154,7 @@ def test_criterion_4_threshold_sharpness():
             assert lv >= floor - 1.0
         bnd = blowup_scan(alpha, 0.8, navier_eps)
         assert bnd.verdict == "Bounded", f"alpha={alpha}"
-        cap = series_upper_bound(FunctionalParams(alpha, 0.8 * sigma_alpha(alpha), None), 1.0)
+        cap = series_upper_bound(FunctionalParams(alpha, 0.8 * sigma_alpha(alpha), None))
         assert all(v <= cap + 1e-8 for v in bnd.values)
 
     # Dirichlet members: the cap's energy excess decays only like log L / L,

@@ -35,6 +35,32 @@ def test_params_validation():
     MoserParams(1e-4, BoundaryKind.DIRICHLET)  # eta ~ 0.45 < 1/2
 
 
+def test_dirichlet_breakpoints_increase_inside_the_ball():
+    # MoserParams keeps eta < 1/2, which is what keeps the plateau's end
+    # eps^{1/4} below the cap's start 1 - eta for every accepted eps
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    largest = math.exp(-math.exp(2.0))  # eta = 1/2 up to rounding
+    while largest > 0.0:
+        try:
+            MoserParams(largest, BoundaryKind.DIRICHLET)
+            break
+        except DomainError:
+            largest = math.nextafter(largest, 0.0)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(min_value=5e-324, max_value=largest))
+    @hypothesis.example(largest)
+    def check(eps):
+        u = moser_dirichlet(MoserParams(eps, BoundaryKind.DIRICHLET))
+        lo, hi = u.breakpoints
+        assert 0.0 < lo < hi < 1.0
+
+    check()
+    with pytest.raises(DomainError):
+        MoserParams(math.nextafter(largest, 1.0), BoundaryKind.DIRICHLET)
+
+
 def test_navier_matching_point_exact():
     # eps = e^-4: both pieces give 1/(2 sqrt(omega3)) at the seam r = 1/e
     eps = math.exp(-4.0)
@@ -178,7 +204,7 @@ def test_blowup_bounded_navier():
     eps = [10.0 ** (-k) for k in range(2, 11)]
     ex = blowup_scan(0.0, 0.8, eps)
     assert ex.verdict == "Bounded"
-    bound = series_upper_bound(FunctionalParams(0.0, 0.8 * sigma_alpha(0.0), None), 1.0)
+    bound = series_upper_bound(FunctionalParams(0.0, 0.8 * sigma_alpha(0.0), None))
     assert all(v <= bound + 1e-8 for v in ex.values)
 
 

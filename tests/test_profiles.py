@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from henon4 import profiles, quadrature
-from henon4.errors import DomainError, PreconditionError, ThresholdError
+from henon4.errors import DomainError, ThresholdError
 from henon4.profiles import (
     OMEGA_3,
     BoundaryKind,
@@ -234,7 +234,7 @@ _VALUE_S_PROFILES = [
 def test_value_s_is_the_value_at_exp_minus_s(name):
     # s = 0.1 lies on the Dirichlet caps, 1 on the Moser log branches and 5 on
     # their plateaus; the scaled profile carries the closed form
-    u = corpus_profile(name)
+    u = power_profile(1.2) if name == "pow:1.2" else corpus_profile(name)
     s = np.array([0.1, 1.0, 5.0])
     want = u.value(np.exp(-s))
     assert np.allclose(u.value_s(s), want, rtol=1e-14, atol=0.0)
@@ -434,11 +434,12 @@ def test_bounds_reject_nan_and_negative_arguments():
     for pexp, lap_norm in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, -1.0)):
         with pytest.raises(DomainError):
             embedding_bound(pexp, 0.0, lap_norm)
-    with pytest.raises(DomainError):
-        weighted_lp_norm_p(poly_profile(1), math.nan, 0.0)
-    for lap_norm in (math.nan, -0.5):
-        with pytest.raises(DomainError):
-            series_upper_bound(FunctionalParams(0.0, 1.0, None), lap_norm)
+    # the L^p norms take the exponents the embedding bound takes
+    for pexp in (math.nan, math.inf, 0.5):
+        with pytest.raises(DomainError, match="pexp must be finite and >= 1"):
+            weighted_lp_norm_p(poly_profile(1), pexp, 0.0)
+        with pytest.raises(DomainError, match="pexp must be finite and >= 1"):
+            weighted_lp_norm_p_batch([(poly_profile(1), 2.0, 0.0), (poly_profile(1), pexp, 0.0)])
 
 
 def test_embedding_bound_examples():
@@ -463,26 +464,24 @@ def test_embedding_inequality_spot(name, pexp, alpha):
 
 def test_series_upper_bound_examples():
     p = FunctionalParams(0.0, 0.5 * 32.0 * math.pi**2, None)
-    assert series_upper_bound(p, 1.0) == pytest.approx(math.pi**2, rel=1e-14, abs=0.0)
+    assert series_upper_bound(p) == pytest.approx(math.pi**2, rel=1e-14, abs=0.0)
     # sigma -> 0+: only the k = 0 term survives, the measure of B ... bound
     # tends to OMEGA_3 / 4
     tiny = FunctionalParams(0.0, 1e-12, None)
-    assert series_upper_bound(tiny, 1.0) == pytest.approx(OMEGA_3 / 4.0, rel=1e-10)
+    assert series_upper_bound(tiny) == pytest.approx(OMEGA_3 / 4.0, rel=1e-10)
     # m = 0 bound equals the full bound minus the k = 0 term
     for alpha in (0.0, 3.0, 16.0):
         p_full = FunctionalParams(alpha, 0.37 * sigma_alpha(alpha), None)
         p_m0 = FunctionalParams(p_full.alpha, p_full.sigma, 0)
-        lhs = series_upper_bound(p_m0, 1.0)
-        rhs = series_upper_bound(p_full, 1.0) - OMEGA_3 / (4.0 + alpha)
+        lhs = series_upper_bound(p_m0)
+        rhs = series_upper_bound(p_full) - OMEGA_3 / (4.0 + alpha)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_series_upper_bound_threshold_error():
     p = FunctionalParams(2.0, sigma_alpha(2.0), None)
     with pytest.raises(ThresholdError):
-        series_upper_bound(p, 1.0)
-    with pytest.raises(PreconditionError):
-        series_upper_bound(FunctionalParams(0.0, 1.0, None), 1.5)
+        series_upper_bound(p)
 
 
 def test_sigma_alpha_identity():
@@ -651,6 +650,12 @@ def test_corpus_complete_and_boundary_clean():
         assert abs(u.value(one)[0]) <= 1e-12, name
         if u.boundary is BoundaryKind.DIRICHLET:
             assert abs(u.d1(one)[0]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("name", ["pow", "pow:1.2", "pow:3:4", "cos2:1", "ring:0.5", "moser:1e-2:foo"])
+def test_corpus_rejects_names_outside_the_table(name):
+    with pytest.raises(DomainError, match=f"unknown corpus profile {name!r}"):
+        corpus_profile(name)
 
 
 def test_corpus_derivative_consistency():
