@@ -304,10 +304,6 @@ def _resolve(command: str, p: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _print(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
 def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_profiles: list):
     rows = []
     failures = 0
@@ -352,7 +348,7 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
         rows.append(("series-bound", name, worst, ok))
 
     for kind, name, val, ok in rows:
-        _print(f"[{'PASS' if ok else 'FAIL'}] {kind:18s} {name:22s} {val:.6g}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {kind:18s} {name:22s} {val:.6g}")
     report = TableReport(
         meta={"suite": "verify-identities", "alpha": alpha},
         header=("check", "profile", "worst_ratio", "ok"),
@@ -374,7 +370,7 @@ def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: 
         ok = worst <= bound * (1.0 + 1e-8)
         failures += not ok
         rows.append((params.alpha, sigma_alpha(params.alpha), bound, worst))
-        _print(
+        print(
             f"[{'PASS' if ok else 'FAIL'}] alpha={params.alpha:g} "
             f"sigma_alpha={sigma_alpha(params.alpha):.6g} bound={bound:.6g} max_corpus={worst:.6g}"
         )
@@ -399,11 +395,11 @@ def _moser_blowup(
         zip(ex.epsilons, ex.norm_sqs, ex.values, ex.log_values, ex.lower_bound_exponents)
     )
     for row in rows:
-        _print(
+        print(
             f"eps={row[0]:<8g} norm_sq={row[1]:.8f} value={row[2]:.6g} "
             f"log={row[3]:+.4f} floor={row[4]:+.4f}"
         )
-    _print(f"verdict: {ex.verdict}")
+    print(f"verdict: {ex.verdict}")
     report = TableReport(
         meta={
             "suite": "moser-blowup",
@@ -431,7 +427,7 @@ def _talenti_check(spec: QuadratureSpec, count: int, seed: int, profiles: list):
         rows.append(
             (v.description, rep.min_gap, rep.l2_rel_err, rep.v_sq_integral, rep.u_sq_integral, rep.holds)
         )
-        _print(
+        print(
             f"[{'PASS' if rep.holds else 'FAIL'}] {v.description:20s} min_gap={rep.min_gap:+.3e} "
             f"l2_rel={rep.l2_rel_err:.3e}"
         )
@@ -451,14 +447,14 @@ def _symmetry_sweep(
 ):
     report = crossover_detect(params, alphas, bump, spec)
     for r in report.rows:
-        _print(
+        print(
             f"alpha={r.alpha:<6g} bump={r.bump_exact:.6e} bound={r.bump_paper_bound:.6e} "
             f"radial={r.radial_max:.6e} margin={r.crossover_margin():+.3f} [{r.radial_profile_id}]"
         )
     slopes = report.fitted_slopes
-    _print(f"fitted slopes: bump={slopes['bump']:.4f} radial={slopes['radial']:.4f}")
+    print(f"fitted slopes: bump={slopes['bump']:.4f} radial={slopes['radial']:.4f}")
     star = report.alpha_star if report.alpha_star is not None else "not-found-on-grid"
-    _print(f"alpha_star: {star}")
+    print(f"alpha_star: {star}")
     table = TableReport(
         meta={
             "sigma": report.sigma,
@@ -506,7 +502,7 @@ def run(config: RunConfig) -> int:
             path = config.out_dir / f"{stem}.{fmt}"
             emit(report, fmt, path)
             wrote.append(str(path))
-    _print(f"{config.command}: {note} ({time.time() - t0:.1f}s) -> {', '.join(wrote)}")
+    print(f"{config.command}: {note} ({time.time() - t0:.1f}s) -> {', '.join(wrote)}")
     return code
 
 

@@ -31,9 +31,10 @@ same bisection loop as on a finite interval then refines that partition.
 That loop, `_refine`, advances a list of independent problems in lockstep;
 `integrate` and `integrate_halfline` run it on one problem, and
 `integrate_batch` on two or more.  Each problem keeps its own partition,
-error test, split order and subdivision count, and each round makes one
-`_gk15_batch` call over the new intervals of every live problem, so a round
-costs about the numpy call overhead of one problem's round.  A batch keeps
+error test, split order and subdivision count.  Every round, the first
+included, is one `_round`: one `_gk15_batch` call over the new intervals of
+every live problem, lone or batched, so a round costs about the numpy call
+overhead of one problem's round.  A batch keeps
 its lockstep results only when the run was silent: numpy's 'warn' modes
 raise during it, and if anything raises (a bad interval, a failed
 integral, the integrand, or a floating-point warning), the batch is
@@ -55,6 +56,7 @@ The GK15 sums of one interval do not depend on the others in the batch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -88,8 +90,8 @@ class QuadratureSpec:
     abs_tol: ClassVar[float] = 1e-300
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError("rel_tol must be finite and strictly positive")
+        if not sys.float_info.epsilon <= self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and >= the float64 epsilon {sys.float_info.epsilon!r}")
         if as_index(self.max_subdivisions, "max_subdivisions") < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
@@ -224,7 +226,8 @@ def integrate(
     non-smooth; the initial partition is split there.
     """
     los, his = _partition(a, b, breakpoints)
-    (res,) = _refine(lambda x, parts: f(x), [(los, his, *_gk15_batch(f, los, his))], spec, _name_x)
+    lone = lambda x, parts: f(x)
+    (res,) = _refine(lone, [(los, his, *_round(lone, [(0, los, his)])[0])], spec, _name_x)
     return res
 
 
@@ -261,12 +264,10 @@ def integrate_batch(f: Callable, problems: Sequence[tuple], spec: QuadratureSpec
 
 
 def _round(f: Callable, split: list) -> list:
-    """One GK15 round of a batch: one `_gk15_batch` call over the new
-    intervals of every problem in `split`, a list of (i, los, his, ...), with
-    the batch integrand f(x, parts).  Returns (vals, errs) per entry."""
-    if len(split) == 1:  # every round of the lone drivers: nothing to join
-        i, los, his, *_ = split[0]
-        return [_gk15_batch(lambda x: f(x, ((i, slice(None)),)), los, his)]
+    """One GK15 round of every driver, first or refining, lone or batched:
+    one `_gk15_batch` call over the new intervals of every problem in `split`,
+    a list of (i, los, his, ...), with the batch integrand f(x, parts).
+    Returns (vals, errs) per entry."""
     parts, bounds, start = [], [], 0
     for i, los, *_ in split:
         end = start + los.size
@@ -360,7 +361,7 @@ def integrate_halfline(
     if not math.isfinite(a):
         raise DomainError("lower limit must be finite")
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, parts) -> np.ndarray:
         # far blocks of a divergent integrand overflow; that is diagnosed
         # below, and so is a tail that needs t beyond float64's range
         with np.errstate(over="ignore"):
@@ -376,7 +377,7 @@ def integrate_halfline(
     edges = _clean_breakpoints(0.0, 1.0, seeds)[::-1]
     los = np.array(edges[1:])
     his = np.array(edges[:-1])
-    vals, errs = _gk15_batch(g, los, his)
+    ((vals, errs),) = _round(g, [(0, los, his)])
 
     # Divergence test on the first round's dyadic blocks.  Structural
     # transitions at declared breakpoints are expected (plateaus, seams of
@@ -401,5 +402,5 @@ def integrate_halfline(
         prev = mag
 
     name = lambda u: f"t={a + (1.0 - u) / u!r}"
-    (res,) = _refine(lambda x, parts: g(x), [(los, his, vals, errs)], spec, name)
+    (res,) = _refine(g, [(los, his, vals, errs)], spec, name)
     return res

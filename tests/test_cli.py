@@ -306,6 +306,7 @@ _REJECTED = [
     (["moser-blowup"], {"m": 1.5}),
     (["threshold-scan"], {"max_subdiv": 2.7}),
     (["threshold-scan", "--rel-tol", "inf"], None),
+    (["threshold-scan", "--rel-tol", "1e-17"], None),
     (["talenti-check"], {"seed": 7.9}),
     (["talenti-check"], {"count": 2.5}),
     (["talenti-check"], {"count": True}),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -75,6 +76,8 @@ def test_nonintegrable_singularity_exhausts_budget():
 def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
+    with pytest.raises(DomainError):
+        QuadratureSpec(rel_tol=1e-17)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
 
@@ -339,6 +342,42 @@ def test_empty_batch_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(quadrature, "_gk15_batch", stub)
     monkeypatch.setattr(quadrature, "_round", stub)
     assert integrate_batch(stub, []) == []
+
+
+def test_every_gk15_round_is_one_round_call(monkeypatch):
+    # every driver makes each GK15 round, its first included, as one `_round`,
+    # lone or batched, and the kernel has no other caller
+    events = []
+    round_, kernel = quadrature._round, quadrature._gk15_batch
+
+    def counting_round(f, split):
+        events.append("round")
+        return round_(f, split)
+
+    def counting_kernel(f, los, his):
+        events.append(f"kernel from {sys._getframe(1).f_code.co_name}")
+        return kernel(f, los, his)
+
+    monkeypatch.setattr(quadrature, "_round", counting_round)
+    monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
+    f, a, b, bps = _CONVERGING[1]
+    three = _CONVERGING[:3]
+    runs = [
+        (lambda: integrate(f, a, b, DEFAULT_SPEC, bps), None),
+        (lambda: integrate_halfline(lambda t: t**2.5 * np.exp(-t / 2.0), 0.0), None),
+        (lambda: integrate_halfline(lambda t: np.ones_like(t), 0.0), Divergent),
+        (lambda: integrate_batch(_batch_of([p[0] for p in three]), [p[1:] for p in three]), None),
+    ]
+    for run, failure in runs:
+        events.clear()
+        if failure is None:
+            run()
+        else:
+            with pytest.raises(failure):
+                run()
+        rounds = len(events) // 2
+        assert events == ["round", "kernel from _round"] * rounds
+        assert (rounds == 1) if failure else (rounds > 1)
 
 
 def test_batch_warns_in_the_loops_order():
