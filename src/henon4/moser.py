@@ -45,6 +45,7 @@ F_m (whose value at 0 is 0) may keep decaying instead of levelling off.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -249,7 +250,7 @@ def blowup_scan(
     energy its constructor sets, which the norm_sqs column records, before
     evaluation.  The lower_bound_exponent column records
     (alpha+4)/4 * ((beta-1) |log eps| - 4), the predicted log-scale floor of
-    a diverging scan.  A value that underflows to 0 raises NonFinite.
+    a diverging scan.  A value below the normal doubles raises NonFinite.
     """
     if not beta > 0.0:
         raise DomainError("beta must be > 0")
@@ -267,7 +268,7 @@ def blowup_scan(
 
     values = weighted_functional_batch([(scale_to_unit(u, u.energy), params) for u in members], spec)
     for eps, val in zip(eps_list, values):
-        if not 0.0 < val < math.inf:
+        if not sys.float_info.min <= val < math.inf:
             raise NonFinite(f"value = {val!r} at epsilon={eps:g}: log_value needs its log")
     log_values = [math.log(val) for val in values]
     lbes = [(alpha + 4.0) / 4.0 * ((beta - 1.0) * -math.log(eps) - 4.0) for eps in eps_list]

@@ -81,8 +81,8 @@ class QuadratureSpec:
 
     There is no absolute tolerance to set: the weighted functionals on the
     unit energy sphere decay like alpha^-4..alpha^-7 and reach 1e-23 at
-    large alpha, far below any fixed absolute tolerance.  `abs_tol` is a
-    constant floor that only lets an identically zero integrand terminate.
+    large alpha, far below any fixed absolute tolerance.  `abs_tol` floors
+    only the tail tolerance of `profiles._tail`, which takes its log.
     """
 
     rel_tol: float = 1e-10
@@ -303,7 +303,7 @@ def _refine(f: Callable, states: list, spec: QuadratureSpec, name: Callable) -> 
             if not (math.isfinite(total) and math.isfinite(err_total)):
                 j = int(np.argmin(np.isfinite(vals) & np.isfinite(errs)))
                 raise NonFinite(f"integrand non-finite near {name(0.5 * float(los[j] + his[j]))}")
-            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            tol = spec.rel_tol * abs(total)
             if err_total <= tol:
                 outcomes[i] = IntegralResult(total, err_total, n)
                 continue
@@ -391,7 +391,7 @@ def integrate_halfline(
     for k, est in enumerate(np.bincount(block, weights=vals).tolist()):
         running += est
         mag = abs(est)
-        floor = max(spec.abs_tol, 0.25 * spec.rel_tol * abs(running))
+        floor = 0.25 * spec.rel_tol * abs(running)
         growing = mag == math.inf or (mag >= prev * (1.0 - 1e-12) and mag > floor)
         grow_run = grow_run + 1 if k > 0 and growing and a + 2.0**k - 1.0 >= guard_start else 0
         if grow_run >= _DIVERGENCE_DOUBLINGS:

@@ -39,11 +39,12 @@ members win at small alpha (up to alpha = 4..12, growing with m), ring
 bumps from there to alpha = 16, and power profiles from alpha = 32 on.  On
 the default grid 16..512 the radial values fit slopes of about -4.8
 (m = 1) and -6.6 (m = 2) in log-log, steepening towards -(2m+3) as alpha
-grows.
+grows.  The search returns None at an alpha where every family fails.
 
 Crossover: the smallest grid alpha where the translated-bump value strictly
 exceeds kappa = 1.05 times the radial search value; the margin column is the
-log-ratio log(bump / (kappa * radial)), increasing past the crossover.
+log-ratio log(bump / (kappa * radial)), increasing past the crossover.  The
+sweep raises OptFailure at the first grid alpha where the search failed.
 """
 
 from __future__ import annotations
@@ -319,8 +320,8 @@ def radial_max_search(
     in table order on those integrals, so each returned value is an
     adaptive integral at `spec`.  An ascent is sent the values it would be
     sent alone, so each alpha's result is bit for bit its search alone.
-    Nothing is kept between calls, and nothing random enters.  Raises
-    OptFailure at the first alpha where every family fails.
+    Nothing is kept between calls, and nothing random enters.  Returns None
+    at an alpha where every family fails.
     """
     if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
@@ -377,9 +378,7 @@ def radial_max_search(
                 val = objective(units[key], params_alpha)
             if val > best_val:
                 best_val, best_key = val, key
-        if not math.isfinite(best_val):
-            raise OptFailure("all radial search starts failed")
-        results.append((best_val, units[best_key]))
+        results.append((best_val, units[best_key]) if math.isfinite(best_val) else None)
     return results
 
 
@@ -433,23 +432,21 @@ def crossover_detect(
     exceeds kappa = 1.05 times the radial search value (both sides are lower
     bounds of their suprema, hence the safety factor and the 'numerical
     crossover' label).  Slopes are least-squares on log-log over the last
-    four grid points.
+    four grid points.  One `radial_max_search` call covers the grid; the
+    rows raise OptFailure at the first alpha it marks failed.
     """
     alphas = [float(a) for a in alphas]
     check_sweep(p, alphas)
 
-    try:
-        radial = radial_max_search(alphas, p, spec)
-    except OptFailure:
-        # some alpha failed: search alpha by alpha below, so that the sweep
-        # raises the first failure in grid order, as a loop over the grid does
-        radial = None
+    radial = radial_max_search(alphas, p, spec)
     rows = []
     base = _paper_base(p, bump, spec)
-    for i, a in enumerate(alphas):
+    for a, found in zip(alphas, radial):
         bump_exact = translated_bump_value(a, p, bump, spec)
         bump_bound = _paper_bound(a, base)
-        radial_val, radial_prof = radial[i] if radial is not None else radial_max_search([a], p, spec)[0]
+        if found is None:
+            raise OptFailure("all radial search starts failed")
+        radial_val, radial_prof = found
         for name, v in (("bump_exact", bump_exact), ("radial_max", radial_val)):
             # a subnormal carries fewer than 53 bits and cannot meet rel_tol
             if not sys.float_info.min <= v < math.inf:

@@ -147,6 +147,27 @@ def test_moser_blowup_names_an_underflowed_value(tmp_path, capsys):
     assert "value = 0.0 at epsilon=0.01" in err
 
 
+def test_moser_blowup_names_a_subnormal_value(tmp_path, capsys):
+    # at m = 150 F_m of the eps = 1e-2 member is 3.9e-315, a subnormal with
+    # fewer than 53 bits that cannot meet rel_tol: no report carries it
+    out = tmp_path / "run"
+    code = main(["moser-blowup", "--alpha", "0", "--beta", "0.1", "--m", "150",
+                 "--epsilons", "1e-2,1e-3,1e-4", "--out-dir", str(out)])
+    assert code == 3
+    assert re.search(r"value = \S+ at epsilon=0\.01", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_moser_blowup_exit_3_on_an_inconclusive_sub_threshold_scan(tmp_path, capsys):
+    # at m = 140 the values rise from 1.8e-290 to 1.8e-253, all normal: below
+    # the threshold a rising tail is neither flat nor decreasing
+    out = tmp_path / "run"
+    code = main(["moser-blowup", "--alpha", "0", "--beta", "0.1", "--m", "140",
+                 "--epsilons", "1e-2,1e-3,1e-4", "--out-dir", str(out)])
+    assert code == 3
+    assert "expected Bounded at beta=0.1, got Inconclusive" in capsys.readouterr().out
+
+
 def test_moser_blowup_decaying_sub_threshold_scan_is_bounded(tmp_path):
     # beta < 1 and the value falls over every decade (3.5e-5 -> 5.3e-9): the
     # spread is far above 10 %, but a tail that never rises is bounded

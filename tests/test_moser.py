@@ -9,6 +9,7 @@ from henon4 import quadrature
 from henon4.errors import DomainError
 from henon4.moser import (
     MoserParams,
+    _classify,
     blowup_scan,
     moser_dirichlet,
     moser_navier,
@@ -206,6 +207,12 @@ def test_blowup_bounded_navier():
     assert ex.verdict == "Bounded"
     bound = series_upper_bound(FunctionalParams(0.0, 0.8 * sigma_alpha(0.0), None))
     assert all(v <= bound + 1e-8 for v in ex.values)
+
+
+def test_classify_a_falling_last_step_above_the_threshold_is_inconclusive():
+    # the last step falls, which ends the divergence gate at once, and the
+    # 3x spread is far above the flatness gate
+    assert _classify([1e-2, 1e-3, 1e-4, 1e-5], [1.0, 2.0, 3.0, 2.5], 1.2) == "Inconclusive"
 
 
 def test_blowup_dirichlet_verdicts():

@@ -120,6 +120,31 @@ def test_halfline_constant_integrand_divergent():
         integrate_halfline(lambda t: np.ones_like(t), 0.0)
 
 
+@pytest.mark.parametrize(
+    "driver",
+    [
+        # the first round alone is 15 % off
+        lambda f: integrate(f, 0.0, 40.0),
+        # the first round is 1.8e-9 off
+        lambda f: integrate_halfline(f, 0.0),
+    ],
+    ids=["integrate", "integrate_halfline"],
+)
+def test_tiny_integral_meets_rel_tol(driver):
+    # an integral of 1e-301 is held to rel_tol like any other: no absolute
+    # floor accepts a round whose error exceeds it
+    res = driver(lambda x: 1e-300 * np.exp(-50.0 * x * x))
+    assert res.value == pytest.approx(1e-300 * 0.5 * math.sqrt(math.pi / 50.0), rel=DEFAULT_SPEC.rel_tol, abs=0.0)
+    assert res.error_estimate <= DEFAULT_SPEC.rel_tol * res.value
+
+
+def test_halfline_tiny_constant_integrand_divergent():
+    # a constant of 1e-305 diverges at the same doubling as a constant 1
+    with pytest.raises(Divergent) as info:
+        integrate_halfline(lambda t: np.full_like(t, 1e-305), 0.0)
+    assert str(info.value) == _DIVERGENT_MESSAGE
+
+
 def test_halfline_growing_integrand_divergent():
     with pytest.raises(Divergent):
         integrate_halfline(lambda t: np.log1p(t) / (1.0 + t), 0.0)

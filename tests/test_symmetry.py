@@ -698,9 +698,7 @@ def test_crossover_detect_keeps_the_grid_order_of_failures(monkeypatch):
     # alpha = 32: the sweep still names the failure a loop over the grid
     # meets first
     def search(alphas, p, spec):
-        if max(alphas) >= 64.0:
-            raise OptFailure("all radial search starts failed")
-        return [(1e-6, bump_profile(BumpSpec()))] * len(alphas)
+        return [None if a >= 64.0 else (1e-6, bump_profile(BumpSpec())) for a in alphas]
 
     monkeypatch.setattr(symmetry, "translated_bump_value", lambda a, p, bump, spec: 1.2e-309 if a == 32.0 else 1e-3)
     monkeypatch.setattr(symmetry, "radial_max_search", search)
@@ -709,6 +707,40 @@ def test_crossover_detect_keeps_the_grid_order_of_failures(monkeypatch):
     monkeypatch.setattr(symmetry, "translated_bump_value", lambda a, p, bump, spec: 1e-3)
     with pytest.raises(OptFailure, match="all radial search starts failed"):
         crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
+
+
+def _fail_at_alpha_64(monkeypatch):
+    # every candidate goes to the adaptive objective, which fails at alpha =
+    # 64 only and reads 1.0 elsewhere
+    def functional(u, p, spec):
+        if p.alpha == 64.0:
+            raise NonConvergence("forced")
+        return 1.0
+
+    monkeypatch.setattr(symmetry, "functional_scorer", lambda spec: lambda problems: [None] * len(problems))
+    monkeypatch.setattr(symmetry, "weighted_functional", functional)
+
+
+def test_radial_search_marks_a_failed_alpha_with_none(monkeypatch):
+    _fail_at_alpha_64(monkeypatch)
+    found = radial_max_search([32.0, 64.0, 128.0], FunctionalParams(0.0, SIGMA, 1))
+    assert found[1] is None
+    assert [val for val, _ in (found[0], found[2])] == [1.0, 1.0]
+
+
+def test_crossover_detect_searches_once_when_an_alpha_fails(monkeypatch):
+    _fail_at_alpha_64(monkeypatch)
+    calls = []
+    search = symmetry.radial_max_search
+
+    def spy(alphas, p, spec):
+        calls.append(list(alphas))
+        return search(alphas, p, spec)
+
+    monkeypatch.setattr(symmetry, "radial_max_search", spy)
+    with pytest.raises(OptFailure, match="all radial search starts failed"):
+        crossover_detect(FunctionalParams(0.0, SIGMA, 1), [16.0, 32.0, 64.0, 128.0])
+    assert calls == [[16.0, 32.0, 64.0, 128.0]]
 
 
 def test_crossover_report_shape_small_grid():
