@@ -66,13 +66,21 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; an unknown command or format is a ConfigError."""
+
     command: str
     params: dict = field(default_factory=dict)
     quadrature: QuadratureSpec = QuadratureSpec()
     out_dir: Path = Path("out")
     fmt: str = "both"  # csv | json | both
+
+    def __post_init__(self) -> None:
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if self.fmt not in _FLAGS["format"]["choices"]:
+            raise ConfigError(f"unknown format {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -113,21 +121,14 @@ def resolve_sigma(token: str, alpha: float) -> float:
     """Resolve a sigma token ("32pi2", "0.8*sigma_alpha", number) to a value."""
     tok = token.strip().lower()
     factor = 1.0
-    if "*" in tok:
-        head, tok = tok.split("*", 1)
-        try:
-            factor = float(head)
-        except ValueError as exc:
-            raise ConfigError(f"bad sigma factor in {token!r}") from exc
-    if tok == "sigma_alpha":
-        return factor * sigma_alpha(alpha)
-    if tok.endswith("pi2"):
-        try:
-            base = float(tok[:-3])
-        except ValueError as exc:
-            raise ConfigError(f"bad sigma token {token!r}") from exc
-        return factor * base * math.pi**2
     try:
+        if "*" in tok:
+            head, tok = tok.split("*", 1)
+            factor = float(head)
+        if tok == "sigma_alpha":
+            return factor * sigma_alpha(alpha)
+        if tok.endswith("pi2"):
+            return factor * float(tok[:-3]) * math.pi**2
         return factor * float(tok)
     except ValueError as exc:
         raise ConfigError(f"bad sigma token {token!r}") from exc
@@ -230,8 +231,6 @@ def build_config(argv: Sequence[str]) -> RunConfig:
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
     out_dir = out_dir or os.environ.get("HENON4_OUT_DIR", "out")
     fmt = params.pop("format", "both")
-    if fmt not in _FLAGS["format"]["choices"]:
-        raise ConfigError(f"unknown format {fmt!r}")
     given = {}  # QuadratureSpec holds the defaults of what is not given
     try:
         if rel_tol is not None:
@@ -253,8 +252,11 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 
 def _resolve(command: str, p: dict) -> dict:
     """The command body's arguments, built from the raw params into library
-    objects whose constructors and checks hold the preconditions; every
-    default is written here once.  `run` maps what they raise to ConfigError.
+    objects whose constructors and checks hold the preconditions.  Each
+    command parameter's default is written here; talenti-check's count and
+    seed repeat those of `seeded_comparison_profiles`, and the report format
+    and output directory take theirs in `build_config` and `RunConfig`.
+    `run` maps what they raise to ConfigError.
     """
     # alpha, sigma and m pass the library's rules whatever the command uses
     alpha = as_float(p.get("alpha", 0.0), "alpha")
@@ -279,11 +281,13 @@ def _resolve(command: str, p: dict) -> dict:
         beta = as_float(p.get("beta", 1.2), "beta")
         bc = BoundaryKind(p.get("bc", "navier"))
         eps = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
+        for e in eps:
+            MoserParams(e, bc)
         return {
             "params": FunctionalParams(alpha, beta * sigma_alpha(alpha), p.get("m")),
             "beta": beta,
             "bc": bc,
-            "members": [MoserParams(e, bc) for e in eps],
+            "epsilons": eps,
         }
     if command == "talenti-check":
         count, seed = p.get("count", 10), p.get("seed", 20240807)
@@ -387,13 +391,10 @@ def _moser_blowup(
     params: FunctionalParams,
     beta: float,
     bc: BoundaryKind,
-    members: list,
+    epsilons: list,
 ):
-    eps = [mp.epsilon for mp in members]
-    ex = blowup_scan(params.alpha, beta, eps, m=params.m, spec=spec, bc=bc)
-    rows = tuple(
-        zip(ex.epsilons, ex.norm_sqs, ex.values, ex.log_values, ex.lower_bound_exponents)
-    )
+    ex = blowup_scan(params.alpha, beta, epsilons, m=params.m, spec=spec, bc=bc)
+    rows = tuple(zip(epsilons, ex.norm_sqs, ex.values, ex.log_values, ex.lower_bound_exponents))
     for row in rows:
         print(
             f"eps={row[0]:<8g} norm_sq={row[1]:.8f} value={row[2]:.6g} "
@@ -457,8 +458,8 @@ def _symmetry_sweep(
     print(f"alpha_star: {star}")
     table = TableReport(
         meta={
-            "sigma": report.sigma,
-            "m": report.m,
+            "sigma": params.sigma,
+            "m": params.m,
             # the schema is fixed and tested: the fit residuals stay in-process
             "fitted_slopes": {"bump": slopes["bump"], "radial": slopes["radial"]},
             "alpha_star": star,
@@ -510,6 +511,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return run(build_config(argv))
+    except SystemExit as exc:  # argparse: 2 on a bad flag, 0 after --help
+        return exc.code
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

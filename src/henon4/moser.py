@@ -198,7 +198,6 @@ def moser_dirichlet(mp: MoserParams) -> RadialProfile:
 
 @dataclass(frozen=True)
 class ThresholdExperiment:
-    epsilons: tuple
     norm_sqs: tuple
     values: tuple
     log_values: tuple
@@ -275,7 +274,6 @@ def blowup_scan(
 
     verdict = _classify(eps_list, values, beta)
     return ThresholdExperiment(
-        epsilons=tuple(eps_list),
         norm_sqs=tuple(u.energy for u in members),
         values=tuple(values),
         log_values=tuple(log_values),

@@ -413,8 +413,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    sigma: float
-    m: int
     rows: tuple
     fitted_slopes: dict
     alpha_star: Optional[float]
@@ -478,8 +476,6 @@ def crossover_detect(
             break
 
     return SweepReport(
-        sigma=p.sigma,
-        m=int(p.m),
         rows=tuple(rows),
         fitted_slopes={
             "bump": bump_slope,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -16,6 +17,7 @@ from henon4.cli import (
     _COMMANDS,
     _FLAGS,
     ConfigError,
+    RunConfig,
     build_config,
     main,
     parse_alphas,
@@ -262,6 +264,55 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--bogus", "1"], ["--format", "xml"], ["--m", "2.5"]], ids=" ".join)
+def test_main_returns_2_on_a_flag_error(tmp_path, capsys, flags):
+    # argparse's own exit is main's return value, as for every other bad input
+    out = tmp_path / "never"
+    assert main(["threshold-scan", *flags, "--out-dir", str(out)]) == 2
+    assert "henon4: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_returns_0_after_help(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: henon4")
+
+
+def test_run_config_checks_its_command_and_format():
+    # a config built in-process meets the rules of the command line: an
+    # unknown format can no longer run a whole scan that writes nothing
+    with pytest.raises(ConfigError, match="unknown format 'xml'"):
+        RunConfig("threshold-scan", fmt="xml")
+    with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+        RunConfig("bogus")
+
+
+def test_an_internal_error_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def body(spec, **inputs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(_COMMANDS, "threshold-scan", ("threshold_scan", body))
+    out = tmp_path / "never"
+    assert main(["threshold-scan", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert not out.exists()
+
+
+def test_python_m_henon4_cli_exits_with_mains_code(tmp_path):
+    src = str(Path(profiles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "henon4.cli", "threshold-scan", "--alphas", "0,4"]
+    out = tmp_path / "run"
+    done = subprocess.run([*argv, "--out-dir", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["threshold_scan.csv", "threshold_scan.json"]
+    never = tmp_path / "never"
+    done = subprocess.run([*argv, "--bogus", "1", "--out-dir", str(never)], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "henon4: error: unrecognized arguments: --bogus 1" in done.stderr
+    assert not never.exists()
+
+
 def test_emit_empty_report_header_only(tmp_path):
     from henon4.cli import TableReport, emit
 
@@ -346,6 +397,13 @@ _REJECTED = [
     (["threshold-scan"], {"alpha": "16"}),
     (["moser-blowup"], {"beta": "1.2"}),
     (["threshold-scan"], {"rel_tol": "1e-8"}),
+    (["moser-blowup", "--epsilons", "1e-2:1e-5"], None),
+    (["moser-blowup", "--epsilons", "1e-2:1e-5:0decade"], None),
+    (["moser-blowup", "--epsilons", ","], None),
+    (["threshold-scan", "--alphas", "16,x"], None),
+    (["threshold-scan", "--config", "no-such-config.json"], None),
+    (["threshold-scan"], [1, 2]),
+    (["threshold-scan"], {"format": "xml"}),
 ]
 
 

@@ -59,6 +59,11 @@ def test_to_log_profile_refuses_a_gamma_whose_scale_overflows():
             to_log_profile(u, gamma)
 
 
+def test_to_log_profile_refuses_a_gamma_that_is_not_positive():
+    with pytest.raises(PreconditionError, match="gamma must be > 0"):
+        to_log_profile(poly_profile(1), 0.0)
+
+
 def test_decreasing_source_gives_nonnegative_w1():
     for name in ("poly2", "poly4", "pow:3", "moser:1e-4:navier"):
         u = corpus_profile(name)

@@ -36,6 +36,13 @@ def test_params_validation():
     MoserParams(1e-4, BoundaryKind.DIRICHLET)  # eta ~ 0.45 < 1/2
 
 
+def test_each_member_refuses_the_other_boundary_condition():
+    with pytest.raises(DomainError, match="moser_navier requires bc = NAVIER"):
+        moser_navier(MoserParams(1e-4, BoundaryKind.DIRICHLET))
+    with pytest.raises(DomainError, match="moser_dirichlet requires bc = DIRICHLET"):
+        moser_dirichlet(MoserParams(1e-4, BoundaryKind.NAVIER))
+
+
 def test_dirichlet_breakpoints_increase_inside_the_ball():
     # MoserParams keeps eta < 1/2, which is what keeps the plateau's end
     # eps^{1/4} below the cap's start 1 - eta for every accepted eps
@@ -213,6 +220,12 @@ def test_classify_a_falling_last_step_above_the_threshold_is_inconclusive():
     # the last step falls, which ends the divergence gate at once, and the
     # 3x spread is far above the flatness gate
     assert _classify([1e-2, 1e-3, 1e-4, 1e-5], [1.0, 2.0, 3.0, 2.5], 1.2) == "Inconclusive"
+
+
+def test_classify_a_slow_growth_above_the_threshold_is_inconclusive():
+    # the tail rises, but 3 %/decade is below the divergence gate's 15 %, and
+    # the 1.6x spread of the last three decades is above the flatness gate
+    assert _classify([1e-2, 1e-3, 1e-4, 1e-5, 1e-6], [1.0, 2.0, 3.0, 3.1, 3.2], 1.2) == "Inconclusive"
 
 
 def test_blowup_dirichlet_verdicts():

@@ -705,6 +705,12 @@ def test_functional_params_validation():
         FunctionalParams(0.0, 1.0, -2)
 
 
+@pytest.mark.parametrize("rho0, h", [(1.0, 0.1), (0.5, 0.0)])
+def test_ring_profile_rejects_a_centre_or_width_outside_its_domain(rho0, h):
+    with pytest.raises(DomainError, match="need 0 <= rho0 < 1 and h > 0"):
+        ring_profile(rho0, h)
+
+
 def test_power_profile_rejects_bad_exponent():
     with pytest.raises(DomainError):
         power_profile(0.0)

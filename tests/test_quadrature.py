@@ -58,6 +58,11 @@ def test_invalid_interval_rejected():
         integrate(lambda x: x, 0.0, math.inf)
 
 
+def test_halfline_rejects_an_infinite_lower_limit():
+    with pytest.raises(DomainError, match="lower limit must be finite"):
+        integrate_halfline(lambda t: np.exp(-t), math.inf)
+
+
 def test_nonfinite_integrand_raises():
     def pole(x):
         with np.errstate(divide="ignore"):
