@@ -73,7 +73,7 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     quadrature: QuadratureSpec = QuadratureSpec()
-    out_dir: Path = Path("out")
+    out_dir: Path = field(default_factory=lambda: Path(os.environ.get("HENON4_OUT_DIR", "out")))
     fmt: str = "both"  # csv | json | both
 
     def __post_init__(self) -> None:
@@ -103,7 +103,6 @@ def _fmt_cell(x) -> str:
 
 def emit(report: TableReport, fmt: str, path: Path) -> None:
     """Write a report to path; byte-stable for identical inputs."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         lines = [",".join(report.header)]
         lines += [",".join(_fmt_cell(c) for c in row) for row in report.rows]
@@ -113,6 +112,7 @@ def emit(report: TableReport, fmt: str, path: Path) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown format {fmt!r}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -229,8 +229,10 @@ def build_config(argv: Sequence[str]) -> RunConfig:
     out_dir = params.pop("out_dir", None)
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    out_dir = out_dir or os.environ.get("HENON4_OUT_DIR", "out")
-    fmt = params.pop("format", "both")
+    # RunConfig holds the defaults of the settings not given
+    settings = {"out_dir": Path(out_dir)} if out_dir else {}
+    if "format" in params:
+        settings["fmt"] = params.pop("format")
     given = {}  # QuadratureSpec holds the defaults of what is not given
     try:
         if rel_tol is not None:
@@ -241,22 +243,17 @@ def build_config(argv: Sequence[str]) -> RunConfig:
     except (Henon4Error, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(
-        command=ns.command,
-        params=params,
-        quadrature=quadrature,
-        out_dir=Path(out_dir),
-        fmt=fmt,
-    )
+    return RunConfig(command=ns.command, params=params, quadrature=quadrature, **settings)
 
 
 def _resolve(command: str, p: dict) -> dict:
     """The command body's arguments, built from the raw params into library
     objects whose constructors and checks hold the preconditions.  Each
-    command parameter's default is written here; talenti-check's count and
-    seed repeat those of `seeded_comparison_profiles`, and the report format
-    and output directory take theirs in `build_config` and `RunConfig`.
-    `run` maps what they raise to ConfigError.
+    command parameter's default is written here, but the bump's, which is
+    `BumpSpec`'s; talenti-check's count and seed repeat those of
+    `seeded_comparison_profiles`, as its report names them, and `RunConfig`
+    holds the report format's and output directory's.  `run` maps what
+    they raise to ConfigError.
     """
     # alpha, sigma and m pass the library's rules whatever the command uses
     alpha = as_float(p.get("alpha", 0.0), "alpha")
@@ -298,7 +295,7 @@ def _resolve(command: str, p: dict) -> dict:
     sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
     params = FunctionalParams(0.0, sigma, p.get("m", 1))
     alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))
-    bump = BumpSpec(p.get("bump", "poly4"))
+    bump = BumpSpec(p["bump"]) if "bump" in p else BumpSpec()
     check_sweep(params, alphas)
     return {"params": params, "alphas": alphas, "bump": bump}
 

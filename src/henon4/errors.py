@@ -31,7 +31,7 @@ class ThresholdError(Henon4Error, ValueError):
     """A series bound was requested at or above its summability threshold."""
 
 
-class PreconditionError(Henon4Error, ValueError):
+class PreconditionError(DomainError):
     """An operation's stated hypothesis is violated by the input."""
 
 

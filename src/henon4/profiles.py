@@ -46,10 +46,10 @@ None, so F_m of them is integrated in r.
 Each integral is written once, as the `*_batch` form that `integrate_batch`
 runs in lockstep; each scalar form is its batch of one, which
 `integrate_batch` runs as one call of `integrate`.  Both batch forms of F_m,
-`weighted_functional_batch` and `functional_scorer`, rest on one property of
-`exp_minus_taylor`: its value at a z does not depend on the other z values
-of the call, so one call over the joined z values of many problems gives
-each the bits of its own call.
+`weighted_functional_batch` and `functional_scorer`, sum their series in
+`_series`, which rests on one property of `exp_minus_taylor`: its value at
+a z does not depend on the other z values of the call, so one call over the
+joined z values of many problems gives each the bits of its own call.
 
 `series_upper_bound(p)` bounds F_m on the unit energy sphere ||Delta u||_2 = 1.
 The named corpus is one table from each of its 13 names to its constructor.
@@ -423,6 +423,23 @@ def weighted_functional(
     return weighted_functional_batch([(u, p)], spec)[0]
 
 
+def _series(terms: Sequence[tuple]) -> list:
+    """g_m(z) of each (m, z), in order, from one `exp_minus_taylor` call per
+    m over the joined z of that m: each g is the bits of its own call
+    (module docstring)."""
+    by_m: dict = {}
+    for i, (m, _) in enumerate(terms):
+        by_m.setdefault(m, []).append(i)
+    gs: list = [None] * len(terms)
+    for m, index in by_m.items():
+        g = exp_minus_taylor(np.concatenate([terms[i][1] for i in index]), m)
+        start = 0
+        for i in index:
+            gs[i] = g[start : start + terms[i][1].size]
+            start += terms[i][1].size
+    return gs
+
+
 def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
     """F_m on a fixed rule, for ranking many profiles: a function that
     takes a batch of (profile, params) pairs and gives each pair's F_m, or
@@ -436,10 +453,8 @@ def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
     (a subnormal or 0 is a layer the round missed), |K - G| <= rel_tol K and
     `_tail` asks for no tail interval; it is None otherwise.  Only the
     mapped breakpoints move the rule, and the function keeps one rule per
-    set of them.  A batch sums the series of all its pairs of one m with one
-    `exp_minus_taylor` call, whose values do not depend on the other z
-    values of the call, and takes K and G of each pair from its own slice:
-    every score is bit for bit its batch of one.
+    set of them.  A batch makes its series calls in `_series`, so every
+    score is bit for bit its batch of one.
     """
     rules: dict = {}
 
@@ -453,22 +468,14 @@ def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
     def score(problems: Sequence[tuple]) -> list:
         fns = [_functional(u, p) for u, p in problems]
         out: list = [None] * len(fns)
-        by_m: dict = {}
-        for i, fn in enumerate(fns):
-            if fn.x is not None:
-                x, wk, wg = rule(fn)
-                # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
-                by_m.setdefault(fn.m, []).append((i, fn.z(x), wk, wg))
-        for m, group in by_m.items():
-            g = exp_minus_taylor(np.concatenate([z for _, z, _, _ in group]), m)
-            start = 0
-            for i, z, wk, wg in group:
-                gi = g[start : start + z.size]
-                start += z.size
-                kronrod, gauss = float(gi @ wk), float(gi @ wg)
-                ok = sys.float_info.min <= kronrod < math.inf and abs(kronrod - gauss) <= spec.rel_tol * kronrod
-                if ok and not _tail(fns[i], kronrod, spec):
-                    out[i] = fns[i].scale * kronrod
+        ruled = [(i, fn, rule(fn)) for i, fn in enumerate(fns) if fn.x is not None]
+        # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
+        gs = _series([(fn.m, fn.z(x)) for _, fn, (x, _, _) in ruled])
+        for (i, fn, (_, wk, wg)), g in zip(ruled, gs):
+            kronrod, gauss = float(g @ wk), float(g @ wg)
+            ok = sys.float_info.min <= kronrod < math.inf and abs(kronrod - gauss) <= spec.rel_tol * kronrod
+            if ok and not _tail(fn, kronrod, spec):
+                out[i] = fn.scale * kronrod
         return out
 
     return score
@@ -478,25 +485,16 @@ def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = 
     """`weighted_functional` of each (profile, params) pair in lockstep
     (`integrate_batch`), bit for bit the loop of `integrate` over their
     integrals: one batch of every first integral, in tau or in r, then one
-    of the tails that tau needs.  Each round sums the series of all problems
-    of one m with one `exp_minus_taylor` call, whose values do not depend on
-    the other z values of the call."""
+    of the tails that tau needs.  Each round makes its series calls in
+    `_series`, one per m."""
     fns = [_functional(u, p) for u, p in problems]
 
     def run(index: Sequence[int], intervals: list) -> list:
         def f(x, parts):
             out = np.empty_like(x)
-            by_m: dict = {}
-            for k, sl in parts:
-                fn = fns[index[k]]
-                z = fn.z(x[sl])
-                by_m.setdefault(fn.m, []).append((sl, fn.weight(x[sl]), z))
-            for m, group in by_m.items():
-                g = exp_minus_taylor(np.concatenate([z for _, _, z in group]), m)
-                start = 0
-                for sl, weight, z in group:
-                    out[sl] = weight * g[start : start + z.size]
-                    start += z.size
+            pieces = [(sl, fns[index[k]]) for k, sl in parts]
+            for (sl, fn), g in zip(pieces, _series([(fn.m, fn.z(x[sl])) for sl, fn in pieces])):
+                out[sl] = fn.weight(x[sl]) * g
             return out
 
         return [res.value for res in integrate_batch(f, intervals, spec)]

@@ -95,7 +95,7 @@ __all__ = [
 ]
 
 CROSSOVER_KAPPA = 1.05  # safety factor on the radial estimate
-_SIGMA_MAX = sigma_alpha(0.0) * (1.0 + 1e-12)  # 32 pi^2, the bound of every sigma check
+_SIGMA_MAX = sigma_alpha(0.0) * (1.0 + 1e-12)  # 32 pi^2, the bound of `_check`'s sigma rule
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +147,32 @@ def bump_profile(bump: BumpSpec) -> RadialProfile:
     return _unit(bump.kind)
 
 
-def _check_bump_params(alpha: float, p: FunctionalParams) -> None:
-    if not (math.isfinite(alpha) and alpha >= 4.0):
+def _check(p: FunctionalParams, alphas: Sequence[float] = (), m_floor: int = 1) -> None:
+    """The comparison's hypotheses, each a PreconditionError (a DomainError):
+    every alpha finite and >= 4, so that the translated bump fits inside the
+    ball; m >= m_floor, as the bump value decays like alpha^-4 and the radial
+    one towards alpha^-(2m+3), so only m >= 1 lets the bump overtake (the
+    bump value alone takes any truncation, m >= 0); sigma at most Adams'
+    unweighted threshold 32 pi^2 (Ann. of Math. 128, 1988), above which a
+    sequence concentrating at x0 != 0, where the weight |x0|^alpha is a
+    constant, makes the full supremum infinite at every alpha while the
+    radial one is finite below sigma_alpha."""
+    if not all(math.isfinite(a) and a >= 4.0 for a in alphas):
         raise PreconditionError("translated bump requires finite alpha >= 4")
-    if p.m is None:
-        raise PreconditionError("the comparison concerns truncated functionals (m present)")
+    if p.m is None or p.m < m_floor:
+        raise PreconditionError(f"crossover concerns truncated functionals with m >= {m_floor}")
     if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
 
 
 def check_sweep(p: FunctionalParams, alphas: Sequence[float]) -> None:
-    """Hypotheses of a bump-versus-radial sweep; raises DomainError.
-
-    At least 4 strictly increasing alphas, each finite and >= 4 so that the
-    translated bump fits inside the ball; truncated functionals (m >= 1) at
-    or below the unweighted threshold sigma_alpha(0) = 32 pi^2.
-    """
+    """Hypotheses of a bump-versus-radial sweep; raises DomainError: at
+    least 4 strictly increasing alphas, and those of `_check`."""
     if len(alphas) < 4:
         raise DomainError("need at least 4 grid points")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("alphas must be strictly increasing")
-    if not all(math.isfinite(a) and a >= 4.0 for a in alphas):
-        raise DomainError("translated bump requires finite alpha >= 4")
-    if p.m is None or p.m < 1:
-        raise DomainError("crossover concerns truncated functionals with m >= 1")
-    if p.sigma > _SIGMA_MAX:
-        raise DomainError("sigma must stay at or below 32 pi^2")
+    _check(p, alphas)
 
 
 def _angular_series(nu: float, z: np.ndarray) -> np.ndarray:
@@ -205,7 +205,7 @@ def translated_bump_value(
     the module docstring; A^nu = exp(nu log1p(d^2 - (2 - 1/alpha)/alpha)), as
     log A of a rounded A ~ 1 would be off by an ulp times nu.  alpha**-4.0
     underflows quietly where alpha**4 would overflow (alpha > 1e77)."""
-    _check_bump_params(alpha, p)
+    _check(p, (alpha,), 0)
     u = bump_profile(bump)
     xbar = 1.0 - 1.0 / alpha
     nu = 0.5 * alpha
@@ -227,7 +227,7 @@ def translated_bump_paper_bound(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Elementary minorant (1 - 2/alpha)^alpha alpha^-4 integral_B g(u)."""
-    _check_bump_params(alpha, p)
+    _check(p, (alpha,), 0)
     return _paper_bound(alpha, _paper_base(p, bump, spec))
 
 
@@ -323,10 +323,7 @@ def radial_max_search(
     Nothing is kept between calls, and nothing random enters.  Returns None
     at an alpha where every family fails.
     """
-    if p.sigma > _SIGMA_MAX:
-        raise PreconditionError("sigma must stay at or below 32 pi^2")
-    if p.m is None or p.m < 1:
-        raise PreconditionError("radial search targets truncated functionals, m >= 1")
+    _check(p)
     grid = [FunctionalParams(a, p.sigma, p.m) for a in alphas]
     families = [family for family, entry in _FAMILIES.items() if entry.box]
     score = functional_scorer(spec)

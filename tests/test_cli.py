@@ -287,6 +287,31 @@ def test_run_config_checks_its_command_and_format():
         RunConfig("bogus")
 
 
+def test_run_config_holds_the_run_setting_defaults(tmp_path, monkeypatch):
+    # build_config passes the format and the output directory only when a
+    # flag or the config file gives them, and the sweep's bump only when
+    # --bump does, so each default is stated once
+    from henon4.cli import _resolve
+    from henon4.symmetry import BumpSpec
+
+    monkeypatch.setenv("HENON4_OUT_DIR", str(tmp_path / "from_env"))
+    assert RunConfig("threshold-scan").out_dir == tmp_path / "from_env"
+    assert build_config(["threshold-scan"]) == RunConfig("threshold-scan")
+    assert build_config(["threshold-scan", "--out-dir", ""]) == RunConfig("threshold-scan")
+    monkeypatch.delenv("HENON4_OUT_DIR")
+    assert RunConfig("threshold-scan").out_dir == Path("out")
+    assert _resolve("symmetry-sweep", {})["bump"] == BumpSpec()
+
+
+def test_emit_refuses_an_unknown_format_and_writes_nothing(tmp_path):
+    from henon4.cli import TableReport, emit
+
+    report = TableReport(meta={}, header=("a",), rows=((1,),))
+    with pytest.raises(ConfigError, match="unknown format 'xml'"):
+        emit(report, "xml", tmp_path / "never" / "report.xml")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_internal_error_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
     def body(spec, **inputs):
         raise RuntimeError("boom")
@@ -404,6 +429,9 @@ _REJECTED = [
     (["threshold-scan", "--config", "no-such-config.json"], None),
     (["threshold-scan"], [1, 2]),
     (["threshold-scan"], {"format": "xml"}),
+    (["symmetry-sweep", "--sigma", "33pi2"], None),
+    (["threshold-scan"], {"alpha": None}),
+    (["threshold-scan"], {"rel_tol": [1e-10]}),
 ]
 
 

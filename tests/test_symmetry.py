@@ -786,3 +786,52 @@ def test_search_bump_and_seeded_derivative_consistency():
             d2 = float(u.d2(np.array([r]))[0])
             assert abs(fd1 - d1) / max(abs(d1), 1e-3) < 1e-6, (u.description, r)
             assert abs(fd2 - d2) / max(abs(d2), 1e-3) < 1e-6, (u.description, r)
+
+
+def test_radial_search_skips_a_family_it_cannot_build(monkeypatch):
+    # every ring candidate raises in its constructor, so each scores -inf:
+    # the search returns, bit for bit, what it returns without the family
+    grid = [16.0, 32.0, 64.0, 128.0]
+    p = FunctionalParams(0.0, SIGMA, 1)
+
+    def unbuildable(*params):
+        raise DomainError("no ring")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(_FAMILIES, "ring", _FAMILIES["ring"]._replace(profile=unbuildable))
+        got = radial_max_search(grid, p)
+    monkeypatch.delitem(_FAMILIES, "ring")
+    want = radial_max_search(grid, p)
+    x = np.linspace(0.0, 1.0, 101)
+    for (val, prof), (want_val, want_prof) in zip(got, want):
+        assert val == want_val
+        assert prof.description == want_prof.description
+        assert np.array_equal(prof.value(x), want_prof.value(x))
+    # alpha = 16 is the one grid alpha where a ring wins with the family in
+    assert "(pow:1.17981)" in got[0][1].description
+
+
+_HYPOTHESES = {  # params and alpha that break one hypothesis, and its message
+    "alpha": (FunctionalParams(0.0, SIGMA, 1), 2.0, "translated bump requires finite alpha >= 4"),
+    "nan": (FunctionalParams(0.0, SIGMA, 1), math.nan, "translated bump requires finite alpha >= 4"),
+    "m": (FunctionalParams(0.0, SIGMA, None), 16.0, "crossover concerns truncated functionals with m >= "),
+    "sigma": (FunctionalParams(0.0, 1.01 * SIGMA, 1), 16.0, r"sigma must stay at or below 32 pi\^2"),
+}
+_CHECKED = {
+    "check_sweep": lambda p, alpha: symmetry.check_sweep(p, [alpha, 32.0, 64.0, 128.0]),
+    "radial_max_search": lambda p, alpha: radial_max_search([alpha], p),
+    "translated_bump_value": lambda p, alpha: translated_bump_value(alpha, p),
+    "translated_bump_paper_bound": lambda p, alpha: translated_bump_paper_bound(alpha, p),
+}
+
+
+@pytest.mark.parametrize(
+    "name, hypothesis",
+    # the search states no alpha rule: it runs at any alpha >= 0
+    [(name, h) for name in _CHECKED for h in _HYPOTHESES if not (name == "radial_max_search" and h in ("alpha", "nan"))],
+)
+def test_each_hypothesis_is_a_precondition_and_a_domain_error(name, hypothesis):
+    p, alpha, match = _HYPOTHESES[hypothesis]
+    with pytest.raises(PreconditionError, match=match) as caught:
+        _CHECKED[name](p, alpha)
+    assert isinstance(caught.value, DomainError)
