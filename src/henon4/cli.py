@@ -1,7 +1,8 @@
 """Command-line runner: identity suites, threshold scans, blow-up
 experiments, comparison checks, symmetry sweeps.
 
-Commands (one table, `_COMMANDS`, maps each to its report stem and body)
+Commands (one table, `_COMMANDS`, maps each to its report stem and its one
+function, which builds and checks its inputs before it computes)
 
     verify-identities   energy identities, pointwise log bound margins,
                         weighted-norm embedding and series-bound properties
@@ -29,6 +30,7 @@ sigma accepts symbolic tokens: "32pi2" (or any "<x>pi2"), "sigma_alpha",
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -64,6 +66,16 @@ __all__ = ["RunConfig", "ConfigError", "build_config", "run", "emit", "main"]
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _refusing():
+    """Turn what the library raises on an input into ConfigError: exit 2,
+    with nothing computed or written."""
+    try:
+        yield
+    except (Henon4Error, ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -234,78 +246,32 @@ def build_config(argv: Sequence[str]) -> RunConfig:
     if "format" in params:
         settings["fmt"] = params.pop("format")
     given = {}  # QuadratureSpec holds the defaults of what is not given
-    try:
+    with _refusing():
         if rel_tol is not None:
             given["rel_tol"] = as_float(rel_tol, "rel_tol")
         if max_subdiv is not None:
             given["max_subdivisions"] = max_subdiv
         quadrature = QuadratureSpec(**given)
-    except (Henon4Error, ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
 
     return RunConfig(command=ns.command, params=params, quadrature=quadrature, **settings)
 
 
-def _resolve(command: str, p: dict) -> dict:
-    """The command body's arguments, built from the raw params into library
-    objects whose constructors and checks hold the preconditions.  Each
-    command parameter's default is written here, but the bump's, which is
-    `BumpSpec`'s; talenti-check's count and seed repeat those of
-    `seeded_comparison_profiles`, as its report names them, and `RunConfig`
-    holds the report format's and output directory's.  `run` maps what
-    they raise to ConfigError.
-    """
-    # alpha, sigma and m pass the library's rules whatever the command uses
-    alpha = as_float(p.get("alpha", 0.0), "alpha")
-    sigma = resolve_sigma(str(p["sigma"]), alpha) if "sigma" in p else 1.0
-    FunctionalParams(alpha, sigma, p.get("m"))
-    if command == "verify-identities":
+# ---------------------------------------------------------------------------
+# commands: each builds its inputs from the raw params, inside `_refusing`,
+# into library objects whose checks hold the preconditions, before it
+# computes.  Its function writes each default but the bump's (`BumpSpec`'s);
+# talenti-check's count and seed repeat `seeded_comparison_profiles`'s, as
+# its report names them.
+# ---------------------------------------------------------------------------
+
+
+def _verify_identities(spec: QuadratureSpec, p: dict):
+    with _refusing():
         alpha = as_float(p.get("alpha", 16.0), "alpha")
         profiles = [corpus_profile(name) for name in corpus_names()]
-        return {
-            "alpha": alpha,
-            "profiles": profiles,
-            # the log form at the paper's gamma = alpha + 4: in s = t/gamma its
-            # integrand is the same at every gamma, so one gamma checks it
-            "log_profiles": [to_log_profile(u, alpha + 4.0) for u in profiles],
-        }
-    if command == "threshold-scan":
-        token = str(p.get("sigma", "0.9*sigma_alpha"))
-        alphas = parse_alphas(str(p.get("alphas", "0,1,4,16")))
-        grid = [FunctionalParams(a, resolve_sigma(token, a)) for a in alphas]
-        return {"sigma_token": token, "grid": grid, "bounds": [series_upper_bound(q) for q in grid]}
-    if command == "moser-blowup":
-        beta = as_float(p.get("beta", 1.2), "beta")
-        bc = BoundaryKind(p.get("bc", "navier"))
-        eps = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
-        for e in eps:
-            MoserParams(e, bc)
-        return {
-            "params": FunctionalParams(alpha, beta * sigma_alpha(alpha), p.get("m")),
-            "beta": beta,
-            "bc": bc,
-            "epsilons": eps,
-        }
-    if command == "talenti-check":
-        count, seed = p.get("count", 10), p.get("seed", 20240807)
-        return {"count": count, "seed": seed, "profiles": seeded_comparison_profiles(count, seed)}
-    # --seed is checked as on talenti-check, but the sweep is deterministic and ignores it
-    if as_index(p.get("seed", 0), "seed") < 0:
-        raise DomainError("seed must be >= 0")
-    sigma = resolve_sigma(str(p.get("sigma", "32pi2")), 0.0)
-    params = FunctionalParams(0.0, sigma, p.get("m", 1))
-    alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))
-    bump = BumpSpec(p["bump"]) if "bump" in p else BumpSpec()
-    check_sweep(params, alphas)
-    return {"params": params, "alphas": alphas, "bump": bump}
-
-
-# ---------------------------------------------------------------------------
-# command bodies
-# ---------------------------------------------------------------------------
-
-
-def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_profiles: list):
+        # the log form at the paper's gamma = alpha + 4: in s = t/gamma its
+        # integrand is the same at every gamma, so one gamma checks it
+        log_profiles = [to_log_profile(u, alpha + 4.0) for u in profiles]
     rows = []
     failures = 0
     names = corpus_names()
@@ -358,7 +324,12 @@ def _verify_identities(spec: QuadratureSpec, alpha: float, profiles: list, log_p
     return report, (0 if failures == 0 else 3), f"{failures} failure(s)"
 
 
-def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: list):
+def _threshold_scan(spec: QuadratureSpec, p: dict):
+    with _refusing():
+        sigma_token = str(p.get("sigma", "0.9*sigma_alpha"))
+        alphas = parse_alphas(str(p.get("alphas", "0,1,4,16")))
+        grid = [FunctionalParams(a, resolve_sigma(sigma_token, a)) for a in alphas]
+        bounds = [series_upper_bound(q) for q in grid]
     rows = []
     failures = 0
     profiles = [corpus_profile(name) for name in corpus_names()]
@@ -383,13 +354,15 @@ def _threshold_scan(spec: QuadratureSpec, sigma_token: str, grid: list, bounds: 
     return report, (0 if failures == 0 else 3), f"{failures} violation(s)"
 
 
-def _moser_blowup(
-    spec: QuadratureSpec,
-    params: FunctionalParams,
-    beta: float,
-    bc: BoundaryKind,
-    epsilons: list,
-):
+def _moser_blowup(spec: QuadratureSpec, p: dict):
+    with _refusing():
+        alpha = as_float(p.get("alpha", 0.0), "alpha")
+        beta = as_float(p.get("beta", 1.2), "beta")
+        bc = BoundaryKind(p.get("bc", "navier"))
+        epsilons = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
+        for e in epsilons:
+            MoserParams(e, bc)
+        params = FunctionalParams(alpha, beta * sigma_alpha(alpha), p.get("m"))
     ex = blowup_scan(params.alpha, beta, epsilons, m=params.m, spec=spec, bc=bc)
     rows = tuple(zip(epsilons, ex.norm_sqs, ex.values, ex.log_values, ex.lower_bound_exponents))
     for row in rows:
@@ -417,7 +390,10 @@ def _moser_blowup(
     return report, 0, ex.verdict
 
 
-def _talenti_check(spec: QuadratureSpec, count: int, seed: int, profiles: list):
+def _talenti_check(spec: QuadratureSpec, p: dict):
+    with _refusing():
+        count, seed = p.get("count", 10), p.get("seed", 20240807)
+        profiles = seeded_comparison_profiles(count, seed)
     rows = []
     failures = 0
     for v, rep in zip(profiles, talenti_comparison_check(profiles, spec)):
@@ -437,12 +413,16 @@ def _talenti_check(spec: QuadratureSpec, count: int, seed: int, profiles: list):
     return report, (0 if failures == 0 else 3), f"{failures} failure(s)"
 
 
-def _symmetry_sweep(
-    spec: QuadratureSpec,
-    params: FunctionalParams,
-    alphas: list,
-    bump: BumpSpec,
-):
+def _symmetry_sweep(spec: QuadratureSpec, p: dict):
+    with _refusing():
+        # --seed is checked as on talenti-check, but the sweep is deterministic and ignores it
+        if as_index(p.get("seed", 0), "seed") < 0:
+            raise DomainError("seed must be >= 0")
+        sigma = resolve_sigma(str(p.get("sigma", "32pi2")), as_float(p.get("alpha", 0.0), "alpha"))
+        params = FunctionalParams(0.0, sigma, p.get("m", 1))
+        alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))
+        bump = BumpSpec(p["bump"]) if "bump" in p else BumpSpec()
+        check_sweep(params, alphas)
     report = crossover_detect(params, alphas, bump, spec)
     for r in report.rows:
         print(
@@ -470,7 +450,7 @@ def _symmetry_sweep(
     return table, 0, f"alpha_star={star}"
 
 
-# Each command: the stem of its reports, <stem>.csv and <stem>.json, and its body.
+# Each command: the stem of its reports, <stem>.csv and <stem>.json, and its function.
 _COMMANDS = {
     "verify-identities": ("verify_identities", _verify_identities),
     "threshold-scan": ("threshold_scan", _threshold_scan),
@@ -488,11 +468,12 @@ def run(config: RunConfig) -> int:
     """
     t0 = time.time()
     stem, body = _COMMANDS[config.command]
-    try:
-        inputs = _resolve(config.command, config.params)
-    except (Henon4Error, ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    report, code, note = body(config.quadrature, **inputs)
+    p = config.params
+    with _refusing():
+        # alpha, sigma and m pass the library's rules whatever the command uses
+        alpha = as_float(p.get("alpha", 0.0), "alpha")
+        FunctionalParams(alpha, resolve_sigma(str(p["sigma"]), alpha) if "sigma" in p else 1.0, p.get("m"))
+    report, code, note = body(config.quadrature, p)
 
     wrote = []
     for fmt in ("csv", "json"):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from henon4 import profiles, quadrature
+from henon4 import cli, profiles, quadrature
 from henon4.cli import (
     _COMMANDS,
     _FLAGS,
@@ -291,16 +291,23 @@ def test_run_config_holds_the_run_setting_defaults(tmp_path, monkeypatch):
     # build_config passes the format and the output directory only when a
     # flag or the config file gives them, and the sweep's bump only when
     # --bump does, so each default is stated once
-    from henon4.cli import _resolve
     from henon4.symmetry import BumpSpec
 
+    bumps = []
+
+    def crossover_detect(params, alphas, bump, spec):
+        bumps.append(bump)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "crossover_detect", crossover_detect)
+    assert main(["symmetry-sweep", "--out-dir", str(tmp_path / "never")]) == 3
+    assert bumps == [BumpSpec()]
     monkeypatch.setenv("HENON4_OUT_DIR", str(tmp_path / "from_env"))
     assert RunConfig("threshold-scan").out_dir == tmp_path / "from_env"
     assert build_config(["threshold-scan"]) == RunConfig("threshold-scan")
     assert build_config(["threshold-scan", "--out-dir", ""]) == RunConfig("threshold-scan")
     monkeypatch.delenv("HENON4_OUT_DIR")
     assert RunConfig("threshold-scan").out_dir == Path("out")
-    assert _resolve("symmetry-sweep", {})["bump"] == BumpSpec()
 
 
 def test_emit_refuses_an_unknown_format_and_writes_nothing(tmp_path):
@@ -313,7 +320,7 @@ def test_emit_refuses_an_unknown_format_and_writes_nothing(tmp_path):
 
 
 def test_an_internal_error_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    def body(spec, **inputs):
+    def body(spec, params):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(_COMMANDS, "threshold-scan", ("threshold_scan", body))
@@ -432,6 +439,8 @@ _REJECTED = [
     (["symmetry-sweep", "--sigma", "33pi2"], None),
     (["threshold-scan"], {"alpha": None}),
     (["threshold-scan"], {"rel_tol": [1e-10]}),
+    # a sigma token is resolved against --alpha: 0.5 * sigma_16 = 80 pi^2
+    (["symmetry-sweep", "--alpha", "16", "--sigma", "0.5*sigma_alpha", "--alphas", "16,32,64,128"], None),
 ]
 
 
@@ -448,6 +457,27 @@ def test_rejected_inputs_exit_2_and_write_nothing(tmp_path, capsys, argv, config
     out = tmp_path / "never"
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    _REJECTED,
+    ids=[" ".join(argv) + (f" {json.dumps(c)}" if c else "") for argv, c in _REJECTED],
+)
+def test_rejected_inputs_run_no_kernel_round(tmp_path, monkeypatch, argv, config):
+    # each command checks its inputs before it computes: _round is the only
+    # caller of the GK15 kernel, so a refusal that integrated would exit 3
+    def no_round(f, split):
+        raise AssertionError("a refused input ran a kernel round")
+
+    monkeypatch.setattr(quadrature, "_round", no_round)
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg_file)]
+    out = tmp_path / "never"
+    assert main(argv + ["--out-dir", str(out)]) == 2
     assert not out.exists()
 
 
