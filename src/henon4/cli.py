@@ -1,8 +1,8 @@
 """Command-line runner: identity suites, threshold scans, blow-up
 experiments, comparison checks, symmetry sweeps.
 
-Commands (one table, `_COMMANDS`, maps each to its report stem and its one
-function, which builds and checks its inputs before it computes)
+Commands (one table, `_COMMANDS`, maps each to its report stem, its one
+function, which checks its inputs before it computes, and the keys it reads)
 
     verify-identities   energy identities, pointwise log bound margins,
                         weighted-norm embedding and series-bound properties
@@ -46,6 +46,7 @@ from .moser import MoserParams, blowup_scan
 from .profiles import (
     BoundaryKind,
     FunctionalParams,
+    _check_alpha,
     corpus_names,
     corpus_profile,
     embedding_bound,
@@ -130,7 +131,8 @@ def emit(report: TableReport, fmt: str, path: Path) -> None:
 
 
 def resolve_sigma(token: str, alpha: float) -> float:
-    """Resolve a sigma token ("32pi2", "0.8*sigma_alpha", number) to a value."""
+    """Resolve a sigma token ("32pi2", "0.8*sigma_alpha", number) at a valid alpha to a value."""
+    _check_alpha(alpha)
     tok = token.strip().lower()
     factor = 1.0
     try:
@@ -268,6 +270,7 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 def _verify_identities(spec: QuadratureSpec, p: dict):
     with _refusing():
         alpha = as_float(p.get("alpha", 16.0), "alpha")
+        _check_alpha(alpha)
         profiles = [corpus_profile(name) for name in corpus_names()]
         # the log form at the paper's gamma = alpha + 4: in s = t/gamma its
         # integrand is the same at every gamma, so one gamma checks it
@@ -450,13 +453,13 @@ def _symmetry_sweep(spec: QuadratureSpec, p: dict):
     return table, 0, f"alpha_star={star}"
 
 
-# Each command: the stem of its reports, <stem>.csv and <stem>.json, and its function.
+# Each command: the stem of its reports, <stem>.csv and <stem>.json, its function and the keys it reads.
 _COMMANDS = {
-    "verify-identities": ("verify_identities", _verify_identities),
-    "threshold-scan": ("threshold_scan", _threshold_scan),
-    "moser-blowup": ("moser_blowup", _moser_blowup),
-    "talenti-check": ("talenti_check", _talenti_check),
-    "symmetry-sweep": ("sweep_report", _symmetry_sweep),
+    "verify-identities": ("verify_identities", _verify_identities, {"alpha"}),
+    "threshold-scan": ("threshold_scan", _threshold_scan, {"sigma", "alphas"}),
+    "moser-blowup": ("moser_blowup", _moser_blowup, {"alpha", "beta", "bc", "epsilons", "m"}),
+    "talenti-check": ("talenti_check", _talenti_check, {"count", "seed"}),
+    "symmetry-sweep": ("sweep_report", _symmetry_sweep, {"alpha", "sigma", "m", "alphas", "bump", "seed"}),
 }
 
 
@@ -464,16 +467,13 @@ def run(config: RunConfig) -> int:
     """Execute the configured command; write outputs; return the exit code.
 
     Raises ConfigError, before computing or writing anything, when the
-    library rejects the command's inputs.
+    command does not read a given key or the library rejects its inputs.
     """
     t0 = time.time()
-    stem, body = _COMMANDS[config.command]
-    p = config.params
-    with _refusing():
-        # alpha, sigma and m pass the library's rules whatever the command uses
-        alpha = as_float(p.get("alpha", 0.0), "alpha")
-        FunctionalParams(alpha, resolve_sigma(str(p["sigma"]), alpha) if "sigma" in p else 1.0, p.get("m"))
-    report, code, note = body(config.quadrature, p)
+    stem, body, keys = _COMMANDS[config.command]
+    if unread := sorted(set(config.params) - keys):
+        raise ConfigError(f"{config.command} does not read {unread}; it reads {sorted(keys)}")
+    report, code, note = body(config.quadrature, config.params)
 
     wrote = []
     for fmt in ("csv", "json"):

@@ -323,7 +323,7 @@ def test_an_internal_error_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
     def body(spec, params):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(_COMMANDS, "threshold-scan", ("threshold_scan", body))
+    monkeypatch.setitem(_COMMANDS, "threshold-scan", ("threshold_scan", body, set()))
     out = tmp_path / "never"
     assert main(["threshold-scan", "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
@@ -441,6 +441,15 @@ _REJECTED = [
     (["threshold-scan"], {"rel_tol": [1e-10]}),
     # a sigma token is resolved against --alpha: 0.5 * sigma_16 = 80 pi^2
     (["symmetry-sweep", "--alpha", "16", "--sigma", "0.5*sigma_alpha", "--alphas", "16,32,64,128"], None),
+    # the sweep's own alpha rule, where sigma_-1 = 24 pi^2 would pass
+    (["symmetry-sweep", "--alpha", "-1", "--sigma", "sigma_alpha", "--alphas", "16,32,64,128"], None),
+    # a key that the command does not read, as a flag or in the config file
+    (["talenti-check", "--beta", "nan"], None),
+    (["threshold-scan", "--m", "3"], None),
+    (["moser-blowup", "--sigma", "32pi2"], None),
+    (["verify-identities", "--seed=-7"], None),
+    (["symmetry-sweep", "--count", "3"], None),
+    (["talenti-check"], {"alpha": 4}),
 ]
 
 
@@ -478,6 +487,43 @@ def test_rejected_inputs_run_no_kernel_round(tmp_path, monkeypatch, argv, config
         argv = argv + ["--config", str(cfg_file)]
     out = tmp_path / "never"
     assert main(argv + ["--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+# a value of each key that the library refuses, and a pattern of its message
+_BAD_VALUES = {
+    "alpha": (-1, "alpha must be finite and >= 0"),
+    "sigma": ("bogus", "bad sigma token 'bogus'"),
+    "beta": (-1, "sigma must be finite and > 0"),  # sigma = beta * sigma_alpha
+    "m": (1.5, "m must be an integer, got 1.5"),
+    "epsilons": (",", "empty epsilon list"),
+    "alphas": ("x", "bad alphas list 'x'"),
+    "bump": ("bogus", "unknown bump kind 'bogus'"),
+    "bc": ("x", "'x' is not a valid BoundaryKind"),
+    "seed": (-1, "seed (must be )?>= 0"),
+    "count": (0, "need count >= 1 and seed >= 0"),
+}
+_RUN_SETTINGS = {"out_dir", "format", "rel_tol", "max_subdiv"}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("key", sorted(set(_FLAGS) - _RUN_SETTINGS))
+def test_each_command_refuses_the_keys_it_does_not_read(tmp_path, capsys, command, key):
+    # through the config file every refusal is a ConfigError: a key outside
+    # the command's set is refused by name, and a bad value of a key in it
+    # by the library's own rule
+    value, message = _BAD_VALUES[key]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    keys = _COMMANDS[command][2]
+    if key in keys:
+        assert err.startswith("configuration error: ")
+        assert re.search(message, err) and "does not read" not in err
+    else:
+        assert err == f"configuration error: {command} does not read {[key]}; it reads {sorted(keys)}\n"
     assert not out.exists()
 
 
@@ -616,4 +662,19 @@ def test_readme_command_line_names_every_command_and_flag():
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     names = list(_COMMANDS) + ["--" + key.replace("_", "-") for key in _FLAGS] + ["--config"]
     missing = [name for name in names if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", section)]
+    assert missing == []
+
+
+def test_readme_command_bullets_name_each_key_the_command_reads():
+    # each command's bullet under *Command line* lists the keys it reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = section.split("\nCommands:\n", 1)[1].split("\n\n")[0]  # the list, up to its blank line
+    bullets = {b.split("`", 1)[1].split()[0]: b for b in commands.split("\n- ")[1:]}
+    missing = [
+        (command, key)
+        for command, (_, _, keys) in _COMMANDS.items()
+        for key in sorted(keys)
+        if not re.search(rf"(?<![\w-])--{key.replace('_', '-')}(?![\w-])", bullets[command])
+    ]
     assert missing == []
