@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, Henon4Error, as_float, as_index
 from .logtransform import log_energy, sqrt_transform_energy, to_log_profile
-from .moser import MoserParams, blowup_scan
+from .moser import _scan_inputs, blowup_scan
 from .profiles import (
     BoundaryKind,
     FunctionalParams,
@@ -361,12 +361,11 @@ def _moser_blowup(spec: QuadratureSpec, p: dict):
     with _refusing():
         alpha = as_float(p.get("alpha", 0.0), "alpha")
         beta = as_float(p.get("beta", 1.2), "beta")
-        bc = BoundaryKind(p.get("bc", "navier"))
+        if (bc := p.get("bc", "navier")) not in _FLAGS["bc"]["choices"]:
+            raise DomainError(f"bc must be one of {_FLAGS['bc']['choices']}, got {bc!r}")
         epsilons = parse_epsilons(str(p.get("epsilons", "1e-2:1e-10:decade")))
-        for e in epsilons:
-            MoserParams(e, bc)
-        params = FunctionalParams(alpha, beta * sigma_alpha(alpha), p.get("m"))
-    ex = blowup_scan(params.alpha, beta, epsilons, m=params.m, spec=spec, bc=bc)
+        params = _scan_inputs(alpha, beta, epsilons, p.get("m"), BoundaryKind(bc))[0]
+    ex = blowup_scan(params.alpha, beta, epsilons, m=params.m, spec=spec, bc=BoundaryKind(bc))
     rows = tuple(zip(epsilons, ex.norm_sqs, ex.values, ex.log_values, ex.lower_bound_exponents))
     for row in rows:
         print(
@@ -379,7 +378,7 @@ def _moser_blowup(spec: QuadratureSpec, p: dict):
             "suite": "moser-blowup",
             "alpha": params.alpha,
             "beta": beta,
-            "bc": bc.value,
+            "bc": bc,
             "m": params.m,
             "verdict": ex.verdict,
         },
@@ -419,8 +418,7 @@ def _talenti_check(spec: QuadratureSpec, p: dict):
 def _symmetry_sweep(spec: QuadratureSpec, p: dict):
     with _refusing():
         # --seed is checked as on talenti-check, but the sweep is deterministic and ignores it
-        if as_index(p.get("seed", 0), "seed") < 0:
-            raise DomainError("seed must be >= 0")
+        as_index(p.get("seed", 0), "seed", least=0)
         sigma = resolve_sigma(str(p.get("sigma", "32pi2")), as_float(p.get("alpha", 0.0), "alpha"))
         params = FunctionalParams(0.0, sigma, p.get("m", 1))
         alphas = parse_alphas(str(p.get("alphas", "16,32,64,128,256,512")))

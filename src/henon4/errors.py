@@ -39,15 +39,19 @@ class OptFailure(Henon4Error):
     """Every start of a maximization failed to produce a usable value."""
 
 
-def as_index(value, name: str) -> int:
+def as_index(value, name: str, least=None) -> int:
     """`value` as an int, as operator.index takes it but without bool (a JSON
-    `true` is no count); any other type is a DomainError that names the
-    argument."""
+    `true` is no count), and at least `least` when that is given; anything
+    else is a DomainError that names the argument."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is None or index >= least:
+                return index
+            raise DomainError(f"{name} must be >= {least}")
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 

@@ -235,6 +235,21 @@ def _classify(epsilons: Sequence[float], values: Sequence[float], beta: float) -
     return "Inconclusive"
 
 
+def _scan_inputs(alpha: float, beta: float, epsilons: Sequence, m: Optional[int], bc: BoundaryKind) -> tuple:
+    """`blowup_scan`'s inputs, checked before any integral: its params at
+    sigma = beta * sigma_alpha, its epsilons and one member per epsilon."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise DomainError("beta must be finite and > 0")
+    eps_list = [float(e) for e in epsilons]
+    if not eps_list:
+        raise DomainError("epsilons must be non-empty")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise DomainError("epsilons must be strictly decreasing")
+    params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
+    member = moser_navier if bc is BoundaryKind.NAVIER else moser_dirichlet
+    return params, eps_list, [member(MoserParams(eps, bc)) for eps in eps_list]
+
+
 def blowup_scan(
     alpha: float,
     beta: float,
@@ -251,20 +266,7 @@ def blowup_scan(
     (alpha+4)/4 * ((beta-1) |log eps| - 4), the predicted log-scale floor of
     a diverging scan.  A value below the normal doubles raises NonFinite.
     """
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
-    eps_list = [float(e) for e in epsilons]
-    if not eps_list:
-        raise DomainError("epsilons must be non-empty")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise DomainError("epsilons must be strictly decreasing")
-
-    params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
-
-    # every member is built, and so checked, before the first integral
-    member = moser_navier if bc is BoundaryKind.NAVIER else moser_dirichlet
-    members = [member(MoserParams(eps, bc)) for eps in eps_list]
-
+    params, eps_list, members = _scan_inputs(alpha, beta, epsilons, m, bc)
     values = weighted_functional_batch([(scale_to_unit(u, u.energy), params) for u in members], spec)
     for eps, val in zip(eps_list, values):
         if not sys.float_info.min <= val < math.inf:

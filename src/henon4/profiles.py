@@ -45,11 +45,11 @@ None, so F_m of them is integrated in r.
 
 Each integral is written once, as the `*_batch` form that `integrate_batch`
 runs in lockstep; each scalar form is its batch of one, which
-`integrate_batch` runs as one call of `integrate`.  Both batch forms of F_m,
-`weighted_functional_batch` and `functional_scorer`, sum their series in
-`_series`, which rests on one property of `exp_minus_taylor`: its value at
-a z does not depend on the other z values of the call, so one call over the
-joined z values of many problems gives each the bits of its own call.
+`integrate_batch` runs as one call of `integrate`.  Every batch form applies
+each per-problem parameter (profile, exponent, sigma, m, weight) in
+`_by_key`, once per distinct value over the joined abscissae of the problems
+that share it, so a round sums F_m's series in one `exp_minus_taylor` call
+per m, and each problem gets the bits of its own call.
 
 `series_upper_bound(p)` bounds F_m on the unit energy sphere ||Delta u||_2 = 1.
 The named corpus is one table from each of its 13 names to its constructor.
@@ -57,6 +57,7 @@ The named corpus is one table from each of its 13 names to its constructor.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -246,13 +247,32 @@ def exp_minus_taylor(z, m: Optional[int]):
     return out
 
 
-def _laplacian_integrand(u: RadialProfile) -> Callable:
-    def integrand(r):
-        rr = np.asarray(r)
-        sq = np.sqrt(rr)
-        return (rr * sq * u.d2(rr) + 3.0 * sq * u.d1(rr)) ** 2
+def _by_key(x: np.ndarray, parts: Sequence[tuple], keys: Sequence, fn: Callable) -> np.ndarray:
+    """fn(keys[i], x[sl]) for each (i, sl) of `parts`, which tile `x` in order,
+    from one call per distinct key on the joined abscissae of its parts: on
+    `x` itself when there is one key, on the view when a key has one part.
+    `fn` is elementwise with a scalar parameter, so each part gets the bits
+    of its own call (quadrature module docstring)."""
+    ks = [keys[i] for i, _ in parts]
+    if ks.count(ks[0]) == len(ks):
+        return fn(ks[0], x)
+    if len(set(ks)) == len(ks):  # a key per part: the parts' values in order
+        return np.concatenate([fn(k, x[sl]) for k, (_, sl) in zip(ks, parts)])
+    groups: dict = {}
+    for k, (_, sl) in zip(ks, parts):
+        groups.setdefault(k, []).append(sl)
+    out = np.empty_like(x)
+    for key, sls in groups.items():
+        y, start = fn(key, x[sls[0]] if len(sls) == 1 else np.concatenate([x[sl] for sl in sls])), 0
+        for sl in sls:
+            out[sl] = y[start : start + sl.stop - sl.start]
+            start += sl.stop - sl.start
+    return out
 
-    return integrand
+
+def _laplacian(key: tuple, r: np.ndarray) -> np.ndarray:
+    (d1, d2), sq = key, np.sqrt(r)
+    return (r * sq * d2(r) + 3.0 * sq * d1(r)) ** 2
 
 
 def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -263,24 +283,9 @@ def laplacian_l2_sq(u: RadialProfile, spec: QuadratureSpec = DEFAULT_SPEC) -> fl
 def laplacian_l2_sq_batch(profiles: Sequence[RadialProfile], spec: QuadratureSpec = DEFAULT_SPEC) -> list:
     """`laplacian_l2_sq` of each profile in lockstep (`integrate_batch`),
     bit for bit the loop of `integrate` over the profiles."""
-    integrands = [_laplacian_integrand(u) for u in profiles]
-    return _omega_batch(_each(integrands), [(0.0, 1.0, u.breakpoints) for u in profiles], spec)
-
-
-def _each(integrands: Sequence[Callable]) -> Callable:
-    """The batch integrand of per-problem integrands: each sees its own abscissae."""
-
-    def f(x, parts):
-        out = np.empty_like(x)
-        for i, sl in parts:
-            out[sl] = integrands[i](x[sl])
-        return out
-
-    return f
-
-
-def _omega_batch(f: Callable, intervals: list, spec: QuadratureSpec) -> list:
-    """OMEGA_3 times each integral of `integrate_batch`."""
+    keys = [(u.d1, u.d2) for u in profiles]
+    f = lambda x, parts: _by_key(x, parts, keys, _laplacian)
+    intervals = [(0.0, 1.0, u.breakpoints) for u in profiles]
     return [OMEGA_3 * res.value for res in integrate_batch(f, intervals, spec)]
 
 
@@ -317,17 +322,6 @@ def _weight_partition(alpha: float, breakpoints: tuple) -> tuple:
     return tuple(breakpoints) + ladder + mids
 
 
-def _z(value: Callable, sigma: float) -> Callable:
-    """F_m's series argument x -> sigma value(x)^2, for a profile evaluated
-    by `value` at the abscissa x."""
-
-    def z(x):
-        s = value(np.asarray(x))
-        return sigma * s * s
-
-    return z
-
-
 # F_m in tau (module docstring): x = sigma E / sigma_alpha at most 1/2, a
 # first integral on [0, 200] seeded at geomspace(0.5, 200, 14) and the mapped
 # breakpoints, and at most one more integral for the tail.
@@ -343,18 +337,16 @@ _TAU_FIRST_SEEDS = _tau_seeds(0.0, _TAU_END)
 
 
 class _Functional(NamedTuple):
-    """How F_m of one (profile, params) pair is integrated: F_m is `scale`
-    times the integral of weight(x) * exp_minus_taylor(z(x), m) over
-    `first` = (a, b, seeds), plus the tail interval of `_tail` in tau.  In r
-    the weight is r^(alpha+3) and z = sigma u(r)^2; in tau they are e^-tau
-    and sigma value_s(tau/(alpha+4))^2.  The parameters are scalars per
-    problem, so that a batch takes the same `pow` path as a lone integral.
-    `x` is sigma E / sigma_alpha in tau and None in r; `breakpoints` are the
+    """F_m of one pair (u, p) as the keys that `_by_key` applies: `scale` times
+    the integral of `_weight(power)` * g_m(sigma `_value(value)`^2) over
+    `first` = (a, b, seeds), plus in tau the tail interval of `_tail`.  `x` is
+    sigma E / sigma_alpha in tau and None in r; `breakpoints` are the
     profile's, mapped to tau."""
 
-    weight: Callable
-    z: Callable
+    value: tuple
+    sigma: float
     m: Optional[int]
+    power: Optional[float]
     first: tuple
     scale: float
     x: Optional[float] = None
@@ -369,13 +361,36 @@ def _functional(u: RadialProfile, p: FunctionalParams) -> _Functional:
     x = None if u.energy is None or p.sigma >= sa else p.sigma * u.energy / sa
     if x is None or x > _TAU_MAX_SHARE:
         first = (0.0, 1.0, _weight_partition(p.alpha, u.breakpoints))
-        weight = lambda r: np.asarray(r) ** (p.alpha + 3.0)
-        return _Functional(weight, _z(u.value, p.sigma), p.m, first, OMEGA_3)
+        return _Functional((u.value, None), p.sigma, p.m, p.alpha + 3.0, first, OMEGA_3)
     gamma = p.alpha + 4.0
     bps = tuple(-gamma * math.log(b) for b in u.breakpoints if 0.0 < b < 1.0)
     first = (0.0, _TAU_END, _TAU_FIRST_SEEDS + bps)
-    z = _z(lambda t: u.value_s(t / gamma), p.sigma)
-    return _Functional(lambda t: np.exp(-np.asarray(t)), z, p.m, first, OMEGA_3 / gamma, x, bps)
+    return _Functional((u.value_s, gamma), p.sigma, p.m, None, first, OMEGA_3 / gamma, x, bps)
+
+
+def _value(key: tuple, x: np.ndarray) -> np.ndarray:
+    """u(r) for key (u.value, None); u(e^(-tau/gamma)) for (u.value_s, gamma), gamma = alpha+4."""
+    value, gamma = key
+    return value(x) if gamma is None else value(x / gamma)
+
+
+def _weight(power: Optional[float], x: np.ndarray) -> np.ndarray:
+    """x^power (r^(alpha+3), or |u|^pexp), or e^-x (F_m's weight in tau) when `power` is None."""
+    return np.exp(-x) if power is None else x**power
+
+
+def _g_m(fns: Sequence[_Functional]) -> Callable:
+    """The batch form (x, parts) -> g_m(sigma s^2) of the problems `fns`: one
+    `_by_key` pass each for s, sigma s^2 and g_m (one `exp_minus_taylor` per m)."""
+    values, sigmas, ms = [fn.value for fn in fns], [fn.sigma for fn in fns], [fn.m for fn in fns]
+    square, series = lambda sigma, s: sigma * s * s, lambda m, z: exp_minus_taylor(z, m)
+
+    def g(x, parts):
+        s = _by_key(x, parts, values, _value)
+        z = _by_key(s, parts, sigmas, square)
+        return _by_key(z, parts, ms, series)
+
+    return g
 
 
 def _tail(fn: _Functional, value: float, spec: QuadratureSpec) -> Optional[tuple]:
@@ -423,23 +438,6 @@ def weighted_functional(
     return weighted_functional_batch([(u, p)], spec)[0]
 
 
-def _series(terms: Sequence[tuple]) -> list:
-    """g_m(z) of each (m, z), in order, from one `exp_minus_taylor` call per
-    m over the joined z of that m: each g is the bits of its own call
-    (module docstring)."""
-    by_m: dict = {}
-    for i, (m, _) in enumerate(terms):
-        by_m.setdefault(m, []).append(i)
-    gs: list = [None] * len(terms)
-    for m, index in by_m.items():
-        g = exp_minus_taylor(np.concatenate([terms[i][1] for i in index]), m)
-        start = 0
-        for i in index:
-            gs[i] = g[start : start + terms[i][1].size]
-            start += terms[i][1].size
-    return gs
-
-
 def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
     """F_m on a fixed rule, for ranking many profiles: a function that
     takes a batch of (profile, params) pairs and gives each pair's F_m, or
@@ -453,15 +451,15 @@ def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
     (a subnormal or 0 is a layer the round missed), |K - G| <= rel_tol K and
     `_tail` asks for no tail interval; it is None otherwise.  Only the
     mapped breakpoints move the rule, and the function keeps one rule per
-    set of them.  A batch makes its series calls in `_series`, so every
-    score is bit for bit its batch of one.
+    set of them.  A batch evaluates g_m on the joined abscissae of its
+    rules in `_g_m`, so every score is bit for bit its batch of one.
     """
     rules: dict = {}
 
     def rule(fn: _Functional) -> tuple:
         if fn.breakpoints not in rules:
             x, wk, wg = gk15_rule(*fn.first)
-            weight = fn.weight(x)
+            weight = _weight(None, x)
             rules[fn.breakpoints] = (x, weight * wk, weight * wg)
         return rules[fn.breakpoints]
 
@@ -469,10 +467,12 @@ def functional_scorer(spec: QuadratureSpec = DEFAULT_SPEC) -> Callable:
         fns = [_functional(u, p) for u, p in problems]
         out: list = [None] * len(fns)
         ruled = [(i, fn, rule(fn)) for i, fn in enumerate(fns) if fn.x is not None]
-        # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
-        gs = _series([(fn.m, fn.z(x)) for _, fn, (x, _, _) in ruled])
-        for (i, fn, (_, wk, wg)), g in zip(ruled, gs):
-            kronrod, gauss = float(g @ wk), float(g @ wg)
+        cuts = [0, *itertools.accumulate(x.size for _, _, (x, _, _) in ruled)]
+        parts = list(enumerate(map(slice, cuts, cuts[1:])))
+        if ruled:  # sigma u^2 <= x tau <= 100 on [0, 200], so no product overflows
+            g = _g_m([fn for _, fn, _ in ruled])(np.concatenate([x for _, _, (x, _, _) in ruled]), parts)
+        for (i, fn, (_, wk, wg)), (_, sl) in zip(ruled, parts):
+            kronrod, gauss = float(g[sl] @ wk), float(g[sl] @ wg)
             ok = sys.float_info.min <= kronrod < math.inf and abs(kronrod - gauss) <= spec.rel_tol * kronrod
             if ok and not _tail(fn, kronrod, spec):
                 out[i] = fn.scale * kronrod
@@ -485,18 +485,15 @@ def weighted_functional_batch(problems: Sequence[tuple], spec: QuadratureSpec = 
     """`weighted_functional` of each (profile, params) pair in lockstep
     (`integrate_batch`), bit for bit the loop of `integrate` over their
     integrals: one batch of every first integral, in tau or in r, then one
-    of the tails that tau needs.  Each round makes its series calls in
-    `_series`, one per m."""
+    of the tails that tau needs.  `_by_key` applies the (profile, variable),
+    sigma, m and the weight."""
     fns = [_functional(u, p) for u, p in problems]
 
     def run(index: Sequence[int], intervals: list) -> list:
-        def f(x, parts):
-            out = np.empty_like(x)
-            pieces = [(sl, fns[index[k]]) for k, sl in parts]
-            for (sl, fn), g in zip(pieces, _series([(fn.m, fn.z(x[sl])) for sl, fn in pieces])):
-                out[sl] = fn.weight(x[sl]) * g
-            return out
-
+        own = [fns[i] for i in index]
+        g = _g_m(own)
+        powers = [fn.power for fn in own]
+        f = lambda x, parts: g(x, parts) * _by_key(x, parts, powers, _weight)
         return [res.value for res in integrate_batch(f, intervals, spec)]
 
     values = run(range(len(fns)), [fn.first for fn in fns])
@@ -510,17 +507,6 @@ def _check_pexp(pexp: float) -> None:
     """The package's one rule for an L^p exponent."""
     if not 1.0 <= pexp < math.inf:
         raise DomainError("pexp must be finite and >= 1")
-
-
-def _lp_integrand(u: RadialProfile, pexp: float, alpha: float) -> Callable:
-    _check_pexp(pexp)
-    _check_alpha(alpha)
-
-    def integrand(r):
-        rr = np.asarray(r)
-        return rr ** (alpha + 3.0) * np.abs(u.value(rr)) ** pexp
-
-    return integrand
 
 
 def weighted_lp_norm_p(
@@ -541,9 +527,19 @@ def weighted_lp_norm_p_batch(problems: Sequence[tuple], spec: QuadratureSpec = D
     """`weighted_lp_norm_p` of each (profile, pexp, alpha) in lockstep
     (`integrate_batch`), bit for bit the loop of `integrate` over the
     problems.  Every pexp and alpha is checked before the first integral."""
-    integrands = [_lp_integrand(u, pexp, alpha) for u, pexp, alpha in problems]
+    for _, pexp, alpha in problems:
+        _check_pexp(pexp)
+        _check_alpha(alpha)
+    values = [u.value for u, _, _ in problems]
+    pexps = [pexp for _, pexp, _ in problems]
+    powers = [alpha + 3.0 for _, _, alpha in problems]
+
+    def f(x, parts):
+        v = _by_key(x, parts, values, lambda value, r: np.abs(value(r)))
+        return _by_key(x, parts, powers, _weight) * _by_key(v, parts, pexps, _weight)
+
     intervals = [(0.0, 1.0, _weight_partition(alpha, u.breakpoints)) for u, _, alpha in problems]
-    return _omega_batch(_each(integrands), intervals, spec)
+    return [OMEGA_3 * res.value for res in integrate_batch(f, intervals, spec)]
 
 
 def embedding_bound(pexp: float, alpha: float, lap_norm: float) -> float:

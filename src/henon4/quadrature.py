@@ -32,24 +32,25 @@ That loop, `_refine`, advances a list of independent problems in lockstep;
 `integrate` and `integrate_halfline` run it on one problem, and
 `integrate_batch` on two or more.  Each problem keeps its own partition,
 error test, split order and subdivision count.  Every round, the first
-included, is one `_round`: one `_gk15_batch` call over the new intervals of
-every live problem, lone or batched, so a round costs about the numpy call
-overhead of one problem's round.  A batch keeps
-its lockstep results only when the run was silent: numpy's 'warn' modes
-raise during it, and if anything raises (a bad interval, a failed
-integral, the integrand, or a floating-point warning), the batch is
-computed again as the loop of `integrate` it stands for, which raises the
-loop's first failure and issues the loop's warnings in the loop's order;
-a batch of fewer than two is that loop, so a lone integral is `integrate`.
+included, is one `_round`, whose cost splits three ways: one `_gk15_batch`
+call over the new intervals of every live problem; one integrand call per
+distinct parameter value (`profiles._by_key`), not per problem; and
+`_refine`'s bookkeeping (two sums, a sort, four concatenations) per live
+problem.  A batch keeps its lockstep results only when the run was silent:
+numpy's 'warn' modes raise during it, and if anything raises (a bad
+interval, a failed integral, the integrand, or a floating-point warning), the
+batch is computed again as the loop of `integrate` it stands for, which
+raises the loop's first failure and issues its warnings in its order; a
+batch of fewer than two is that loop, so a lone integral is `integrate`.
 A batch returns its integrals and nothing else: a caller checks their values
 once it has them all, and checks its inputs before the batch starts.
-A silent batch returns the bits of the loop on two conditions, which the
-batch integrands of `profiles` keep:
+A silent batch returns the bits of the loop on two conditions, which
+`profiles._by_key` keeps:
   - every parameter of one problem's integrand is a scalar, as in its lone
     form: a broadcast exponent could take a different `pow` path;
   - what one call computes for the joined abscissae of several problems
-    does not depend on the others' values, as for `exp_minus_taylor`, whose
-    series adds terms that change no bit (its docstring).
+    does not depend on the others' values, as for an elementwise function
+    or `exp_minus_taylor`, whose series adds terms that change no bit.
 The GK15 sums of one interval do not depend on the others in the batch.
 """
 
@@ -92,8 +93,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not sys.float_info.epsilon <= self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be finite and >= the float64 epsilon {sys.float_info.epsilon!r}")
-        if as_index(self.max_subdivisions, "max_subdivisions") < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        as_index(self.max_subdivisions, "max_subdivisions", least=1)
 
 
 @dataclass(frozen=True)

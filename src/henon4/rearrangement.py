@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, PreconditionError, as_index
+from .errors import NonFinite, PreconditionError, as_index
 from .profiles import (
     OMEGA_3,
     BoundaryKind,
@@ -321,10 +321,8 @@ def seeded_comparison_profiles(count: int = 10, seed: int = 20240807) -> list:
     on the boundary; the coefficient ranges make -Delta v change sign for
     most draws.
     """
-    count, seed = as_index(count, "count"), as_index(seed, "seed")
-    if count < 1 or seed < 0:
-        raise DomainError("need count >= 1 and seed >= 0")
-    rng = np.random.default_rng(seed)
+    count = as_index(count, "count", least=1)
+    rng = np.random.default_rng(as_index(seed, "seed", least=0))
     out = []
     for k in range(count):
         a = rng.uniform(0.5, 1.5)

@@ -494,14 +494,14 @@ def test_rejected_inputs_run_no_kernel_round(tmp_path, monkeypatch, argv, config
 _BAD_VALUES = {
     "alpha": (-1, "alpha must be finite and >= 0"),
     "sigma": ("bogus", "bad sigma token 'bogus'"),
-    "beta": (-1, "sigma must be finite and > 0"),  # sigma = beta * sigma_alpha
+    "beta": (-1, "beta must be finite and > 0"),
     "m": (1.5, "m must be an integer, got 1.5"),
     "epsilons": (",", "empty epsilon list"),
     "alphas": ("x", "bad alphas list 'x'"),
     "bump": ("bogus", "unknown bump kind 'bogus'"),
-    "bc": ("x", "'x' is not a valid BoundaryKind"),
-    "seed": (-1, "seed (must be )?>= 0"),
-    "count": (0, "need count >= 1 and seed >= 0"),
+    "bc": ("x", r"bc must be one of \['navier', 'dirichlet'\], got 'x'"),
+    "seed": (-1, "seed must be >= 0"),
+    "count": (0, "count must be >= 1"),
 }
 _RUN_SETTINGS = {"out_dir", "format", "rel_tol", "max_subdiv"}
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -747,6 +748,23 @@ def test_batch_forms_are_the_scalar_forms_bit_for_bit():
     assert weighted_functional_batch(mixed) == [weighted_functional(u, p) for u, p in mixed]
     lps = [(u, pexp, a) for u in units for pexp in (1.0, 2.0, 6.0) for a in (0.0, 16.0)]
     assert weighted_lp_norm_p_batch(lps) == [weighted_lp_norm_p(*item) for item in lps]
+
+
+def test_batch_calls_a_shared_profile_once_per_round(monkeypatch):
+    # one unit profile under 16 (alpha, m) pairs, all integrated in r
+    # (x = 0.9 > 1/2): each kernel round calls the profile once, on the
+    # joined abscissae of every live problem, not once per problem
+    unit = scale_to_unit(corpus_profile("poly4"), corpus_profile("poly4").energy)
+    calls, rounds = [], []
+    counted = dataclasses.replace(unit, value=lambda r: calls.append(r.size) or unit.value(r))
+    kernel = quadrature._gk15_batch
+    counting_kernel = lambda f, los, his: rounds.append(los.size) or kernel(f, los, his)
+    monkeypatch.setattr(quadrature, "_gk15_batch", counting_kernel)
+    grid = [FunctionalParams(a, 0.9 * sigma_alpha(a), m) for a in (0.0, 1.0, 4.0, 16.0) for m in (None, 0, 1, 2)]
+    values = weighted_functional_batch([(counted, p) for p in grid])
+    assert len(calls) == len(rounds) > 1
+    assert sum(calls) == 15 * sum(rounds)
+    assert values == [weighted_functional(unit, p) for p in grid]
 
 
 def test_batch_forms_fail_in_input_order(monkeypatch):
