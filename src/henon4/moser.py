@@ -57,6 +57,7 @@ from .profiles import (
     BoundaryKind,
     FunctionalParams,
     RadialProfile,
+    _check_alpha,
     scale_to_unit,
     sigma_alpha,
     weighted_functional_batch,
@@ -69,6 +70,7 @@ __all__ = [
     "moser_navier",
     "moser_dirichlet",
     "blowup_scan",
+    "check_scan",
     "DIVERGING_GROWTH_PER_DECADE",
     "BOUNDED_VARIATION",
 ]
@@ -235,17 +237,19 @@ def _classify(epsilons: Sequence[float], values: Sequence[float], beta: float) -
     return "Inconclusive"
 
 
-def _scan_inputs(alpha: float, beta: float, epsilons: Sequence, m: Optional[int], bc: BoundaryKind) -> tuple:
-    """`blowup_scan`'s inputs, checked before any integral: its params at
-    sigma = beta * sigma_alpha, its epsilons and one member per epsilon."""
+def check_scan(alpha: float, beta: float, epsilons: Sequence, m: Optional[int], bc: BoundaryKind) -> tuple:
+    """The rules of a scan, each a DomainError raised before any integral: beta
+    finite and > 0, beta * sigma_alpha(alpha) finite, epsilons non-empty and
+    strictly decreasing.  Returns `blowup_scan`'s params, epsilons and members."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise DomainError("beta must be finite and > 0")
+    _check_alpha(alpha)
+    if not math.isfinite(sigma := beta * sigma_alpha(alpha)):
+        raise DomainError(f"beta * sigma_alpha must be finite, got beta={beta!r} at alpha={alpha!r}")
     eps_list = [float(e) for e in epsilons]
-    if not eps_list:
-        raise DomainError("epsilons must be non-empty")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise DomainError("epsilons must be strictly decreasing")
-    params = FunctionalParams(alpha, beta * sigma_alpha(alpha), m)
+    if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise DomainError("epsilons must be non-empty and strictly decreasing")
+    params = FunctionalParams(alpha, sigma, m)
     member = moser_navier if bc is BoundaryKind.NAVIER else moser_dirichlet
     return params, eps_list, [member(MoserParams(eps, bc)) for eps in eps_list]
 
@@ -266,7 +270,7 @@ def blowup_scan(
     (alpha+4)/4 * ((beta-1) |log eps| - 4), the predicted log-scale floor of
     a diverging scan.  A value below the normal doubles raises NonFinite.
     """
-    params, eps_list, members = _scan_inputs(alpha, beta, epsilons, m, bc)
+    params, eps_list, members = check_scan(alpha, beta, epsilons, m, bc)
     values = weighted_functional_batch([(scale_to_unit(u, u.energy), params) for u in members], spec)
     for eps, val in zip(eps_list, values):
         if not sys.float_info.min <= val < math.inf:

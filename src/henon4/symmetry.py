@@ -37,14 +37,15 @@ search families share one table, `_FAMILIES`, and one normaliser, `_unit`,
 so the sweep integrates no energy.  At sigma = 32 pi^2 the concentrating
 members win at small alpha (up to alpha = 4..12, growing with m), ring
 bumps from there to alpha = 16, and power profiles from alpha = 32 on.  On
-the default grid 16..512 the radial values fit slopes of about -4.8
-(m = 1) and -6.6 (m = 2) in log-log, steepening towards -(2m+3) as alpha
-grows.  The search returns None at an alpha where every family fails.
+the default grid 16..512 the radial values fit slopes of about -2.9 (m = 0),
+-4.8 (m = 1) and -6.6 (m = 2) in log-log, steepening towards -(2m+3) as
+alpha grows.  The search returns None at an alpha where every family fails.
 
 Crossover: the smallest grid alpha where the translated-bump value strictly
 exceeds kappa = 1.05 times the radial search value; the margin column is the
-log-ratio log(bump / (kappa * radial)), increasing past the crossover.  The
-sweep raises OptFailure at the first grid alpha where the search failed.
+log-ratio log(bump / (kappa * radial)), increasing past the crossover.  At
+m = 0, the control, the bump's alpha^-4 never overtakes the radial alpha^-3.
+The sweep raises OptFailure at the first grid alpha where the search failed.
 """
 
 from __future__ import annotations
@@ -147,20 +148,18 @@ def bump_profile(bump: BumpSpec) -> RadialProfile:
     return _unit(bump.kind)
 
 
-def _check(p: FunctionalParams, alphas: Sequence[float] = (), m_floor: int = 1) -> None:
+def _check(p: FunctionalParams, alphas: Sequence[float] = ()) -> None:
     """The comparison's hypotheses, each a PreconditionError (a DomainError):
     every alpha finite and >= 4, so that the translated bump fits inside the
-    ball; m >= m_floor, as the bump value decays like alpha^-4 and the radial
-    one towards alpha^-(2m+3), so only m >= 1 lets the bump overtake (the
-    bump value alone takes any truncation, m >= 0); sigma at most Adams'
-    unweighted threshold 32 pi^2 (Ann. of Math. 128, 1988), above which a
+    ball; m given, m = 0 being the module docstring's control; sigma at most
+    Adams' unweighted threshold 32 pi^2 (Ann. of Math. 128, 1988), above which a
     sequence concentrating at x0 != 0, where the weight |x0|^alpha is a
     constant, makes the full supremum infinite at every alpha while the
     radial one is finite below sigma_alpha."""
     if not all(math.isfinite(a) and a >= 4.0 for a in alphas):
         raise PreconditionError("translated bump requires finite alpha >= 4")
-    if p.m is None or p.m < m_floor:
-        raise PreconditionError(f"crossover concerns truncated functionals with m >= {m_floor}")
+    if p.m is None:
+        raise PreconditionError("crossover concerns truncated functionals with m >= 0")
     if p.sigma > _SIGMA_MAX:
         raise PreconditionError("sigma must stay at or below 32 pi^2")
 
@@ -205,7 +204,7 @@ def translated_bump_value(
     the module docstring; A^nu = exp(nu log1p(d^2 - (2 - 1/alpha)/alpha)), as
     log A of a rounded A ~ 1 would be off by an ulp times nu.  alpha**-4.0
     underflows quietly where alpha**4 would overflow (alpha > 1e77)."""
-    _check(p, (alpha,), 0)
+    _check(p, (alpha,))
     u = bump_profile(bump)
     xbar = 1.0 - 1.0 / alpha
     nu = 0.5 * alpha
@@ -227,7 +226,7 @@ def translated_bump_paper_bound(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Elementary minorant (1 - 2/alpha)^alpha alpha^-4 integral_B g(u)."""
-    _check(p, (alpha,), 0)
+    _check(p, (alpha,))
     return _paper_bound(alpha, _paper_base(p, bump, spec))
 
 

@@ -53,8 +53,6 @@ def test_parse_epsilons_ladders():
         parse_epsilons("1e-5:1e-2:decade")  # increasing
     with pytest.raises(ConfigError):
         parse_epsilons("1e-2:1e-5:linear")
-    with pytest.raises(ConfigError):
-        parse_epsilons("1e-2,1e-2")
 
 
 def test_parse_alphas():
@@ -235,6 +233,43 @@ def test_symmetry_sweep_json_schema_and_determinism(tmp_path):
     }
     header = c1.decode().split("\n")[0]
     assert header == "alpha,bump_exact,bump_paper_bound,radial_max,radial_profile_id"
+
+
+def test_symmetry_sweep_runs_the_m0_control(tmp_path):
+    # at m = 0 the radial value decays like alpha^-3 and the bump like
+    # alpha^-4, so the sweep runs and finds no crossover
+    out = tmp_path / "m0"
+    args = ["symmetry-sweep", "--sigma", "32pi2", "--m", "0", "--alphas", "16,32,64,128,256,512"]
+    assert main(args + ["--out-dir", str(out)]) == 0
+    doc = json.loads((out / "sweep_report.json").read_text())
+    assert doc["m"] == 0
+    assert doc["alpha_star"] == "not-found-on-grid"
+
+
+_SCAN_MESSAGES = [
+    (["--beta", "1e308"], None),  # beta * sigma_alpha overflows
+    (["--alpha", "1e308"], None),
+    (["--alpha", "inf"], "alpha must be finite and >= 0"),
+    (["--alpha", "-1"], "alpha must be finite and >= 0"),
+    (["--beta", "-1"], "beta must be finite and > 0"),
+    (["--beta", "inf"], "beta must be finite and > 0"),
+    (["--beta", "nan"], "beta must be finite and > 0"),
+]
+
+
+@pytest.mark.parametrize("flags, message", _SCAN_MESSAGES, ids=[" ".join(f) for f, _ in _SCAN_MESSAGES])
+def test_moser_blowup_names_the_key_it_refuses(tmp_path, capsys, flags, message):
+    # an overflowing beta * sigma_alpha names beta and sigma_alpha, never
+    # sigma, a key that moser-blowup does not read
+    out = tmp_path / "never"
+    assert main(["moser-blowup", *flags, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    if message is None:
+        assert "beta" in err and "sigma_alpha" in err
+        assert "sigma must be finite" not in err
+    else:
+        assert err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_symmetry_sweep_ignores_the_seed(tmp_path):
@@ -432,6 +467,10 @@ _REJECTED = [
     (["moser-blowup", "--epsilons", "1e-2:1e-5"], None),
     (["moser-blowup", "--epsilons", "1e-2:1e-5:0decade"], None),
     (["moser-blowup", "--epsilons", ","], None),
+    (["moser-blowup", "--epsilons", "1e-3,1e-2"], None),
+    # beta * sigma_alpha overflows while beta and alpha are each valid
+    (["moser-blowup", "--beta", "1e308"], None),
+    (["moser-blowup", "--alpha", "1e308"], None),
     (["threshold-scan", "--alphas", "16,x"], None),
     (["threshold-scan", "--config", "no-such-config.json"], None),
     (["threshold-scan"], [1, 2]),
@@ -496,7 +535,7 @@ _BAD_VALUES = {
     "sigma": ("bogus", "bad sigma token 'bogus'"),
     "beta": (-1, "beta must be finite and > 0"),
     "m": (1.5, "m must be an integer, got 1.5"),
-    "epsilons": (",", "empty epsilon list"),
+    "epsilons": (",", "epsilons must be non-empty"),
     "alphas": ("x", "bad alphas list 'x'"),
     "bump": ("bogus", "unknown bump kind 'bogus'"),
     "bc": ("x", r"bc must be one of \['navier', 'dirichlet'\], got 'x'"),

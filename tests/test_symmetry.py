@@ -653,8 +653,6 @@ def test_radial_search_validation():
     with pytest.raises(PreconditionError):
         radial_max_search([16.0], FunctionalParams(0.0, SIGMA, None))
     with pytest.raises(PreconditionError):
-        radial_max_search([16.0], FunctionalParams(0.0, SIGMA, 0))
-    with pytest.raises(PreconditionError):
         radial_max_search([16.0], FunctionalParams(0.0, 2.0 * SIGMA, 1))
 
 
@@ -752,6 +750,27 @@ def test_crossover_report_shape_small_grid():
         assert 0.0 < r.bump_paper_bound <= r.bump_exact
     # rows sorted by alpha
     assert [r.alpha for r in rep.rows] == [16.0, 32.0, 64.0, 128.0]
+
+
+def test_m0_control_has_no_crossover_at_large_alpha():
+    # at m = 0 the radial value decays like C_0 (alpha+4)^-3 with C_0 =
+    # sigma/2, and the bump like alpha^-4: their ratio falls like 1/alpha
+    alphas = [1024.0, 4096.0, 16384.0, 65536.0]
+    rep = crossover_detect(FunctionalParams(0.0, SIGMA, 0), alphas)
+    assert rep.alpha_star is None
+    slope, _ = fit_loglog_slope(alphas, [r.bump_exact / r.radial_max for r in rep.rows])
+    assert -1.2 < slope < -0.8
+    last = rep.rows[-1]
+    assert abs(last.radial_max * (last.alpha + 4.0) ** 3 / (SIGMA / 2.0) - 1.0) < 1e-3
+
+
+def test_m0_control_on_the_default_grid():
+    rep = crossover_detect(FunctionalParams(0.0, SIGMA, 0), [16.0, 32.0, 64.0, 128.0, 256.0, 512.0])
+    assert rep.alpha_star is None
+    ratios = [r.bump_exact / r.radial_max for r in rep.rows]
+    assert all(b < a for a, b in zip(ratios, ratios[1:]))
+    assert rep.fitted_slopes["bump"] == pytest.approx(-4.0, abs=0.01)
+    assert rep.fitted_slopes["radial"] == pytest.approx(-3.0, abs=0.15)
 
 
 def test_search_bump_and_seeded_derivative_consistency():
