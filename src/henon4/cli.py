@@ -86,7 +86,7 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     quadrature: QuadratureSpec = QuadratureSpec()
-    out_dir: Path = field(default_factory=lambda: Path(os.environ.get("HENON4_OUT_DIR", "out")))
+    out_dir: Path = field(default_factory=lambda: Path(os.environ.get("HENON4_OUT_DIR") or "out"))
     fmt: str = "both"  # csv | json | both
 
     def __post_init__(self) -> None:
@@ -262,55 +262,52 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _worst_per_profile(lhs: Sequence[float], rhs: Sequence[float], size: int) -> list:
+    """Each profile's largest lhs / rhs over its `size` grid points, from
+    0.0; a point of rhs <= 0 counts as 0.0."""
+    ratios = [a / b if b > 0 else 0.0 for a, b in zip(lhs, rhs)]
+    return [max([0.0, *ratios[k : k + size]]) for k in range(0, len(ratios), size)]
+
+
 def _verify_identities(spec: QuadratureSpec, p: dict):
     with _refusing():
         alpha = as_float(p.get("alpha", 16.0), "alpha")
         _check_alpha(alpha)
-        profiles = [corpus_profile(name) for name in corpus_names()]
+        names = corpus_names()
+        profiles = [corpus_profile(name) for name in names]
         # the log form at the paper's gamma = alpha + 4: in s = t/gamma its
         # integrand is the same at every gamma, so one gamma checks it
         log_profiles = [to_log_profile(u, alpha + 4.0) for u in profiles]
-    rows = []
-    failures = 0
-    names = corpus_names()
     energies = laplacian_l2_sq_batch(profiles, spec)
     units = [scale_to_unit(u, energy) for u, energy in zip(profiles, energies)]
+    forms = [(sqrt_transform_energy(u, spec), log_energy(wp, spec)) for u, wp in zip(profiles, log_profiles)]
+    margins = [pointwise_log_bound_margin(u, energy) for u, energy in zip(profiles, energies)]
 
-    for name, u, radial, wp in zip(names, profiles, energies, log_profiles):
-        forms = (sqrt_transform_energy(u, spec), log_energy(wp, spec))
-        worst = max(abs(form - radial) / radial for form in forms)
-        ok = worst <= 1e-8
-        failures += not ok
-        rows.append(("energy-identity", name, worst, ok))
+    # each grid is one batch over every profile, profile-major, so a
+    # profile's grid points are one run of `size` in `_worst_per_profile`
+    alphas = (0.0, 1.0, 4.0, 16.0)
+    lp_grid = [(pexp, a) for pexp in (2.0, 4.0, 6.0) for a in alphas]
+    norms = weighted_lp_norm_p_batch([(u, pexp, a) for u in profiles for pexp, a in lp_grid], spec)
+    f_grid = [FunctionalParams(a, 0.9 * sigma_alpha(a), m) for a in alphas for m in (None, 0, 1, 2)]
+    values = weighted_functional_batch([(u, params) for u in units for params in f_grid], spec)
+    embedding_bounds = [
+        embedding_bound(pexp, a, math.sqrt(energy)) for energy in energies for pexp, a in lp_grid
+    ]
+    series_bounds = [series_upper_bound(params) for params in f_grid] * len(names)
 
-    for name, u, energy in zip(names, profiles, energies):
-        margin = pointwise_log_bound_margin(u, energy)
-        ok = margin <= 1.0 + 1e-9
-        failures += not ok
-        rows.append(("log-bound-margin", name, margin, ok))
-
-    # each block integrates all of its profiles in lockstep
-    grid = [(pexp, a) for pexp in (2.0, 4.0, 6.0) for a in (0.0, 1.0, 4.0, 16.0)]
-    norms = weighted_lp_norm_p_batch([(u, pexp, a) for u in profiles for pexp, a in grid], spec)
-    for k, (name, radial) in enumerate(zip(names, energies)):
-        lap = math.sqrt(radial)
-        worst = 0.0
-        for (pexp, a), lhs in zip(grid, norms[k * len(grid) :]):
-            rhs = embedding_bound(pexp, a, lap)
-            worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
-        ok = worst <= 1.0 + 1e-8
-        failures += not ok
-        rows.append(("embedding-bound", name, worst, ok))
-
-    grid = [FunctionalParams(a, 0.9 * sigma_alpha(a), m) for a in (0.0, 1.0, 4.0, 16.0) for m in (None, 0, 1, 2)]
-    values = weighted_functional_batch([(u, params) for u in units for params in grid], spec)
-    for k, name in enumerate(names):
-        worst = 0.0
-        for params, val in zip(grid, values[k * len(grid) :]):
-            worst = max(worst, val / series_upper_bound(params))
-        ok = worst <= 1.0 + 1e-8
-        failures += not ok
-        rows.append(("series-bound", name, worst, ok))
+    identity = [max(abs(form - radial) / radial for form in pair) for pair, radial in zip(forms, energies)]
+    checks = (  # (kind, limit, each profile's worst ratio)
+        ("energy-identity", 1e-8, identity),
+        ("log-bound-margin", 1.0 + 1e-9, margins),
+        ("embedding-bound", 1.0 + 1e-8, _worst_per_profile(norms, embedding_bounds, len(lp_grid))),
+        ("series-bound", 1.0 + 1e-8, _worst_per_profile(values, series_bounds, len(f_grid))),
+    )
+    rows = [
+        (kind, name, worst, worst <= limit)
+        for kind, limit, worsts in checks
+        for name, worst in zip(names, worsts)
+    ]
+    failures = sum(not ok for *_, ok in rows)
 
     for kind, name, val, ok in rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {kind:18s} {name:22s} {val:.6g}")

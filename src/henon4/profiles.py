@@ -594,9 +594,12 @@ def pointwise_log_bound_margin(u: RadialProfile, energy: float) -> float:
     Evaluates sup over 512 log-spaced nodes of
         |u(r)| * 2 sqrt(OMEGA_3) / (sqrt(-log r) * ||Delta u||_2);
     the radial pointwise estimate asserts this never exceeds 1.
-    Returns 0.0 for the zero profile (energy 0) by convention.
+    Returns 0.0 for the zero profile (energy 0) by convention; a negative
+    or non-finite energy raises DomainError.
     """
-    if energy <= 0.0:
+    if not (energy >= 0.0 and math.isfinite(energy)):
+        raise DomainError(f"pointwise bound of {u.description} needs a finite energy >= 0, got {energy!r}")
+    if energy == 0.0:
         return 0.0
     r = np.geomspace(1e-6, 1.0 - 1e-6, _LOG_BOUND_NODES)
     vals = np.abs(np.asarray(u.value(r)))

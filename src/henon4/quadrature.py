@@ -35,13 +35,15 @@ error test, split order and subdivision count.  Every round, the first
 included, is one `_round`, whose cost splits three ways: one `_gk15_batch`
 call over the new intervals of every live problem; one integrand call per
 distinct parameter value (`profiles._by_key`), not per problem; and
-`_refine`'s bookkeeping (two sums, a sort, four concatenations) per live
-problem.  A batch keeps its lockstep results only when the run was silent:
-numpy's 'warn' modes raise during it, and if anything raises (a bad
-interval, a failed integral, the integrand, or a floating-point warning), the
-batch is computed again as the loop of `integrate` it stands for, which
-raises the loop's first failure and issues its warnings in its order; a
-batch of fewer than two is that loop, so a lone integral is `integrate`.
+`_refine`'s bookkeeping: two sums per live problem, and for a problem that
+splits a sort, a count, the picks, a mask and six concatenations (two for
+its new halves, four to merge them after the round).  A batch keeps its
+lockstep results only when the run was silent: numpy's 'warn' modes raise
+during it, and if anything raises (a bad interval, a failed integral, the
+integrand, or a floating-point warning), the batch is computed again as the
+loop of `integrate` it stands for, which raises the loop's first failure and
+issues its warnings in its order; a batch of fewer than two is that loop, so
+a lone integral is `integrate`.
 A batch returns its integrals and nothing else: a caller checks their values
 once it has them all, and checks its inputs before the batch starts.
 A silent batch returns the bits of the loop on two conditions, which

@@ -246,6 +246,17 @@ def test_symmetry_sweep_runs_the_m0_control(tmp_path):
     assert doc["alpha_star"] == "not-found-on-grid"
 
 
+def test_symmetry_sweep_runs_the_cos2_bump(tmp_path):
+    # the non-default bump from the command line to the report: its larger
+    # alpha^-4 constant moves the m = 2 crossover from 256 down to 128
+    out = tmp_path / "cos2"
+    args = ["symmetry-sweep", "--sigma", "32pi2", "--m", "2", "--bump", "cos2"]
+    assert main(args + ["--out-dir", str(out)]) == 0
+    doc = json.loads((out / "sweep_report.json").read_text())
+    assert [r["alpha"] for r in doc["rows"]] == [16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+    assert doc["alpha_star"] == 128.0
+
+
 _SCAN_MESSAGES = [
     (["--beta", "1e308"], None),  # beta * sigma_alpha overflows
     (["--alpha", "1e308"], None),
@@ -341,6 +352,8 @@ def test_run_config_holds_the_run_setting_defaults(tmp_path, monkeypatch):
     assert RunConfig("threshold-scan").out_dir == tmp_path / "from_env"
     assert build_config(["threshold-scan"]) == RunConfig("threshold-scan")
     assert build_config(["threshold-scan", "--out-dir", ""]) == RunConfig("threshold-scan")
+    monkeypatch.setenv("HENON4_OUT_DIR", "")
+    assert RunConfig("threshold-scan").out_dir == Path("out")
     monkeypatch.delenv("HENON4_OUT_DIR")
     assert RunConfig("threshold-scan").out_dir == Path("out")
 
@@ -378,6 +391,18 @@ def test_python_m_henon4_cli_exits_with_mains_code(tmp_path):
     assert done.returncode == 2
     assert "henon4: error: unrecognized arguments: --bogus 1" in done.stderr
     assert not never.exists()
+
+
+def test_console_script_names_the_main_the_tests_call():
+    # the installed `henon4` command is pyproject's [project.scripts] entry
+    import importlib.metadata
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["henon4"]
+    assert target == "henon4.cli:main"
+    entry = importlib.metadata.EntryPoint(name="henon4", value=target, group="console_scripts")
+    assert entry.load() is main
 
 
 def test_emit_empty_report_header_only(tmp_path):
@@ -596,6 +621,19 @@ def test_non_integer_count_message_names_the_key(tmp_path, capsys, argv, config,
     assert main(argv + ["--config", str(cfg_file), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be an integer, got {next(iter(config.values()))}" in err
+
+
+@pytest.mark.parametrize("margin, failures", [(1.0 + 5e-10, 0), (1.0 + 5e-9, 13)])
+def test_verify_identities_log_bound_limit(tmp_path, monkeypatch, capsys, margin, failures):
+    # the margin's limit is 1 + 1e-9, tighter than the other ratios' 1 + 1e-8
+    monkeypatch.setattr(cli, "pointwise_log_bound_margin", lambda u, energy: margin)
+    assert main(["verify-identities", "--out-dir", str(tmp_path)]) == (3 if failures else 0)
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == failures
+    assert all(line.startswith("[FAIL] log-bound-margin ") for line in fails)
+    rows = json.loads((tmp_path / "verify_identities.json").read_text())["rows"]
+    assert [r["check"] for r in rows if not r["ok"]] == ["log-bound-margin"] * failures
+    assert sum(r["check"] == "log-bound-margin" for r in rows) == 13
 
 
 def test_verify_identities_integrates_in_lockstep(tmp_path, monkeypatch):

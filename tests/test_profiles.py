@@ -496,6 +496,14 @@ def test_pointwise_margin_zero_profile():
     assert pointwise_log_bound_margin(zero_profile(), 0.0) == 0.0
 
 
+@pytest.mark.parametrize("energy", [math.inf, -1.0, math.nan])
+def test_pointwise_margin_refuses_a_negative_or_non_finite_energy(energy):
+    # no profile has such an energy; a margin of 0.0 or nan would read as a
+    # bound that holds, or pass no verdict at all
+    with pytest.raises(DomainError, match="finite energy >= 0"):
+        pointwise_log_bound_margin(corpus_profile("poly4"), energy)
+
+
 def test_pointwise_margin_poly2():
     u = poly_profile(1)
     m = pointwise_log_bound_margin(u, laplacian_l2_sq(u))
