@@ -18,10 +18,13 @@ function, which checks its inputs before it computes, and the keys it reads)
 Every flag but --config is a config-file key (one table, `_FLAGS`).
 
 Exit codes: 0 success, 2 invalid configuration (nothing is computed or
-written), 3 numerical failure (a verdict or invariant contradicts the
-expected regime).  Outputs are written once, after all computation, and are
-byte-stable for a fixed configuration and seed: CSV uses '.' decimals and 17
-significant digits, JSON is emitted with sorted keys.
+written; an --out-dir that is a file or lies under one included), 3 numerical
+failure (a verdict or invariant contradicts the expected regime).  Commands
+return their lines; `run`, the only writer, prints them after the reports, so
+a reader who closes stdout early changes neither the code nor the reports.
+Outputs are written once, after all computation, and are byte-stable for a
+fixed configuration and seed: CSV uses '.' decimals and 17 significant
+digits, JSON is emitted with sorted keys.
 
 sigma accepts symbolic tokens: "32pi2" (or any "<x>pi2"), "sigma_alpha",
 "<x>*sigma_alpha" resolved against the given alpha, or a plain number.
@@ -94,6 +97,10 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.fmt not in _FLAGS["format"]["choices"]:
             raise ConfigError(f"unknown format {self.fmt!r}")
+        # out_dir, or its nearest existing ancestor, must be a directory
+        existing = next(d for d in (self.out_dir, *self.out_dir.parents) if os.path.lexists(d))
+        if not existing.is_dir():
+            raise ConfigError(f"out_dir {str(self.out_dir)!r}: {str(existing)!r} is not a directory")
 
 
 @dataclass(frozen=True)
@@ -308,15 +315,13 @@ def _verify_identities(spec: QuadratureSpec, p: dict):
         for name, worst in zip(names, worsts)
     ]
     failures = sum(not ok for *_, ok in rows)
-
-    for kind, name, val, ok in rows:
-        print(f"[{'PASS' if ok else 'FAIL'}] {kind:18s} {name:22s} {val:.6g}")
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {kind:18s} {name:22s} {val:.6g}" for kind, name, val, ok in rows]
     report = TableReport(
         meta={"suite": "verify-identities", "alpha": alpha},
         header=("check", "profile", "worst_ratio", "ok"),
         rows=tuple(rows),
     )
-    return report, (0 if failures == 0 else 3), f"{failures} failure(s)"
+    return report, (0 if failures == 0 else 3), f"{failures} failure(s)", lines
 
 
 def _threshold_scan(spec: QuadratureSpec, p: dict):
@@ -325,28 +330,23 @@ def _threshold_scan(spec: QuadratureSpec, p: dict):
         alphas = parse_alphas(str(p.get("alphas", "0,1,4,16")))
         grid = [FunctionalParams(a, resolve_sigma(sigma_token, a)) for a in alphas]
         bounds = [series_upper_bound(q) for q in grid]
-    rows = []
-    failures = 0
     profiles = [corpus_profile(name) for name in corpus_names()]
     units = [scale_to_unit(u, energy) for u, energy in zip(profiles, laplacian_l2_sq_batch(profiles, spec))]
-    for params, bound in zip(grid, bounds):
-        # one row's corpus in lockstep: a failing row still prints the rows before it
-        worst = 0.0
-        for val in weighted_functional_batch([(u, params) for u in units], spec):
-            worst = max(worst, val)
-        ok = worst <= bound * (1.0 + 1e-8)
-        failures += not ok
-        rows.append((params.alpha, sigma_alpha(params.alpha), bound, worst))
-        print(
-            f"[{'PASS' if ok else 'FAIL'}] alpha={params.alpha:g} "
-            f"sigma_alpha={sigma_alpha(params.alpha):.6g} bound={bound:.6g} max_corpus={worst:.6g}"
-        )
+    # the whole grid is one batch, row-major, so a row's corpus is one run of len(units)
+    values = weighted_functional_batch([(u, params) for params in grid for u in units], spec)
+    worsts = [max([0.0, *values[k : k + len(units)]]) for k in range(0, len(values), len(units))]
+    rows = [(q.alpha, sigma_alpha(q.alpha), bound, worst) for q, bound, worst in zip(grid, bounds, worsts)]
+    oks = [worst <= bound * (1.0 + 1e-8) for *_, bound, worst in rows]
+    lines = [
+        f"[{'PASS' if ok else 'FAIL'}] alpha={a:g} sigma_alpha={s:.6g} bound={b:.6g} max_corpus={worst:.6g}"
+        for (a, s, b, worst), ok in zip(rows, oks)
+    ]
     report = TableReport(
         meta={"suite": "threshold-scan", "sigma": sigma_token},
         header=("alpha", "sigma_alpha", "series_bound", "max_corpus_value"),
         rows=tuple(rows),
     )
-    return report, (0 if failures == 0 else 3), f"{failures} violation(s)"
+    return report, (0 if all(oks) else 3), f"{oks.count(False)} violation(s)", lines
 
 
 def _moser_blowup(spec: QuadratureSpec, p: dict):
@@ -359,12 +359,11 @@ def _moser_blowup(spec: QuadratureSpec, p: dict):
         check_scan(alpha, beta, epsilons, p.get("m"), BoundaryKind(bc))
     ex = blowup_scan(alpha, beta, epsilons, m=p.get("m"), spec=spec, bc=BoundaryKind(bc))
     rows = tuple(zip(epsilons, ex.norm_sqs, ex.values, ex.log_values, ex.lower_bound_exponents))
-    for row in rows:
-        print(
-            f"eps={row[0]:<8g} norm_sq={row[1]:.8f} value={row[2]:.6g} "
-            f"log={row[3]:+.4f} floor={row[4]:+.4f}"
-        )
-    print(f"verdict: {ex.verdict}")
+    lines = [
+        f"eps={eps:<8g} norm_sq={norm_sq:.8f} value={value:.6g} log={log:+.4f} floor={floor:+.4f}"
+        for eps, norm_sq, value, log, floor in rows
+    ]
+    lines.append(f"verdict: {ex.verdict}")
     report = TableReport(
         meta={
             "suite": "moser-blowup",
@@ -378,33 +377,31 @@ def _moser_blowup(spec: QuadratureSpec, p: dict):
         rows=rows,
     )
     if beta > 1.0 and ex.verdict != "Diverging":
-        return report, 3, f"expected Diverging at beta={beta}, got {ex.verdict}"
+        return report, 3, f"expected Diverging at beta={beta}, got {ex.verdict}", lines
     if beta < 1.0 and ex.verdict != "Bounded":
-        return report, 3, f"expected Bounded at beta={beta}, got {ex.verdict}"
-    return report, 0, ex.verdict
+        return report, 3, f"expected Bounded at beta={beta}, got {ex.verdict}", lines
+    return report, 0, ex.verdict, lines
 
 
 def _talenti_check(spec: QuadratureSpec, p: dict):
     with _refusing():
         count, seed = p.get("count", 10), p.get("seed", 20240807)
         profiles = seeded_comparison_profiles(count, seed)
-    rows = []
-    failures = 0
-    for v, rep in zip(profiles, talenti_comparison_check(profiles, spec)):
-        failures += not rep.holds
-        rows.append(
-            (v.description, rep.min_gap, rep.l2_rel_err, rep.v_sq_integral, rep.u_sq_integral, rep.holds)
-        )
-        print(
-            f"[{'PASS' if rep.holds else 'FAIL'}] {v.description:20s} min_gap={rep.min_gap:+.3e} "
-            f"l2_rel={rep.l2_rel_err:.3e}"
-        )
+    rows = [
+        (v.description, rep.min_gap, rep.l2_rel_err, rep.v_sq_integral, rep.u_sq_integral, rep.holds)
+        for v, rep in zip(profiles, talenti_comparison_check(profiles, spec))
+    ]
+    failures = sum(not ok for *_, ok in rows)
+    lines = [
+        f"[{'PASS' if ok else 'FAIL'}] {name:20s} min_gap={gap:+.3e} l2_rel={err:.3e}"
+        for name, gap, err, *_, ok in rows
+    ]
     report = TableReport(
         meta={"suite": "talenti-check", "count": count, "seed": seed},
         header=("profile", "min_gap", "l2_rel_err", "v_sq", "u_sq", "ok"),
         rows=tuple(rows),
     )
-    return report, (0 if failures == 0 else 3), f"{failures} failure(s)"
+    return report, (0 if failures == 0 else 3), f"{failures} failure(s)", lines
 
 
 def _symmetry_sweep(spec: QuadratureSpec, p: dict):
@@ -417,15 +414,13 @@ def _symmetry_sweep(spec: QuadratureSpec, p: dict):
         bump = BumpSpec(p["bump"]) if "bump" in p else BumpSpec()
         check_sweep(params, alphas)
     report = crossover_detect(params, alphas, bump, spec)
-    for r in report.rows:
-        print(
-            f"alpha={r.alpha:<6g} bump={r.bump_exact:.6e} bound={r.bump_paper_bound:.6e} "
-            f"radial={r.radial_max:.6e} margin={r.crossover_margin():+.3f} [{r.radial_profile_id}]"
-        )
     slopes = report.fitted_slopes
-    print(f"fitted slopes: bump={slopes['bump']:.4f} radial={slopes['radial']:.4f}")
     star = report.alpha_star if report.alpha_star is not None else "not-found-on-grid"
-    print(f"alpha_star: {star}")
+    lines = [
+        f"alpha={r.alpha:<6g} bump={r.bump_exact:.6e} bound={r.bump_paper_bound:.6e} "
+        f"radial={r.radial_max:.6e} margin={r.crossover_margin():+.3f} [{r.radial_profile_id}]"
+        for r in report.rows
+    ] + [f"fitted slopes: bump={slopes['bump']:.4f} radial={slopes['radial']:.4f}", f"alpha_star: {star}"]
     table = TableReport(
         meta={
             "sigma": params.sigma,
@@ -440,7 +435,7 @@ def _symmetry_sweep(spec: QuadratureSpec, p: dict):
             for r in report.rows
         ),
     )
-    return table, 0, f"alpha_star={star}"
+    return table, 0, f"alpha_star={star}", lines
 
 
 # Each command: the stem of its reports, <stem>.csv and <stem>.json, its function and the keys it reads.
@@ -454,7 +449,7 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured command; write outputs; return the exit code.
+    """Execute the configured command; write its reports, then print its lines; return the exit code.
 
     Raises ConfigError, before computing or writing anything, when the
     command does not read a given key or the library rejects its inputs.
@@ -463,7 +458,7 @@ def run(config: RunConfig) -> int:
     stem, body, keys = _COMMANDS[config.command]
     if unread := sorted(set(config.params) - keys):
         raise ConfigError(f"{config.command} does not read {unread}; it reads {sorted(keys)}")
-    report, code, note = body(config.quadrature, config.params)
+    report, code, note, lines = body(config.quadrature, config.params)
 
     wrote = []
     for fmt in ("csv", "json"):
@@ -471,7 +466,13 @@ def run(config: RunConfig) -> int:
             path = config.out_dir / f"{stem}.{fmt}"
             emit(report, fmt, path)
             wrote.append(str(path))
-    print(f"{config.command}: {note} ({time.time() - t0:.1f}s) -> {', '.join(wrote)}")
+    lines.append(f"{config.command}: {note} ({time.time() - t0:.1f}s) -> {', '.join(wrote)}")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # a reader that stopped early: the reports are written, so the
+        # command's code stands, and Python's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
